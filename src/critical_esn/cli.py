@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -133,30 +132,26 @@ def _default(args, name, value):
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Grid flag: ``start:stop:step`` or a comma-separated value list."""
-    if ":" in text:
-        start, stop, step = (float(p) for p in text.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid range {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(count)
-    return np.array([float(p) for p in text.split(",")])
+    """Grid flag: ``start:stop:step`` or a comma-separated value list.
 
-
-def _chunked_batch(values: np.ndarray, threads: int, worker):
-    """Run ``worker`` over contiguous chunks and reassemble in grid order.
-
-    Per-element results are independent of the chunking, so the output is
-    deterministic for any worker count.
+    A range's last point is snapped back onto ``stop`` when rounding in
+    ``start + i * step`` overshoots it by less than 1e-9 of a step; no
+    other point moves.  Non-finite values are rejected.
     """
-    threads = max(1, int(threads))
-    chunks = np.array_split(np.arange(values.size), min(threads, values.size))
-    if threads == 1 or len(chunks) == 1:
-        parts = [worker(values[idx]) for idx in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda idx: worker(values[idx]), chunks))
-    return parts
+    sep = ":" if ":" in text else ","
+    values = [float(p) for p in text.split(sep)]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid values must be finite, got {text!r}")
+    if sep == ",":
+        return np.array(values)
+    start, stop, step = values
+    if step <= 0 or stop < start:
+        raise ValueError(f"bad grid range {text!r}")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    grid = start + step * np.arange(count)
+    if stop < grid[-1] < stop + 1e-9 * step:
+        grid[-1] = stop
+    return grid
 
 
 # -- commands ------------------------------------------------------------------
@@ -228,21 +223,16 @@ def cmd_sweep_alpha(args) -> list[Path]:
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
 
-    def worker(alphas: np.ndarray):
-        return renormalized_scalar_batch(
-            -alphas,
-            1.0 - alphas * TANH1,
-            base,
-            transfer,
-            d0=args.d0,
-            washout=args.washout,
-            y0=-TANH1,
-            direction=direction,
-        )
-
-    parts = _chunked_batch(grid, args.threads, worker)
-    lam = np.concatenate([p[0] for p in parts])
-    err = np.concatenate([p[1] for p in parts])
+    lam, err = renormalized_scalar_batch(
+        -grid,
+        1.0 - grid * TANH1,
+        base,
+        transfer,
+        d0=args.d0,
+        washout=args.washout,
+        y0=-TANH1,
+        direction=direction,
+    )
 
     path = Path(args.out) / "sweep_alpha.csv"
     write_csv(path, ["alpha", "lambda", "stderr"], zip(grid, lam, err))
@@ -270,20 +260,16 @@ def cmd_sweep_gamma(args) -> list[Path]:
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
 
-    def worker(gammas: np.ndarray):
-        return renormalized_scalar_batch(
-            np.full(gammas.size, -1.0),
-            1.0 - TANH1,
-            base[:, None] * gammas[None, :],
-            transfer,
-            d0=args.d0,
-            washout=args.washout,
-            y0=-TANH1,
-            direction=direction,
-        )
-
-    parts = _chunked_batch(grid, args.threads, worker)
-    lam_ecp = np.concatenate([p[0] for p in parts])
+    lam_ecp, _ = renormalized_scalar_batch(
+        np.full(grid.size, -1.0),
+        1.0 - TANH1,
+        base[:, None] * grid[None, :],
+        transfer,
+        d0=args.d0,
+        washout=args.washout,
+        y0=-TANH1,
+        direction=direction,
+    )
 
     critical = solve_critical_b(math.pi / 4.0)
     lam_tanh = np.array([expected_orbit_rate(critical, math.pi / 4.0, g) for g in grid])
@@ -488,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="experiment seed (default 0)")
     parser.add_argument("--out", type=str, default=None, help="output directory (default .)")
-    parser.add_argument("--threads", type=int, default=None, help="sweep worker count (default 1)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="ignored; accepted so older command lines still run")
     parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -561,7 +548,6 @@ def main(argv=None) -> int:
             _merge_config(args, read_config(args.config))
         _default(args, "seed", 0)
         _default(args, "out", ".")
-        _default(args, "threads", 1)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -29,6 +29,19 @@ two branches have to be glued; two gluing variants are provided:
 Outside the extreme anchors the curve follows the outermost branch, so
 the tails saturate at ``tanh(p_extreme) +- 1``.
 
+The pieces are stored as one table of four arrays, ``a``, ``s``, ``b``
+and ``c``, with one entry per piece.  Every piece is evaluated by one
+formula, ``a * tanh(x - s) + b + c * (x - s)``, with slope
+``a * (1 - tanh(x - s)**2) + c``:
+
+==============  ===  ================  ========  ============
+piece           a    s                 b         c
+==============  ===  ================  ========  ============
+branch          1    anchor ``p``      tanh(p)   0
+bridge line     0    segment midpoint  level     bridge slope
+plateau         0    segment midpoint  level     0
+==============  ===  ================  ========  ============
+
 Instances are immutable after construction and safe for concurrent reads.
 """
 
@@ -56,10 +69,9 @@ MIN_ECP_SPACING = 1e-6
 #: Junction equations are solved until the defining residual is below this.
 _RESIDUAL_TOL = 1e-14
 
-# Piece kinds of the compiled piecewise representation.
-_BRANCH = 0  # tanh(x - p1) + p2
-_LINE = 1    # p1 + p2 * (x - p3)
-_CONST = 2   # p1
+#: Inputs are clamped this far beyond the extreme anchors, where
+#: ``tanh(x - p)`` is already exactly +-1 (it is from |x - p| > 19.1 on).
+_TAIL_CLAMP = 40.0
 
 
 def _tanh(x: float) -> float:
@@ -178,8 +190,12 @@ class MorphableTransfer:
     -----
     At a kink abscissa :meth:`slope` returns the right-sided value, so
     validators see a deterministic answer.  Junction positions are solved
-    at build time to residuals below 1e-14 and evaluation is a table
-    lookup plus one tanh, so instances are cheap to call on arrays.
+    at build time to residuals below 1e-14.  Evaluation is one
+    ``searchsorted`` on the kinks, a gather from each array of the piece
+    table (``a``, ``s``, ``b``, ``c``; see the module docstring) and one
+    formula, the same for every piece, so a call costs a fixed handful of
+    numpy operations at any batch size.  ``eval(+-inf)`` is the saturated tail
+    value, ``slope(+-inf)`` is 0 and NaN maps to NaN.
     """
 
     def __init__(self, ecps, variant: Variant | str = Variant.BRIDGE):
@@ -193,10 +209,10 @@ class MorphableTransfer:
         pts = self._ecps
         anchors = np.tanh(pts)
         breaks: list[float] = []
-        # Pieces as (kind, p1, p2, p3); piece j is active on
+        # Pieces as (a, s, b, c); piece j is active on
         # [breaks[j-1], breaks[j]) with the right piece owning the break.
-        pieces: list[tuple[int, float, float, float]] = [
-            (_BRANCH, float(pts[0]), float(anchors[0]), 0.0)
+        pieces: list[tuple[float, float, float, float]] = [
+            (1.0, float(pts[0]), float(anchors[0]), 0.0)
         ]
 
         for i in range(len(pts) - 1):
@@ -204,46 +220,15 @@ class MorphableTransfer:
             h_lo, h_hi = float(anchors[i]), float(anchors[i + 1])
             width = right - left
             dh = h_hi - h_lo
-
-            def branch_gap(x, _l=left, _r=right, _lo=h_lo, _hi=h_hi):
-                return (_tanh(x - _l) + _lo) - (_tanh(x - _r) + _hi)
-
-            # Segments adjacent to the anchor at 0 have a branch gap of
-            # exactly zero at their endpoints; a one-ulp wobble must not
-            # flip them into the crossing case, hence the small margin.
-            if branch_gap(left) < -1e-12:
-                # Branches cross strictly inside the segment; switch at the
-                # crossing nearest the midpoint.  Unreachable once 0 is an
-                # anchor (same-side segments keep the left branch on top),
-                # kept for generality.
-                mid = left + 0.5 * width
-                gap_mid = branch_gap(mid)
-                candidates = []
-                if gap_mid == 0.0:
-                    candidates.append(mid)
-                else:
-                    if (gap_mid < 0.0) != (branch_gap(left) < 0.0):
-                        candidates.append(_bisect_root(branch_gap, left, mid))
-                    if (branch_gap(right) < 0.0) != (gap_mid < 0.0):
-                        candidates.append(_bisect_root(branch_gap, mid, right))
-                if not candidates:
-                    raise RuntimeError("crossing segment without a root")
-                root = min(candidates, key=lambda r: abs(r - mid))
-                breaks.append(root)
-                pieces.append((_BRANCH, right, h_hi, 0.0))
-                continue
-
-            # Left branch rides above the right branch (touching at most at
-            # the segment ends): glue per variant.
+            # 0 is an anchor, so tanh's subadditivity keeps the left branch on top.
             level = 0.5 * (h_lo + h_hi)
+            mid = left + 0.5 * width
             if self._variant is Variant.PLATEAU:
                 # math.atanh is exact here: dh/2 <= tanh(width)/2 < 1/2.
-                reach = math.atanh(0.5 * dh)
-                depart, arrive = left + reach, right - reach
-                middle = (_CONST, level, 0.0, 0.0)
+                off = math.atanh(0.5 * dh)
+                slope = 0.0
             else:
                 slope = dh / (2.0 * width)
-                mid = left + 0.5 * width
 
                 def junction(s, _m=slope, _w=width, _dh=dh):
                     return _tanh(s) + _m * (0.5 * _w - s) - 0.5 * _dh
@@ -252,35 +237,26 @@ class MorphableTransfer:
                 # offset is strictly inside (0, w/2) and the branch piece
                 # around each anchor keeps nonzero width.
                 off = _bisect_root(junction, 0.0, 0.5 * width)
-                depart, arrive = left + off, right - off
-                middle = (_LINE, level, slope, mid)
+            depart, arrive = left + off, right - off
             if not (left < depart < arrive < right):
                 raise RuntimeError("glue junctions escaped their segment")
-            breaks.append(depart)
-            pieces.append(middle)
-            breaks.append(arrive)
-            pieces.append((_BRANCH, right, h_hi, 0.0))
+            breaks += [depart, arrive]
+            pieces += [(0.0, mid, level, slope), (1.0, right, h_hi, 0.0)]
 
         self._breaks = np.asarray(breaks)
         if self._breaks.size and np.any(np.diff(self._breaks) <= 0.0):
             raise RuntimeError("piece junctions out of order")
-        self._kind = np.array([p[0] for p in pieces], dtype=np.int8)
-        self._p1 = np.array([p[1] for p in pieces])
-        self._p2 = np.array([p[2] for p in pieces])
-        self._p3 = np.array([p[3] for p in pieces])
-        self._single = len(pieces) == 1
+        self._a, self._s, self._b, self._c = np.array(pieces).T.copy()
+        self._lo = float(pts[0]) - _TAIL_CLAMP
+        self._hi = float(pts[-1]) + _TAIL_CLAMP
 
         mismatch = self._junction_mismatch()
         if mismatch > _RESIDUAL_TOL:
             raise RuntimeError(f"junction residual {mismatch:.3g} above tolerance")
 
     def _piece_value(self, j: int, x: float) -> float:
-        kind = self._kind[j]
-        if kind == _BRANCH:
-            return _tanh(x - self._p1[j]) + self._p2[j]
-        if kind == _LINE:
-            return self._p1[j] + self._p2[j] * (x - self._p3[j])
-        return self._p1[j]
+        s = self._s[j]
+        return self._a[j] * _tanh(x - s) + self._b[j] + self._c[j] * (x - s)
 
     def _junction_mismatch(self) -> float:
         worst = 0.0
@@ -307,21 +283,12 @@ class MorphableTransfer:
     def eval(self, x):
         """Transfer value; arrays map elementwise, scalars return float."""
         arr = np.asarray(x, dtype=float)
-        if self._single:
-            out = np.tanh(arr - self._p1[0]) + self._p2[0]
-        else:
-            idx = np.searchsorted(self._breaks, arr, side="right")
-            kind = self._kind[idx]
-            out = np.empty_like(arr, dtype=float)
-            m = kind == _BRANCH
-            if m.any():
-                out[m] = np.tanh(arr[m] - self._p1[idx[m]]) + self._p2[idx[m]]
-            m = kind == _LINE
-            if m.any():
-                out[m] = self._p1[idx[m]] + self._p2[idx[m]] * (arr[m] - self._p3[idx[m]])
-            m = kind == _CONST
-            if m.any():
-                out[m] = self._p1[idx[m]]
+        # Past the clamp the tails are flat to the last bit; clamping keeps
+        # x = +-inf from reaching c * (x - s) as 0 * inf = NaN.
+        xc = np.minimum(np.maximum(arr, self._lo), self._hi)
+        j = self._breaks.searchsorted(xc, side="right")
+        d = xc - self._s[j]
+        out = self._a[j] * np.tanh(d) + self._b[j] + self._c[j] * d
         return out if arr.ndim else float(out)
 
     __call__ = eval
@@ -329,21 +296,9 @@ class MorphableTransfer:
     def slope(self, x):
         """Analytic slope of the active piece (right-sided at kinks)."""
         arr = np.asarray(x, dtype=float)
-        if self._single:
-            out = 1.0 - np.tanh(arr - self._p1[0]) ** 2
-        else:
-            idx = np.searchsorted(self._breaks, arr, side="right")
-            kind = self._kind[idx]
-            out = np.empty_like(arr, dtype=float)
-            m = kind == _BRANCH
-            if m.any():
-                out[m] = 1.0 - np.tanh(arr[m] - self._p1[idx[m]]) ** 2
-            m = kind == _LINE
-            if m.any():
-                out[m] = self._p2[idx[m]]
-            m = kind == _CONST
-            if m.any():
-                out[m] = 0.0
+        j = self._breaks.searchsorted(arr, side="right")
+        t = np.tanh(arr - self._s[j])
+        out = self._a[j] * (1.0 - t * t) + self._c[j]
         return out if arr.ndim else float(out)
 
     def sample(self, lo: float, hi: float, n: int) -> np.ndarray:

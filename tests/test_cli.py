@@ -30,6 +30,26 @@ class TestHelpers:
     def test_parse_grid_list(self):
         assert parse_grid("0.25,1.5").tolist() == [0.25, 1.5]
 
+    def test_parse_grid_snaps_overshooting_endpoint(self):
+        # 0.05 + 0.05 * 29 accumulates to 1.5000000000000002.
+        grid = parse_grid("0.05:1.5:0.05")
+        assert grid.size == 30
+        assert grid[-1] == 1.5
+        assert np.array_equal(grid[:-1], 0.05 + 0.05 * np.arange(29))
+
+    def test_parse_grid_leaves_points_below_stop(self):
+        grid = parse_grid("0.0005:1.5:0.0005")
+        assert np.array_equal(grid, 0.0005 + 0.0005 * np.arange(3000))
+        assert grid[-1] == 1.5
+        # The snap only touches an endpoint within 1e-9 of a step past stop.
+        assert parse_grid("0.1:1.05:0.2").tolist() == (0.1 + 0.2 * np.arange(5)).tolist()
+
+    @pytest.mark.parametrize("text", ["nan,1.0", "0.5,inf", "nan:1.0:0.25",
+                                      "0.5:inf:0.25", "0.5:1.0:nan"])
+    def test_parse_grid_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text)
+
 
 class TestTransferDump:
     def test_bridge_curve(self, tmp_path):
@@ -91,6 +111,20 @@ class TestSweepAlpha:
     def test_grid_domain_enforced(self, tmp_path):
         assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "1.0,1.6",
                        "--horizon", 2000) == 1
+
+    def test_default_grid_in_range_syntax(self, tmp_path):
+        # The documented default grid 0.05..1.50, written as a range.
+        assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "0.05:1.5:0.05",
+                       "--horizon", 1000) == 0
+        alphas = [float(r["alpha"]) for r in read_rows(tmp_path / "sweep_alpha.csv")]
+        assert len(alphas) == 30 and alphas[-1] == 1.5
+
+    def test_nan_grid_rejected(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "nan,1.0",
+                       "--horizon", 2000) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "sweep_alpha.csv").exists()
 
     def test_short_horizon_rejected(self, tmp_path):
         assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "1.0",
@@ -205,6 +239,11 @@ class TestConfigFile:
         assert run_cli("--out", tmp_path, "--config", cfg, "lyapunov",
                        "--preset", "anchored", "--alpha", 0.25) == 0
         assert "alpha=0.25" in (tmp_path / "lyapunov.txt").read_text()
+
+    def test_threads_key_still_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=4\n")
+        assert run_cli("--out", tmp_path, "--config", cfg, "critical-b") == 0
 
     def test_missing_config_is_an_error(self, tmp_path):
         assert run_cli("--out", tmp_path, "--config", tmp_path / "nope.cfg",

@@ -17,6 +17,32 @@ from critical_esn.transfer import (
 TANH1 = float(np.tanh(1.0))
 
 
+def masked_reference(f, x, slope=False):
+    """Per-kind masked evaluation, the form the piece table replaced.
+
+    Each piece of ``f``'s table is read back as one of three kinds, and
+    each kind gets its own mask pass and its own formula: a branch
+    ``tanh(x - p) + tanh(p)`` (a = 1), a bridge line ``level + c * (x - mid)``
+    (a = 0, c != 0) or a plateau ``level``.
+    """
+    a, s, b, c = f._a, f._s, f._b, f._c
+    arr = np.asarray(x, dtype=float)
+    idx = np.searchsorted(f._breaks, arr, side="right")
+    out = np.empty_like(arr, dtype=float)
+    branch = a[idx] == 1.0
+    line = ~branch & (c[idx] != 0.0)
+    flat = ~branch & ~line
+    if slope:
+        out[branch] = 1.0 - np.tanh(arr[branch] - s[idx[branch]]) ** 2
+        out[line] = c[idx[line]]
+        out[flat] = 0.0
+    else:
+        out[branch] = np.tanh(arr[branch] - s[idx[branch]]) + b[idx[branch]]
+        out[line] = b[idx[line]] + c[idx[line]] * (arr[line] - s[idx[line]])
+        out[flat] = b[idx[flat]]
+    return out
+
+
 class TestBuild:
     def test_single_anchor_is_plain_tanh(self):
         f = MorphableTransfer([0.0], Variant.BRIDGE)
@@ -106,6 +132,63 @@ class TestEval:
         assert all(f.slope(float(x)) == s for x, s in zip(xs, svec))
 
 
+class TestPieceTable:
+    def test_matches_masked_reference_bit_for_bit(self):
+        rng = rng_stream(2024, 5)
+        for _ in range(100):
+            ecps = random_ecp_list(rng)
+            for variant in (Variant.PLATEAU, Variant.BRIDGE):
+                f = MorphableTransfer(ecps, variant)
+                kinks = np.array(f.kinks)
+                xs = np.concatenate([
+                    np.linspace(f.ecps[0] - 6.0, f.ecps[-1] + 6.0, 4001),
+                    f.ecps,
+                    kinks,
+                    np.nextafter(kinks, -np.inf),
+                    np.nextafter(kinks, np.inf),
+                    [-50.0, 50.0],
+                ])
+                assert np.array_equal(f.eval(xs), masked_reference(f, xs)), (ecps, variant)
+                assert np.array_equal(f.slope(xs), masked_reference(f, xs, slope=True)), (
+                    ecps, variant)
+
+    def test_rows_per_piece_kind(self):
+        f = MorphableTransfer([-1.0, 0.0, 1.0], Variant.BRIDGE)
+        a, s, b, c = f._a, f._s, f._b, f._c
+        assert a.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+        assert s[::2].tolist() == [-1.0, 0.0, 1.0]
+        assert np.array_equal(b[::2], np.tanh(s[::2]))
+        assert c[0] == c[2] == c[4] == 0.0 and np.all(c[1::2] > 0.0)
+        flat = MorphableTransfer([-1.0, 0.0, 1.0], Variant.PLATEAU)
+        assert np.all(flat._c == 0.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
+    def test_infinite_inputs_hit_the_saturated_tails(self, variant):
+        f = MorphableTransfer([-1.0, 0.0, 1.0], variant)
+        assert f.eval(math.inf) == TANH1 + 1.0
+        assert f.eval(-math.inf) == -TANH1 - 1.0
+        assert f.eval(math.inf) == pytest.approx(1.7616, abs=1e-4)
+        assert f.slope(math.inf) == 0.0 and f.slope(-math.inf) == 0.0
+        xs = np.array([-math.inf, -60.0, 60.0, math.inf])
+        assert f.eval(xs).tolist() == [-TANH1 - 1.0] * 2 + [TANH1 + 1.0] * 2
+        assert f.slope(xs).tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
+    def test_nan_maps_to_nan(self, variant):
+        f = MorphableTransfer([-1.0, 0.0, 1.0], variant)
+        assert math.isnan(f.eval(math.nan)) and math.isnan(f.slope(math.nan))
+        out = f.eval(np.array([0.5, math.nan]))
+        assert out[0] == f.eval(0.5) and math.isnan(out[1])
+        assert math.isnan(f.slope(np.array([math.nan]))[0])
+
+    def test_plain_tanh_tails(self):
+        f = MorphableTransfer([0.0])
+        assert f.eval(math.inf) == 1.0 and f.eval(-math.inf) == -1.0
+        assert f.slope(math.inf) == 0.0
+
+
 class TestSlope:
     @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
     def test_unit_slope_at_anchors(self, variant):
@@ -183,8 +266,8 @@ class TestValidate:
 
     def test_detects_injected_anchor_corruption(self):
         f = MorphableTransfer([-1.0, 0.0, 1.0], Variant.BRIDGE)
-        f._p2 = f._p2.copy()
-        f._p2[0] += 1e-6  # shift the leftmost branch off the tanh curve
+        f._b = f._b.copy()
+        f._b[0] += 1e-6  # shift the leftmost branch off the tanh curve
         report = f.validate(1e-2)
         assert not report.ok
         checks = {issue.check for issue in report.issues}
@@ -194,9 +277,9 @@ class TestValidate:
 
     def test_detects_injected_slope_corruption(self):
         f = MorphableTransfer([-1.0, 0.0, 1.0], Variant.BRIDGE)
-        line = np.flatnonzero(f._kind == 1)[0]
-        f._p2 = f._p2.copy()
-        f._p2[line] = 1.5  # illegal bridge steeper than the unit bound
+        line = np.flatnonzero(f._a == 0.0)[0]  # a bridge line in this variant
+        f._c = f._c.copy()
+        f._c[line] = 1.5  # illegal bridge steeper than the unit bound
         report = f.validate(1e-2)
         checks = {issue.check for issue in report.issues}
         assert "slope range" in checks
