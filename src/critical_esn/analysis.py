@@ -12,7 +12,11 @@ Estimators
 - :func:`lyapunov_renormalized`: Benettin-style two-trajectory method; a
   companion trajectory is kept at separation ``d0`` by renormalizing it
   onto the current difference direction after every step, and the
-  exponent is the mean per-step log growth.
+  exponent is the mean per-step log growth.  For a reservoir with one
+  shared transfer and no predictor hook, reference and companion advance
+  as one ``(2, k)`` state stack with one transfer ``eval`` per step and
+  no slopes, which the method never reads; other reservoirs step two
+  copies through ``Reservoir.step``.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.
@@ -142,7 +146,10 @@ def _finalize(logs: np.ndarray, washout: int):
     rows = np.ascontiguousarray(post.T)
     lam = rows.mean(axis=1)
     batches = rows.reshape(rows.shape[0], _BATCHES, q // _BATCHES).mean(axis=2)
-    stderr = batches.std(axis=1, ddof=1) / math.sqrt(_BATCHES)
+    # A row holding log 0 = -inf has lam = -inf; its spread is undefined,
+    # and std's -inf - -inf gives the documented NaN without a warning.
+    with np.errstate(invalid="ignore"):
+        stderr = batches.std(axis=1, ddof=1) / math.sqrt(_BATCHES)
     if squeeze:
         return float(lam[0]), float(stderr[0]), q
     return lam, stderr, q
@@ -163,6 +170,19 @@ def lyapunov_renormalized(
     ``d0`` along the current difference direction.  The estimate is the
     mean post-washout log rate; the standard error comes from 20 batch
     means.
+
+    A reservoir with one shared transfer and no predictor hook advances
+    both trajectories as one ``(2, k)`` stack (``Reservoir._stack_steps``):
+    one transfer ``eval`` per step, no ``Reservoir.step`` and no slopes,
+    which this method never reads.  For k = 1 the result is bit-identical
+    to stepping two copies; for k > 1 the stacked matrix product rounds
+    differently, which moves the estimate by up to about 1e-6.  Per-neuron
+    transfers and predictor hooks step two reservoir copies.
+
+    When the separation reaches exactly 0 after a post-washout step, that
+    step's log is ``-inf``: the estimate is ``lam = -inf`` with
+    ``stderr = nan``, and the companion restarts at ``d0`` along the
+    initial direction.
     """
     if not (1e-12 <= d0 <= 1e-6):
         raise ValueError("d0 must lie in [1e-12, 1e-6]")
@@ -173,23 +193,25 @@ def lyapunov_renormalized(
     if steps < washout + 1000:
         raise ValueError("input too short: need at least washout + 1000 steps")
 
-    ref = reservoir.copy()
-    direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(ref.k)
+    direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
-    twin = reservoir.copy(state=ref.state + d0 * direction)
+    start = np.asarray(reservoir.state, dtype=float).reshape(reservoir.k)
+    # Row 0 is the reference trajectory, row 1 the companion.
+    pair = np.stack([start, start + d0 * direction])
+    u = inputs.reshape(steps, -1)
+    if u.shape[1] != reservoir.n:
+        raise ValueError(f"input width {u.shape[1]} does not match n={reservoir.n}")
 
     logs = np.empty(steps)
     with np.errstate(divide="ignore"):
-        for t in range(steps):
-            ref.step(inputs[t])
-            twin.step(inputs[t])
-            delta = twin.state - ref.state
+        for t, pair in enumerate(reservoir._stack_steps(pair, u)):
+            delta = pair[1] - pair[0]
             dist = float(np.linalg.norm(delta))
             logs[t] = np.log(dist / d0)
             if dist > 0.0:
-                twin.state = ref.state + delta * (d0 / dist)
+                pair[1] = pair[0] + delta * (d0 / dist)
             else:
-                twin.state = ref.state + d0 * direction
+                pair[1] = pair[0] + d0 * direction
     lam, stderr, used = _finalize(logs, washout)
     return LyapunovEstimate(
         lam=float(lam),
@@ -208,6 +230,10 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     one-neuron systems this is the exponent without any finite-separation
     approximation, which makes it the oracle the renormalized estimator
     is checked against.
+
+    When the slope is exactly 0 at a post-washout step (a plateau of the
+    transfer), that step's log is ``-inf``: the estimate is
+    ``lam = -inf`` with ``stderr = nan``.
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")

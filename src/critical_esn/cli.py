@@ -48,6 +48,10 @@ from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
 
+#: Largest accepted horizon of the sweeps and of ``forgetting``; a sweep
+#: holds a horizon x grid-size float64 log matrix.
+_MAX_HORIZON = 1_000_000
+
 _CAST = {
     "seed": int,
     "threads": int,
@@ -119,6 +123,14 @@ def read_config(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, cfg: dict) -> None:
+    """Fill unset options from a config; keys of other commands are ignored.
+
+    A key that no command knows is rejected, so a typo cannot silently
+    fall back to a default.
+    """
+    unknown = sorted(k for k in cfg if k not in _CAST and not hasattr(args, k))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for key, raw in cfg.items():
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue
@@ -217,6 +229,8 @@ def cmd_sweep_alpha(args) -> list[Path]:
         raise ValueError("alpha grid must lie in (0, 1.5]")
     if args.horizon < 1000:
         raise ValueError("horizon too short: need at least 1000 steps")
+    if args.horizon > _MAX_HORIZON:
+        raise ValueError("horizon above the 1e6 cap")
 
     total = args.washout + args.horizon
     base = generate(alternating(total, 1.0))
@@ -254,6 +268,8 @@ def cmd_sweep_gamma(args) -> list[Path]:
         raise ValueError("gamma grid must lie in [0.25, 2]")
     if args.horizon < 1000:
         raise ValueError("horizon too short: need at least 1000 steps")
+    if args.horizon > _MAX_HORIZON:
+        raise ValueError("horizon above the 1e6 cap")
 
     total = args.washout + args.horizon
     base = generate(alternating(total, 1.0))
@@ -300,7 +316,7 @@ def cmd_forgetting(args) -> list[Path]:
     _default(args, "horizon", 100_000)
     _default(args, "variant", Variant.BRIDGE.value)
     _default(args, "replicates", 8 if args.input == "iid" else 1)
-    if args.horizon > 1_000_000:
+    if args.horizon > _MAX_HORIZON:
         raise ValueError("horizon above the 1e6 cap")
 
     res = anchored_reservoir(args.alpha, variant=args.variant)

@@ -220,6 +220,31 @@ class Reservoir:
         self.t += 1
         return rec
 
+    def _stack_steps(self, stack: np.ndarray, inputs: np.ndarray):
+        """Yield a ``(B, k)`` stack of trajectories after each input row.
+
+        With one shared transfer and no predictor hook, every row takes
+        ``y <- transfer(W y + w_in u)`` through one ``eval`` call per step
+        and no slopes; for k = 1 each row is bit-identical to :meth:`step`.
+        Otherwise each row steps its own copy of this reservoir through
+        :meth:`step`.  The consumer may write into the yielded stack: the
+        next step starts from what it then holds.
+        """
+        if self._shared and self.predictor is None:
+            transfer = self.transfers[0]
+            w_t, win_t = self.W.T, self.w_in.T
+            for u in inputs:
+                stack = transfer.eval((stack @ w_t + u @ win_t).ravel()).reshape(stack.shape)
+                yield stack
+        else:
+            copies = [self.copy() for _ in stack]
+            for u in inputs:
+                for res, row in zip(copies, stack):
+                    res.state = row
+                    res.step(u)
+                stack = np.stack([res.state for res in copies])
+                yield stack
+
     def run(self, inputs, record: bool = True):
         """Drive the reservoir through a whole input sequence.
 
@@ -266,32 +291,14 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     ts = [0]
     ds = [float(np.linalg.norm(second - first))]
     truncated = 0 if ds[0] == 0.0 else None
-    if truncated is None and template._shared and template.predictor is None:
-        # Both trajectories share the transfer, so one stacked evaluation
-        # per step covers them; identical to stepping two copies.
-        transfer = template.transfers[0]
-        w_t, win_t = template.W.T, template.w_in.T
-        pair = np.stack([first, second])
-        for t in range(len(inputs)):
-            lin = pair @ w_t + inputs[t] @ win_t
-            pair = transfer.eval(lin.ravel()).reshape(2, -1)
+    if truncated is None:
+        steps = template._stack_steps(np.stack([first, second]), inputs)
+        for t, pair in enumerate(steps, start=1):
             d = float(np.linalg.norm(pair[1] - pair[0]))
-            ts.append(t + 1)
+            ts.append(t)
             ds.append(d)
             if d == 0.0:
-                truncated = t + 1
-                break
-    elif truncated is None:
-        a = template.copy(state=first)
-        b = template.copy(state=second)
-        for t in range(len(inputs)):
-            a.step(inputs[t])
-            b.step(inputs[t])
-            d = float(np.linalg.norm(b.state - a.state))
-            ts.append(t + 1)
-            ds.append(d)
-            if d == 0.0:
-                truncated = t + 1
+                truncated = t
                 break
     return DistanceSeries(
         t=np.asarray(ts, dtype=int), d=np.asarray(ds), truncated_at=truncated

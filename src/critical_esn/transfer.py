@@ -239,7 +239,13 @@ class MorphableTransfer:
                 off = _bisect_root(junction, 0.0, 0.5 * width)
             depart, arrive = left + off, right - off
             if not (left < depart < arrive < right):
-                raise RuntimeError("glue junctions escaped their segment")
+                # The offset scales with tanh(right) - tanh(left), which
+                # vanishes below float64 spacing once tanh saturates.
+                raise ValueError(
+                    f"anchors {left:.17g} and {right:.17g} cannot be glued: tanh "
+                    f"saturates there (tanh difference {dh:.3g}), so the junctions "
+                    "cannot be separated in float64"
+                )
             breaks += [depart, arrive]
             pieces += [(0.0, mid, level, slope), (1.0, right, h_hi, 0.0)]
 

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import random_ecp_list
 from critical_esn.analysis import (
     DistanceSeries,
     classify_decay,
@@ -17,13 +19,15 @@ from critical_esn.analysis import (
     solve_critical_b,
 )
 from critical_esn.reservoir import (
+    Reservoir,
     anchored_orbit_state,
     anchored_reservoir,
     baseline_orbit_state,
     baseline_reservoir,
+    random_orthogonal,
     run_pair,
 )
-from critical_esn.signals import alternating, generate, iid_plus_minus, scaled
+from critical_esn.signals import alternating, generate, iid_plus_minus, rng_stream, scaled
 from critical_esn.transfer import MorphableTransfer, Variant
 
 TANH1 = float(np.tanh(1.0))
@@ -121,6 +125,80 @@ class TestRenormalized:
         with pytest.raises(ValueError, match="short"):
             lyapunov_renormalized(res, alternating(1500, 1.0), washout=1000)
 
+    def test_input_width_must_match(self):
+        res = anchored_reservoir(1.0)
+        with pytest.raises(ValueError, match="does not match n=1"):
+            lyapunov_renormalized(res, np.ones((3000, 2)))
+
+    def test_exact_zero_separation_is_minus_inf(self):
+        # Both trajectories land on one plateau: the separation is exactly 0.
+        res = anchored_reservoir(1.0, variant="plateau")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lyapunov_renormalized(res, iid_plus_minus(5000, 1.0, seed=1))
+        assert est.lam == -math.inf
+        assert math.isnan(est.stderr)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _two_copy_twin(res: Reservoir) -> Reservoir:
+    """Same reservoir with distinct-but-equal per-neuron transfers.
+
+    The copy fails the shared-transfer test, so the estimator steps two
+    reservoir copies instead of the stacked path.
+    """
+    tr = res.transfers[0]
+    twin = Reservoir(res.W, res.w_in, [MorphableTransfer(tr.ecps, tr.variant)
+                                       for _ in range(res.k)], state=res.state)
+    twin._shared = False
+    return twin
+
+
+class TestStackedRenormalized:
+    def test_one_neuron_matches_two_copy_path_exactly(self):
+        rng = rng_stream(31, 17)
+        for _ in range(5):
+            ecps = random_ecp_list(rng)
+            alpha = float(rng.uniform(0.5, 1.2))
+            for variant in (Variant.BRIDGE, Variant.PLATEAU):
+                transfer = MorphableTransfer(ecps, variant)
+                res = Reservoir([[-alpha]], [[1.0 - alpha * TANH1]], transfer,
+                                state=[float(rng.uniform(-1.0, 1.0))])
+                for spec in (alternating(1500, 1.0), iid_plus_minus(1500, 1.0, seed=5)):
+                    a = lyapunov_renormalized(res, spec, washout=500, seed=3)
+                    b = lyapunov_renormalized(_two_copy_twin(res), spec, washout=500, seed=3)
+                    assert a.lam == b.lam
+                    assert _same(a.stderr, b.stderr)
+
+    def test_multi_neuron_within_rounding(self):
+        # (2, k) @ (k, k) rounds differently from W @ state for k > 1.
+        rng = rng_stream(32, 17)
+        for k in range(2, 9):
+            w_in = rng.normal(0.0, 0.5, (k, 1))
+            transfer = MorphableTransfer(random_ecp_list(rng), Variant.BRIDGE)
+            res = Reservoir(random_orthogonal(k, k), w_in, transfer)
+            u = rng.integers(0, 2, 1500) * 2.0 - 1.0
+            a = lyapunov_renormalized(res, u, washout=500, seed=k)
+            b = lyapunov_renormalized(_two_copy_twin(res), u, washout=500, seed=k)
+            assert abs(a.lam - b.lam) <= 1e-5
+
+    def test_predictor_hook_is_still_called(self):
+        calls = []
+
+        def hook(i, t, history):
+            calls.append(t)
+            return None
+
+        spec = alternating(1500, 1.0)
+        hooked = lyapunov_renormalized(anchored_reservoir(0.9, predictor=hook), spec,
+                                       washout=500)
+        plain = lyapunov_renormalized(anchored_reservoir(0.9), spec, washout=500)
+        assert calls == [t for t in range(1500) for _ in range(2)]  # reference, companion
+        assert hooked.lam == plain.lam
+
 
 class TestDerivativeProduct:
     def test_exactly_zero_on_anchored_orbit(self):
@@ -135,6 +213,15 @@ class TestDerivativeProduct:
         res.state = baseline_orbit_state(critical.s_star)
         est = lyapunov_derivative_product(res, alternating(3000, QPI), washout=1000)
         assert abs(est.lam) <= 1e-3
+
+    def test_zero_slope_is_minus_inf(self):
+        # The plateau variant has slope exactly 0 between its anchors.
+        res = anchored_reservoir(1.0, variant="plateau")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lyapunov_derivative_product(res, iid_plus_minus(5000, 1.0, seed=1))
+        assert est.lam == -math.inf
+        assert math.isnan(est.stderr)
 
     def test_requires_single_neuron(self):
         from critical_esn.reservoir import Reservoir, random_orthogonal

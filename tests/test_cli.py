@@ -92,6 +92,15 @@ class TestTransferDump:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("variant", ["plateau", "bridge"])
+    def test_saturated_anchors_named(self, tmp_path, capsys, variant):
+        assert run_cli("--out", tmp_path, "transfer-dump", "--ecps", "20,21",
+                       "--variant", variant) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: anchors 20 and 21") and err.count("\n") == 1
+        assert "saturates" in err
+        assert not (tmp_path / "transfer.csv").exists()
+
 
 class TestSweepAlpha:
     def test_values_track_log_alpha(self, tmp_path):
@@ -130,6 +139,10 @@ class TestSweepAlpha:
         assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "1.0",
                        "--horizon", 500) == 1
 
+    def test_horizon_cap(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "sweep-alpha", "--horizon", 2_000_000) == 1
+        assert capsys.readouterr().err == "error: horizon above the 1e6 cap\n"
+
 
 class TestSweepGamma:
     def test_lane_properties(self, tmp_path):
@@ -141,6 +154,10 @@ class TestSweepGamma:
         assert float(by_gamma[1.2]["lambda_tanh"]) > 0.0
         assert abs(float(by_gamma[1.0]["lambda_tanh"])) <= 0.01
         assert abs(float(by_gamma[1.0]["lambda_ecp"])) <= 0.01
+
+    def test_horizon_cap(self, tmp_path, capsys):
+        assert run_cli("--out", tmp_path, "sweep-gamma", "--horizon", 2_000_000) == 1
+        assert capsys.readouterr().err == "error: horizon above the 1e6 cap\n"
 
 
 class TestForgetting:
@@ -244,6 +261,21 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads=4\n")
         assert run_cli("--out", tmp_path, "--config", cfg, "critical-b") == 0
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizn=1000\n")
+        assert run_cli("--out", tmp_path, "--config", cfg, "critical-b") == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): horizn\n"
+        assert not (tmp_path / "critical_b.csv").exists()
+
+    def test_keys_of_other_commands_accepted(self, tmp_path):
+        # One config file can serve several commands.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid=0.5,1.0\nreplicates=2\nhorizon=2000\n")
+        assert run_cli("--out", tmp_path, "--config", cfg, "lyapunov",
+                       "--preset", "anchored") == 0
+        assert "steps used = 2000" in (tmp_path / "lyapunov.txt").read_text()
 
     def test_missing_config_is_an_error(self, tmp_path):
         assert run_cli("--out", tmp_path, "--config", tmp_path / "nope.cfg",

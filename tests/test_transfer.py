@@ -84,6 +84,21 @@ class TestBuild:
     def test_spacing_floor_constant(self):
         assert MIN_ECP_SPACING == 1e-6
 
+    @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
+    @pytest.mark.parametrize("ecps, left, right", [
+        ([20.0, 21.0], "20", "21"),  # tanh(20) == tanh(21) in float64
+        ([-21.0, -20.0], "-21", "-20"),
+        ([18.0, 19.0], "18", "19"),  # differ by one ulp of 1: offset < ulp(18)
+    ])
+    def test_saturated_anchor_pair_named(self, variant, ecps, left, right):
+        with pytest.raises(ValueError, match=f"anchors {left} and {right} .*saturates"):
+            MorphableTransfer(ecps, variant)
+
+    @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
+    def test_deep_but_separable_anchors_build(self, variant):
+        f = MorphableTransfer([15.0, 16.0], variant)
+        assert f.eval(16.0) == np.tanh(16.0)
+
 
 class TestEval:
     @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
