@@ -22,7 +22,7 @@ from .analysis import (
     lyapunov_renormalized,
     solve_critical_b,
 )
-from .readout import ReadoutModel, predict, train
+from .readout import ReadoutModel, train
 from .reservoir import (
     Reservoir,
     StepRecord,
@@ -37,7 +37,6 @@ from .signals import (
     InputSequence,
     alternating,
     constant,
-    from_file,
     generate,
     iid_plus_minus,
     rng_stream,
@@ -70,7 +69,6 @@ __all__ = [
     "constant",
     "iid_plus_minus",
     "scaled",
-    "from_file",
     "generate",
     "rng_stream",
     "LyapunovEstimate",
@@ -87,6 +85,5 @@ __all__ = [
     "loglog_bend",
     "ReadoutModel",
     "train",
-    "predict",
     "__version__",
 ]

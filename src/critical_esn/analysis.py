@@ -133,6 +133,19 @@ class CriticalPoint:
 # -- renormalized (Benettin) estimation --------------------------------------
 
 
+def _check_length(steps: int, washout: int) -> None:
+    """Reject a negative washout or fewer than 1000 post-washout steps."""
+    if washout < 0:
+        raise ValueError("washout must be nonnegative")
+    if steps < washout + 1000:
+        raise ValueError("input too short: need at least washout + 1000 steps")
+
+
+def _check_d0(d0: float) -> None:
+    if not (1e-12 <= d0 <= 1e-6):
+        raise ValueError("d0 must lie in [1e-12, 1e-6]")
+
+
 def _finalize(logs: np.ndarray, washout: int):
     post = logs[washout:]
     q = (post.shape[0] // _BATCHES) * _BATCHES
@@ -184,14 +197,12 @@ def lyapunov_renormalized(
     ``stderr = nan``, and the companion restarts at ``d0`` along the
     initial direction.
     """
-    if not (1e-12 <= d0 <= 1e-6):
-        raise ValueError("d0 must lie in [1e-12, 1e-6]")
+    _check_d0(d0)
     if isinstance(inputs, InputSequence):
         inputs = generate(inputs)
     inputs = np.asarray(inputs, dtype=float)
     steps = len(inputs)
-    if steps < washout + 1000:
-        raise ValueError("input too short: need at least washout + 1000 steps")
+    _check_length(steps, washout)
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
@@ -241,8 +252,7 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
         inputs = generate(inputs)
     inputs = np.asarray(inputs, dtype=float)
     steps = len(inputs)
-    if steps < washout + 1000:
-        raise ValueError("input too short: need at least washout + 1000 steps")
+    _check_length(steps, washout)
 
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
@@ -293,13 +303,13 @@ def renormalized_scalar_batch(
     Elements evolve independently and elementwise, so results do not
     depend on how a grid is split into batches.
     """
+    _check_d0(d0)
     w = np.atleast_1d(np.asarray(w, dtype=float))
     m = w.size
     win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
     u = _batch_inputs(u, m)
     steps = u.shape[0]
-    if steps < washout + 1000:
-        raise ValueError("input too short: need at least washout + 1000 steps")
+    _check_length(steps, washout)
 
     ref = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float).copy()
     twin = ref + d0 * direction
@@ -334,8 +344,7 @@ def derivative_product_scalar_batch(
     win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
     u = _batch_inputs(u, m)
     steps = u.shape[0]
-    if steps < washout + 1000:
-        raise ValueError("input too short: need at least washout + 1000 steps")
+    _check_length(steps, washout)
 
     state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float).copy()
     gain = np.abs(w)

@@ -5,7 +5,9 @@ Every command writes deterministic CSV (LF line endings, header row,
 directory, so repeating an invocation with the same seed reproduces the
 files byte for byte.  Configuration precedence is flags over config file
 over built-in defaults; the config file is a flat ``key=value`` text
-format.
+format.  Each option's default, type and choices are stated once, in
+:func:`build_parser`; a config value becomes the default of every parser
+that has its key, so argparse casts it like a flag.
 """
 
 from __future__ import annotations
@@ -52,33 +54,6 @@ TANH1 = math.tanh(1.0)
 #: holds a horizon x grid-size float64 log matrix.
 _MAX_HORIZON = 1_000_000
 
-_CAST = {
-    "seed": int,
-    "threads": int,
-    "horizon": int,
-    "washout": int,
-    "n": int,
-    "replicates": int,
-    "k": int,
-    "delay": int,
-    "length": int,
-    "d0": float,
-    "alpha": float,
-    "b": str,
-    "gamma": float,
-    "amplitude": float,
-    "ridge": float,
-    "lo": float,
-    "hi": float,
-    "grid": str,
-    "ecps": str,
-    "variant": str,
-    "input": str,
-    "init": str,
-    "method": str,
-    "out": str,
-}
-
 
 def fmt(value) -> str:
     """CSV cell: floats at 17 significant digits (exact round-trip)."""
@@ -96,20 +71,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def write_trajectory_csv(path: Path, records) -> None:
-    """Trajectory dump: header ``t,y_lin_0..,y_0..``, one row per step."""
-    if not records:
-        raise ValueError("no records to write")
-    k = records[0].y.size
-    header = ["t"] + [f"y_lin_{i}" for i in range(k)] + [f"y_{i}" for i in range(k)]
-    rows = ([r.t, *r.y_lin, *r.y] for r in records)
-    write_csv(path, header, rows)
-
-
-def write_input_csv(path: Path, values) -> None:
-    write_csv(path, ["t", "u"], ((t, u) for t, u in enumerate(values)))
-
-
 def read_config(path: str) -> dict:
     cfg = {}
     with open(path, "r") as fh:
@@ -122,25 +83,37 @@ def read_config(path: str) -> dict:
     return cfg
 
 
-def _merge_config(args: argparse.Namespace, cfg: dict) -> None:
-    """Fill unset options from a config; keys of other commands are ignored.
+def _parse_with_config(parser: argparse.ArgumentParser, argv, cfg: dict) -> argparse.Namespace:
+    """Parse ``argv`` again with the config's raw strings as option defaults.
 
-    A key that no command knows is rejected, so a typo cannot silently
-    fall back to a default.
+    Each value becomes the default of every parser that has its key, so
+    argparse casts it with that option's own type and a flag on the
+    command line still wins.  Keys of other commands are accepted, so one
+    file can serve several commands; a key that no command knows, a key
+    that names a flag and a value outside an option's choices are
+    rejected.  A value that does not cast raises ``argparse.ArgumentError``.
     """
-    unknown = sorted(k for k in cfg if k not in _CAST and not hasattr(args, k))
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = [parser, *commands.choices.values()]
+    options = [(p, a) for p in parsers for a in p._actions if a.option_strings]
+    unknown = sorted(set(cfg) - {a.dest for _, a in options})
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, raw in cfg.items():
-        if not hasattr(args, key) or getattr(args, key) is not None:
+    for p, action in options:
+        if action.dest not in cfg:
             continue
-        cast = _CAST.get(key, str)
-        setattr(args, key, cast(raw))
-
-
-def _default(args, name, value):
-    if getattr(args, name) is None:
-        setattr(args, name, value)
+        raw = cfg[action.dest]
+        if action.nargs == 0:
+            raise ValueError(f"config key {action.dest} names a flag; "
+                             f"pass {action.option_strings[-1]} on the command line")
+        # Every option with choices takes strings, so the raw value is its cast.
+        if action.choices is not None and raw not in action.choices:
+            raise ValueError(f"config key {action.dest}: invalid choice {raw!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        p.set_defaults(**{action.dest: raw})
+    for p in parsers:
+        p.exit_on_error = False
+    return parser.parse_args(argv)
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -191,12 +164,7 @@ plt.show()
 
 
 def cmd_transfer_dump(args) -> list[Path]:
-    _default(args, "ecps", "-1,0,1")
-    _default(args, "variant", Variant.BRIDGE.value)
-    _default(args, "lo", -3.0)
-    _default(args, "hi", 3.0)
-    _default(args, "n", 601)
-    ecps = [float(p) for p in str(args.ecps).split(",")]
+    ecps = [float(p) for p in args.ecps.split(",")]
     transfer = MorphableTransfer(ecps, args.variant)
     table = transfer.sample(args.lo, args.hi, args.n)
 
@@ -219,23 +187,23 @@ def cmd_transfer_dump(args) -> list[Path]:
     return written
 
 
-def cmd_sweep_alpha(args) -> list[Path]:
-    _default(args, "grid", None)
-    _default(args, "horizon", 100_000)
-    _default(args, "washout", 1000)
-    _default(args, "d0", 1e-9)
-    grid = np.array([i / 20 for i in range(1, 31)]) if args.grid is None else parse_grid(args.grid)
-    if np.any(grid <= 0.0) or np.any(grid > 1.5):
-        raise ValueError("alpha grid must lie in (0, 1.5]")
+def _sweep_setup(args):
+    """Horizon checks, base input, transfer and companion sign of both sweeps."""
     if args.horizon < 1000:
         raise ValueError("horizon too short: need at least 1000 steps")
     if args.horizon > _MAX_HORIZON:
         raise ValueError("horizon above the 1e6 cap")
-
-    total = args.washout + args.horizon
-    base = generate(alternating(total, 1.0))
+    base = generate(alternating(args.washout + args.horizon, 1.0))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
+    return base, transfer, direction
+
+
+def cmd_sweep_alpha(args) -> list[Path]:
+    grid = np.array([i / 20 for i in range(1, 31)]) if args.grid is None else parse_grid(args.grid)
+    if np.any(grid <= 0.0) or np.any(grid > 1.5):
+        raise ValueError("alpha grid must lie in (0, 1.5]")
+    base, transfer, direction = _sweep_setup(args)
 
     lam, err = renormalized_scalar_batch(
         -grid,
@@ -255,10 +223,6 @@ def cmd_sweep_alpha(args) -> list[Path]:
 
 
 def cmd_sweep_gamma(args) -> list[Path]:
-    _default(args, "grid", None)
-    _default(args, "horizon", 100_000)
-    _default(args, "washout", 1000)
-    _default(args, "d0", 1e-9)
     grid = (
         np.array([(10 + i) / 20 for i in range(21)])
         if args.grid is None
@@ -266,15 +230,7 @@ def cmd_sweep_gamma(args) -> list[Path]:
     )
     if np.any(grid < 0.25) or np.any(grid > 2.0):
         raise ValueError("gamma grid must lie in [0.25, 2]")
-    if args.horizon < 1000:
-        raise ValueError("horizon too short: need at least 1000 steps")
-    if args.horizon > _MAX_HORIZON:
-        raise ValueError("horizon above the 1e6 cap")
-
-    total = args.washout + args.horizon
-    base = generate(alternating(total, 1.0))
-    transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-    direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
+    base, transfer, direction = _sweep_setup(args)
 
     lam_ecp, _ = renormalized_scalar_batch(
         np.full(grid.size, -1.0),
@@ -296,26 +252,29 @@ def cmd_sweep_gamma(args) -> list[Path]:
     return [path]
 
 
+def _input_spec(kind: str, length: int, amplitude: float, seed: int):
+    """The ``--input`` sequence: alternating, constant or seeded iid +-amplitude."""
+    if kind == "iid":
+        return iid_plus_minus(length, amplitude, seed=seed)
+    return (constant if kind == "constant" else alternating)(length, amplitude)
+
+
 def _forgetting_states(mode: str, d0: float, seed: int, replicate: int):
     if mode == "fixed-delta":
         ref = anchored_orbit_state()
         return ref, ref + d0
-    if mode == "bit-scale":
-        rng = rng_stream(seed + replicate, signals.STREAM_INIT)
-        draw = rng.integers(0, 2, size=2) * 2.0 - 1.0
-        ref = np.array([draw[0] * TANH1])
-        return ref, ref + draw[1] * TANH1
-    raise ValueError(f"unknown init mode {mode!r}")
+    rng = rng_stream(seed + replicate, signals.STREAM_INIT)
+    draw = rng.integers(0, 2, size=2) * 2.0 - 1.0
+    ref = np.array([draw[0] * TANH1])
+    return ref, ref + draw[1] * TANH1
 
 
 def cmd_forgetting(args) -> list[Path]:
-    _default(args, "input", "alternating")
-    _default(args, "alpha", 1.0)
-    _default(args, "init", "fixed-delta")
-    _default(args, "d0", 1.0)
-    _default(args, "horizon", 100_000)
-    _default(args, "variant", Variant.BRIDGE.value)
-    _default(args, "replicates", 8 if args.input == "iid" else 1)
+    replicates = args.replicates
+    if replicates is None:
+        replicates = 8 if args.input == "iid" else 1
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     if args.horizon > _MAX_HORIZON:
         raise ValueError("horizon above the 1e6 cap")
 
@@ -325,20 +284,13 @@ def cmd_forgetting(args) -> list[Path]:
     report_lines: list[str] = []
     fit_rows: list[list] = []
 
-    for rep in range(args.replicates):
-        if args.input == "alternating":
-            spec = alternating(args.horizon, 1.0)
-        elif args.input == "constant":
-            spec = constant(args.horizon, 1.0)
-        elif args.input == "iid":
-            spec = iid_plus_minus(args.horizon, 1.0, seed=args.seed + rep)
-        else:
-            raise ValueError(f"unknown input kind {args.input!r}")
+    for rep in range(replicates):
+        spec = _input_spec(args.input, args.horizon, 1.0, args.seed + rep)
         x0, y0 = _forgetting_states(args.init, args.d0, args.seed, rep)
         series = run_pair(res, x0, y0, spec)
         fit = classify_decay(series)
 
-        name = "forgetting.csv" if args.replicates == 1 else f"forgetting_r{rep}.csv"
+        name = "forgetting.csv" if replicates == 1 else f"forgetting_r{rep}.csv"
         path = out / name
         write_csv(path, ["t", "d"], zip(series.t, series.d))
         written.append(path)
@@ -361,12 +313,11 @@ def cmd_forgetting(args) -> list[Path]:
     config = out / "forgetting_config.txt"
     config.write_text(config_text({**res.meta, "seed": args.seed}))
     written.append(config)
-    print(f"forgetting: {args.replicates} run(s), input {args.input}, init {args.init}")
+    print(f"forgetting: {replicates} run(s), input {args.input}, init {args.init}")
     return written
 
 
 def cmd_critical_b(args) -> list[Path]:
-    _default(args, "amplitude", math.pi / 4.0)
     critical = solve_critical_b(args.amplitude)
     path = Path(args.out) / "critical_b.csv"
     write_csv(
@@ -384,23 +335,16 @@ def cmd_critical_b(args) -> list[Path]:
 
 
 def cmd_lyapunov(args) -> list[Path]:
-    _default(args, "gamma", 1.0)
-    _default(args, "input", "alternating")
-    _default(args, "method", "renormalized")
-    _default(args, "horizon", 100_000)
-    _default(args, "washout", 1000)
-    _default(args, "d0", 1e-9)
     if args.horizon < 1000:
         raise ValueError("horizon too short: need at least 1000 steps")
     total = args.washout + args.horizon
 
     if args.preset == "anchored":
-        _default(args, "alpha", 1.0)
         res = anchored_reservoir(args.alpha)
         amplitude = 1.0
         state = anchored_orbit_state()
     else:
-        if args.b is None or args.b == "critical":
+        if args.b == "critical":
             critical = solve_critical_b(math.pi / 4.0)
             b = critical.b_star
             state = baseline_orbit_state(critical.s_star)
@@ -411,21 +355,11 @@ def cmd_lyapunov(args) -> list[Path]:
         amplitude = math.pi / 4.0
 
     res.state = state
-    if args.input == "alternating":
-        spec = scaled(alternating(total, amplitude), args.gamma)
-    elif args.input == "constant":
-        spec = scaled(constant(total, amplitude), args.gamma)
-    elif args.input == "iid":
-        spec = scaled(iid_plus_minus(total, amplitude, seed=args.seed), args.gamma)
-    else:
-        raise ValueError(f"unknown input kind {args.input!r}")
-
-    if args.method in ("renormalized", "renorm"):
-        est = lyapunov_renormalized(res, spec, d0=args.d0, washout=args.washout, seed=args.seed)
-    elif args.method in ("derivative_product", "derivprod"):
+    spec = scaled(_input_spec(args.input, total, amplitude, args.seed), args.gamma)
+    if args.method == "derivative_product":
         est = lyapunov_derivative_product(res, spec, washout=args.washout)
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        est = lyapunov_renormalized(res, spec, d0=args.d0, washout=args.washout, seed=args.seed)
 
     out = Path(args.out)
     csv_path = out / "lyapunov.csv"
@@ -439,12 +373,6 @@ def cmd_lyapunov(args) -> list[Path]:
 
 
 def cmd_readout_demo(args) -> list[Path]:
-    _default(args, "k", 8)
-    _default(args, "delay", 3)
-    _default(args, "length", 3000)
-    _default(args, "ridge", 1e-8)
-    _default(args, "washout", 100)
-
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
@@ -483,75 +411,98 @@ def cmd_readout_demo(args) -> list[Path]:
 # -- argument plumbing ---------------------------------------------------------
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each option's default to its help line.
+
+    A ``None`` default means the command computes the value; the option's
+    own help text says how.
+    """
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="critical-esn",
         description="Experiments on truly critical echo state networks",
+        formatter_class=_HelpFormatter,
     )
-    parser.add_argument("--seed", type=int, default=None, help="experiment seed (default 0)")
-    parser.add_argument("--out", type=str, default=None, help="output directory (default .)")
+    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
+    parser.add_argument("--out", type=str, default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
                         help="ignored; accepted so older command lines still run")
-    parser.add_argument("--config", type=str, default=None, help="flat key=value config file")
+    parser.add_argument("--config", type=str, default=None,
+                        help="flat key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transfer-dump", help="dump a transfer-function curve as CSV")
-    p.add_argument("--ecps", type=str, default=None, help="comma list of anchors (default -1,0,1)")
-    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="row count (default 601)")
-    p.add_argument("--emit-plot-script", action="store_true")
-    p.set_defaults(func=cmd_transfer_dump)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep-alpha", help="Lyapunov exponent over the recurrent gain grid")
-    p.add_argument("--grid", type=str, default=None, help="start:stop:step or comma list")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--washout", type=int, default=None)
-    p.add_argument("--d0", type=float, default=None)
-    p.set_defaults(func=cmd_sweep_alpha)
+    p = command("transfer-dump", cmd_transfer_dump, "dump a transfer-function curve as CSV")
+    p.add_argument("--ecps", type=str, default="-1,0,1", help="comma list of anchors")
+    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
+                   help="gluing between anchors")
+    p.add_argument("--lo", type=float, default=-3.0, help="first x")
+    p.add_argument("--hi", type=float, default=3.0, help="last x")
+    p.add_argument("--n", type=int, default=601, help="row count")
+    p.add_argument("--emit-plot-script", action="store_true",
+                   help="also write plot_transfer.py")
 
-    p = sub.add_parser("sweep-gamma", help="Lyapunov exponents over the input-amplitude grid")
-    p.add_argument("--grid", type=str, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--washout", type=int, default=None)
-    p.add_argument("--d0", type=float, default=None)
-    p.set_defaults(func=cmd_sweep_gamma)
+    for name, func, help, grid in (
+        ("sweep-alpha", cmd_sweep_alpha, "Lyapunov exponent over the recurrent gain grid",
+         "0.05..1.50"),
+        ("sweep-gamma", cmd_sweep_gamma, "Lyapunov exponents over the input-amplitude grid",
+         "0.50..1.50"),
+    ):
+        p = command(name, func, help)
+        p.add_argument("--grid", type=str, default=None,
+                       help=f"start:stop:step or comma list (default: {grid} in steps of 0.05)")
+        p.add_argument("--horizon", type=int, default=100_000, help="steps after the washout")
+        p.add_argument("--washout", type=int, default=1000, help="steps left out of the mean")
+        p.add_argument("--d0", type=float, default=1e-9, help="companion separation")
 
-    p = sub.add_parser("forgetting", help="distance decay between twin trajectories")
-    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"], default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"], default=None)
-    p.add_argument("--d0", type=float, default=None, help="fixed-delta separation (default 1.0)")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.set_defaults(func=cmd_forgetting)
+    p = command("forgetting", cmd_forgetting, "distance decay between twin trajectories")
+    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"],
+                   default="alternating", help="driving input")
+    p.add_argument("--alpha", type=float, default=1.0, help="recurrent gain")
+    p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
+                   default="fixed-delta", help="how the twin start states are drawn")
+    p.add_argument("--d0", type=float, default=1.0, help="fixed-delta separation")
+    p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
+    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
+                   help="gluing between anchors")
+    p.add_argument("--replicates", type=int, default=None,
+                   help="run count (default: 8 for iid input, else 1)")
 
-    p = sub.add_parser("critical-b", help="critical recurrent gain of the tanh baseline")
-    p.add_argument("--amplitude", type=float, default=None)
-    p.set_defaults(func=cmd_critical_b)
+    p = command("critical-b", cmd_critical_b, "critical recurrent gain of the tanh baseline")
+    p.add_argument("--amplitude", type=float, default=math.pi / 4.0,
+                   help="expected input amplitude")
 
-    p = sub.add_parser("lyapunov", help="single Lyapunov estimate for one configuration")
-    p.add_argument("--preset", type=str, choices=["anchored", "baseline"], required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--b", type=str, default=None, help="gain or 'critical' (baseline)")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"], default=None)
-    p.add_argument("--method", type=str, default=None,
-                   help="renormalized (default) or derivative_product")
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--washout", type=int, default=None)
-    p.add_argument("--d0", type=float, default=None)
-    p.set_defaults(func=cmd_lyapunov)
+    p = command("lyapunov", cmd_lyapunov, "single Lyapunov estimate for one configuration")
+    p.add_argument("--preset", type=str, choices=["anchored", "baseline"], required=True,
+                   help="anchored network or tanh baseline")
+    p.add_argument("--alpha", type=float, default=1.0, help="recurrent gain (anchored)")
+    p.add_argument("--b", type=str, default="critical", help="gain or 'critical' (baseline)")
+    p.add_argument("--gamma", type=float, default=1.0, help="input scale factor")
+    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"],
+                   default="alternating", help="driving input")
+    p.add_argument("--method", type=str, choices=["renormalized", "derivative_product"],
+                   default="renormalized", help="estimator")
+    p.add_argument("--horizon", type=int, default=100_000, help="steps after the washout")
+    p.add_argument("--washout", type=int, default=1000, help="steps left out of the mean")
+    p.add_argument("--d0", type=float, default=1e-9, help="companion separation (renormalized)")
 
-    p = sub.add_parser("readout-demo", help="train a delayed-recall linear readout")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--delay", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--washout", type=int, default=None)
-    p.set_defaults(func=cmd_readout_demo)
+    p = command("readout-demo", cmd_readout_demo, "train a delayed-recall linear readout")
+    p.add_argument("--k", type=int, default=8, help="reservoir size")
+    p.add_argument("--delay", type=int, default=3, help="recall delay in steps")
+    p.add_argument("--length", type=int, default=3000, help="input length")
+    p.add_argument("--ridge", type=float, default=1e-8, help="ridge regularization")
+    p.add_argument("--washout", type=int, default=100, help="training rows left out")
 
     return parser
 
@@ -561,9 +512,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _merge_config(args, read_config(args.config))
-        _default(args, "seed", 0)
-        _default(args, "out", ".")
+            args = _parse_with_config(parser, argv, read_config(args.config))
         Path(args.out).mkdir(parents=True, exist_ok=True)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit

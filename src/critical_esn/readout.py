@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReadoutModel", "train", "predict", "model_to_text", "model_from_text"]
+__all__ = ["ReadoutModel", "train", "predict_all", "model_to_text"]
 
 #: Residual bound of the verified normal-equation solve, relative to the
 #: right-hand side scale.
@@ -67,16 +67,6 @@ def train(states, targets, ridge_lambda: float = 1e-8, washout: int = 100) -> Re
     return ReadoutModel(weights=weights, ridge_lambda=ridge_lambda, washout=washout)
 
 
-def predict(model: ReadoutModel, state) -> float:
-    """Apply the affine readout to one state vector."""
-    s = np.asarray(state, dtype=float).reshape(-1)
-    if s.size != model.weights.size - 1:
-        raise ValueError(
-            f"state dimension {s.size} does not match readout ({model.weights.size - 1})"
-        )
-    return float(model.weights[:-1] @ s + model.weights[-1])
-
-
 def predict_all(model: ReadoutModel, states) -> np.ndarray:
     """Vectorized readout over a (T, k) state matrix."""
     x = np.asarray(states, dtype=float)
@@ -92,19 +82,4 @@ def model_to_text(model: ReadoutModel) -> str:
         f"weights={weights}\n"
         f"ridge_lambda={format(model.ridge_lambda, '.17g')}\n"
         f"washout={model.washout}\n"
-    )
-
-
-def model_from_text(text: str) -> ReadoutModel:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or "=" not in line:
-            continue
-        key, value = line.split("=", 1)
-        fields[key] = value
-    return ReadoutModel(
-        weights=np.array([float(v) for v in fields["weights"].split(",")]),
-        ridge_lambda=float(fields["ridge_lambda"]),
-        washout=int(fields["washout"]),
     )

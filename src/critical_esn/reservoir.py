@@ -278,7 +278,8 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     from ``x0`` and ``y0``.  Row ``t=0`` is the initial separation; row
     ``t`` the separation after consuming input element ``t-1``.  The run
     stops as soon as the distance reaches exactly zero (the states are
-    then identical and stay identical forever).
+    then identical and stay identical forever).  Non-finite start states
+    are rejected.
     """
     if isinstance(inputs, InputSequence):
         inputs = generate(inputs)
@@ -287,6 +288,8 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
         inputs = inputs[:, None]
     first = np.asarray(x0, dtype=float).reshape(template.k)
     second = np.asarray(y0, dtype=float).reshape(template.k)
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
+        raise ValueError("start states must be finite")
 
     ts = [0]
     ds = [float(np.linalg.norm(second - first))]

@@ -21,7 +21,6 @@ __all__ = [
     "constant",
     "iid_plus_minus",
     "scaled",
-    "from_file",
     "generate",
     "rng_stream",
 ]
@@ -45,14 +44,13 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 class InputSequence:
     """Spec for a finite realization of a driving input series.
 
-    ``kind`` is one of ``alternating``, ``constant``, ``iid``, ``scaled``
-    or ``file``.  Element ``t`` (0-based) of the generated sequence is:
+    ``kind`` is one of ``alternating``, ``constant``, ``iid`` or
+    ``scaled``.  Element ``t`` (0-based) of the generated sequence is:
 
     - alternating: ``amplitude * (-1)**t`` (element 0 is +amplitude),
     - constant: ``amplitude``,
     - iid: ``amplitude`` times a seeded fair +-1 draw,
-    - scaled: ``gamma`` times the base sequence's element,
-    - file: the ``t``-th decimal value of the file (one per line).
+    - scaled: ``gamma`` times the base sequence's element.
     """
 
     kind: str
@@ -61,19 +59,15 @@ class InputSequence:
     seed: int = 0
     gamma: float = 1.0
     base: Optional["InputSequence"] = None
-    path: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in {"alternating", "constant", "iid", "scaled", "file"}:
+        if self.kind not in {"alternating", "constant", "iid", "scaled"}:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.kind == "scaled":
             if self.base is None:
                 raise ValueError("scaled input needs a base sequence")
             if not (self.gamma > 0.0):
                 raise ValueError("scale factor must be positive")
-        elif self.kind == "file":
-            if not self.path:
-                raise ValueError("file input needs a path")
         else:
             if self.length < 1:
                 raise ValueError("input length must be at least 1")
@@ -97,10 +91,6 @@ def scaled(base: InputSequence, gamma: float) -> InputSequence:
     return InputSequence(kind="scaled", gamma=gamma, base=base)
 
 
-def from_file(path: str) -> InputSequence:
-    return InputSequence(kind="file", path=path)
-
-
 def generate(spec: InputSequence) -> np.ndarray:
     """Materialize the sequence described by ``spec`` as a float array."""
     if spec.kind == "alternating":
@@ -112,11 +102,4 @@ def generate(spec: InputSequence) -> np.ndarray:
         rng = rng_stream(spec.seed, STREAM_INPUT)
         signs = rng.integers(0, 2, size=spec.length) * 2.0 - 1.0
         return spec.amplitude * signs
-    if spec.kind == "scaled":
-        return spec.gamma * generate(spec.base)
-    # file
-    with open(spec.path, "r") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    if not values:
-        raise ValueError(f"input file {spec.path} holds no values")
-    return np.asarray(values, dtype=float)
+    return spec.gamma * generate(spec.base)

@@ -125,6 +125,11 @@ class TestRenormalized:
         with pytest.raises(ValueError, match="short"):
             lyapunov_renormalized(res, alternating(1500, 1.0), washout=1000)
 
+    def test_negative_washout_rejected(self):
+        res = anchored_reservoir(1.0)
+        with pytest.raises(ValueError, match="washout must be nonnegative"):
+            lyapunov_renormalized(res, alternating(3000, 1.0), washout=-3)
+
     def test_input_width_must_match(self):
         res = anchored_reservoir(1.0)
         with pytest.raises(ValueError, match="does not match n=1"):
@@ -223,6 +228,11 @@ class TestDerivativeProduct:
         assert est.lam == -math.inf
         assert math.isnan(est.stderr)
 
+    def test_negative_washout_rejected(self):
+        with pytest.raises(ValueError, match="washout must be nonnegative"):
+            lyapunov_derivative_product(anchored_reservoir(1.0), alternating(3000, 1.0),
+                                        washout=-3)
+
     def test_requires_single_neuron(self):
         from critical_esn.reservoir import Reservoir, random_orthogonal
 
@@ -251,6 +261,29 @@ class TestNeverExpanding:
             spec = scaled(alternating(4000, 1.0), 1.5)
         est = lyapunov_renormalized(res, spec, washout=1000, seed=1)
         assert est.lam <= 1e-3
+
+
+class TestBatchedEngineInputs:
+    """Bad settings fail before a grid of non-finite rows is computed."""
+
+    def _args(self):
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        return np.array([-0.5, -1.0]), 1.0 - TANH1, generate(alternating(3000, 1.0)), transfer
+
+    @pytest.mark.parametrize("d0", [0.0, math.nan, math.inf, 1e-3])
+    def test_renormalized_d0_domain(self, d0):
+        with pytest.raises(ValueError, match=r"d0 must lie in \[1e-12, 1e-6\]"):
+            renormalized_scalar_batch(*self._args(), d0=d0)
+
+    def test_negative_washout_rejected(self):
+        for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+            with pytest.raises(ValueError, match="washout must be nonnegative"):
+                engine(*self._args(), washout=-5)
+
+    def test_short_input_rejected(self):
+        for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+            with pytest.raises(ValueError, match="short"):
+                engine(*self._args(), washout=2001)
 
 
 class TestOracleEquivalence:

@@ -231,6 +231,14 @@ class TestLyapunovCommand:
         assert "b=0.5" in (tmp_path / "lyapunov.txt").read_text()
 
 
+    def test_method_takes_two_values(self, tmp_path):
+        for alias in ("renorm", "derivprod"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("--out", tmp_path, "lyapunov", "--preset", "anchored",
+                        "--method", alias)
+            assert exc.value.code == 2
+
+
 class TestReadoutDemo:
     def test_recall_beats_baseline(self, tmp_path):
         assert run_cli("--seed", 2, "--out", tmp_path, "readout-demo",
@@ -315,26 +323,147 @@ class TestDeterminism:
                 assert fmt(float(cell)) == cell
 
 
-class TestTrajectoryDump:
-    def test_header_and_consistency(self, tmp_path):
-        from critical_esn.cli import write_trajectory_csv
-        from critical_esn.reservoir import anchored_reservoir
-        from critical_esn.signals import alternating
+COMMANDS = ["transfer-dump", "sweep-alpha", "sweep-gamma", "forgetting", "critical-b",
+            "lyapunov", "readout-demo"]
 
-        res = anchored_reservoir(1.0)
-        records = res.run(alternating(5, 1.0))
-        path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(path, records)
-        rows = read_rows(path)
-        assert list(rows[0]) == ["t", "y_lin_0", "y_0"]
-        for rec, row in zip(records, rows):
-            assert float(row["y_lin_0"]) == rec.y_lin[0]
-            assert float(row["y_0"]) == rec.y[0]
 
-    def test_input_dump(self, tmp_path):
-        from critical_esn.cli import write_input_csv
+def help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--help")
+    assert exc.value.code == 0
+    # Line wrapping may split a default; compare without any whitespace.
+    return "".join(capsys.readouterr().out.split())
 
-        path = tmp_path / "input.csv"
-        write_input_csv(path, [1.0, -1.0])
-        rows = read_rows(path)
-        assert [r["u"] for r in rows] == ["1", "-1"]
+
+class TestHelp:
+    @pytest.mark.parametrize("command", [[]] + [[c] for c in COMMANDS])
+    def test_help_exits_zero(self, capsys, command):
+        assert "usage:" in help_text(capsys, *command)
+
+    @pytest.mark.parametrize("command, defaults", [
+        ([], {"--seed": "0", "--out": "."}),
+        (["transfer-dump"], {"--ecps": "-1,0,1", "--variant": "bridge", "--lo": "-3.0",
+                             "--hi": "3.0", "--n": "601", "--emit-plot-script": "False"}),
+        (["sweep-alpha"], {"--grid": "0.05..1.50", "--horizon": "100000",
+                           "--washout": "1000", "--d0": "1e-09"}),
+        (["sweep-gamma"], {"--grid": "0.50..1.50", "--horizon": "100000",
+                           "--washout": "1000", "--d0": "1e-09"}),
+        (["forgetting"], {"--input": "alternating", "--alpha": "1.0", "--init": "fixed-delta",
+                          "--d0": "1.0", "--horizon": "100000", "--variant": "bridge",
+                          "--replicates": "8foriidinput,else1"}),
+        (["critical-b"], {"--amplitude": "0.7853981633974483"}),
+        (["lyapunov"], {"--alpha": "1.0", "--b": "critical", "--gamma": "1.0",
+                        "--input": "alternating", "--method": "renormalized",
+                        "--horizon": "100000", "--washout": "1000", "--d0": "1e-09"}),
+        (["readout-demo"], {"--k": "8", "--delay": "3", "--length": "3000",
+                            "--ridge": "1e-08", "--washout": "100"}),
+    ])
+    def test_help_shows_defaults(self, capsys, command, defaults):
+        text = help_text(capsys, *command)
+        options = text[text.index("options:"):]
+        for option, default in defaults.items():
+            entry = options.split(option, 1)[1].split("--", 1)[0]
+            assert f"(default:{default}" in entry, option
+
+
+class TestConfigValues:
+    def dump(self, tmp_path, capsys, config, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = ["--out", out] + (["--config", cfg] if config else [])
+        assert run_cli(*argv, "transfer-dump", *flags) == 0
+        rows = read_rows(out / "transfer.csv")
+        return len(rows), float(rows[0]["x"]), capsys.readouterr().out.split(",")[1].strip()
+
+    def test_flags_over_config_over_defaults(self, tmp_path, capsys):
+        # One int (--n), one float (--lo) and one choice (--variant).
+        assert self.dump(tmp_path, capsys, "") == (601, -3.0, "variant bridge")
+        config = "n=11\nlo=-1.5\nvariant=plateau\n"
+        assert self.dump(tmp_path, capsys, config) == (11, -1.5, "variant plateau")
+        assert self.dump(tmp_path, capsys, config, "--n", 21, "--lo", -2.5,
+                         "--variant", "bridge") == (21, -2.5, "variant bridge")
+
+    def run_config(self, tmp_path, config, *argv) -> int:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        return run_cli("--out", tmp_path, "--config", cfg, *argv)
+
+    def test_flag_key_rejected(self, tmp_path, capsys):
+        # "false" must not switch the flag on.
+        assert self.run_config(tmp_path, "emit_plot_script=false\n", "transfer-dump") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key emit_plot_script") and err.count("\n") == 1
+        assert not (tmp_path / "plot_transfer.py").exists()
+        assert not (tmp_path / "transfer.csv").exists()
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("variant", "foo", ["transfer-dump"]),
+        ("variant", "foo", ["forgetting", "--horizon", 2000]),
+        ("input", "foo", ["forgetting", "--horizon", 2000]),
+        ("input", "foo", ["lyapunov", "--preset", "anchored", "--horizon", 2000]),
+        ("method", "renorm", ["lyapunov", "--preset", "anchored", "--horizon", 2000]),
+        ("init", "foo", ["forgetting", "--horizon", 2000]),
+    ])
+    def test_value_outside_choices_rejected(self, tmp_path, capsys, key, value, argv):
+        assert self.run_config(tmp_path, f"{key}={value}\n", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: invalid choice {value!r}")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_uncastable_value_names_the_option(self, tmp_path, capsys):
+        assert self.run_config(tmp_path, "horizon=abc\n", "lyapunov", "--preset", "anchored") == 1
+        err = capsys.readouterr().err
+        assert err == "error: argument --horizon: invalid int value: 'abc'\n"
+        assert not (tmp_path / "lyapunov.csv").exists()
+
+    def test_global_option_from_config(self, tmp_path):
+        out = tmp_path / "from_config"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={out}\n")
+        assert run_cli("--config", cfg, "critical-b") == 0
+        assert (out / "critical_b.csv").exists()
+
+
+class TestNoNanRows:
+    """Settings that used to write non-finite rows with exit 0."""
+
+    def fails_cleanly(self, tmp_path, capsys, *argv) -> str:
+        assert run_cli("--out", tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not any(tmp_path.glob("*.csv"))
+        return err
+
+    @pytest.mark.parametrize("d0", [0, "nan", "inf", 1e-3])
+    def test_sweep_d0_domain(self, tmp_path, capsys, d0):
+        err = self.fails_cleanly(tmp_path, capsys, "sweep-alpha", "--grid", "0.5,1.0",
+                                 "--horizon", 1000, "--d0", d0)
+        assert "d0 must lie in" in err
+
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-gamma"])
+    def test_sweep_negative_washout(self, tmp_path, capsys, command):
+        err = self.fails_cleanly(tmp_path, capsys, command, "--grid", "1.0",
+                                 "--horizon", 1000, "--washout", -5)
+        assert "washout must be nonnegative" in err
+
+    @pytest.mark.parametrize("method", ["renormalized", "derivative_product"])
+    def test_lyapunov_negative_washout(self, tmp_path, capsys, method):
+        err = self.fails_cleanly(tmp_path, capsys, "lyapunov", "--preset", "anchored",
+                                 "--method", method, "--horizon", 1000, "--washout", -3)
+        assert "washout must be nonnegative" in err
+        assert not (tmp_path / "lyapunov.txt").exists()
+
+    @pytest.mark.parametrize("d0", ["nan", "inf"])
+    def test_forgetting_non_finite_d0(self, tmp_path, capsys, d0):
+        err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,
+                                 "--d0", d0)
+        assert "start states must be finite" in err
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_forgetting_needs_a_replicate(self, tmp_path, capsys, replicates):
+        err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,
+                                 "--replicates", replicates)
+        assert "replicates must be at least 1" in err
+        assert not (tmp_path / "forgetting_report.txt").exists()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from critical_esn import readout
-from critical_esn.readout import ReadoutModel, model_from_text, model_to_text, predict, train
+from critical_esn.readout import ReadoutModel, predict_all, train
 from critical_esn.reservoir import Reservoir, random_orthogonal
 from critical_esn.signals import generate, iid_plus_minus, rng_stream
 from critical_esn.transfer import MorphableTransfer, Variant
@@ -43,7 +43,7 @@ class TestTrain:
     def test_ridge_resolves_singularity(self):
         x = np.ones((200, 1))
         model = train(x, np.full(200, 2.0), ridge_lambda=1e-6, washout=0)
-        assert predict(model, [1.0]) == pytest.approx(2.0, abs=1e-3)
+        assert predict_all(model, [[1.0]])[0] == pytest.approx(2.0, abs=1e-3)
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestRidgeProperties:
         model = train(x, y, ridge_lambda=0.0, washout=0)
         direct = readout.predict_all(model, x)
         assert all(
-            predict(model, row) == pytest.approx(val, abs=1e-9)
+            predict_all(model, row[None, :])[0] == pytest.approx(val, abs=1e-9)
             for row, val in zip(x[:50], direct[:50])
         )
 
@@ -90,12 +90,12 @@ class TestRidgeProperties:
 class TestPredict:
     def test_zero_weights_return_bias(self):
         model = ReadoutModel(weights=np.array([0.0, 0.0, 7.0]), ridge_lambda=0.0, washout=0)
-        assert predict(model, [123.0, -5.0]) == 7.0
+        assert predict_all(model, [[123.0, -5.0]])[0] == 7.0
 
     def test_dimension_mismatch(self):
         model = ReadoutModel(weights=np.array([1.0, 2.0]), ridge_lambda=0.0, washout=0)
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0, 3.0])
+            predict_all(model, [[1.0, 2.0, 3.0]])
 
 
 class TestDelayedRecall:
@@ -117,14 +117,3 @@ class TestDelayedRecall:
             np.sqrt(np.mean((pred - ys[split:]) ** 2)) / np.std(ys[split:])
         )
         assert nrmse < 1.0
-
-
-class TestSerialization:
-    def test_text_roundtrip(self):
-        model = ReadoutModel(
-            weights=np.array([0.1, -2.5, 3.75]), ridge_lambda=1e-8, washout=100
-        )
-        restored = model_from_text(model_to_text(model))
-        assert np.array_equal(restored.weights, model.weights)
-        assert restored.ridge_lambda == model.ridge_lambda
-        assert restored.washout == model.washout

@@ -155,6 +155,13 @@ class TestRunPair:
         bound = d0 * 0.5 ** series.t.astype(float)
         assert np.all(series.d <= bound + 1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, bad):
+        res = anchored_reservoir(1.0)
+        for x0, y0 in (([bad], [0.1]), ([0.1], [bad])):
+            with pytest.raises(ValueError, match="start states must be finite"):
+                run_pair(res, x0, y0, alternating(10, 1.0))
+
     def test_shared_and_per_neuron_paths_agree(self):
         # Distinct-but-equal transfer objects force the generic path.
         tr_a = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)

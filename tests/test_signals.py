@@ -7,7 +7,6 @@ from critical_esn.signals import (
     InputSequence,
     alternating,
     constant,
-    from_file,
     generate,
     iid_plus_minus,
     rng_stream,
@@ -69,24 +68,6 @@ class TestIidPlusMinus:
 class TestConstant:
     def test_values(self):
         assert generate(constant(3, -0.5)).tolist() == [-0.5, -0.5, -0.5]
-
-
-class TestFromFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "input.txt"
-        values = [0.25, -1.5, 3.0]
-        path.write_text("".join(f"{v}\n" for v in values))
-        assert generate(from_file(str(path))).tolist() == values
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            generate(from_file(str(tmp_path / "absent.txt")))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.txt"
-        path.write_text("\n\n")
-        with pytest.raises(ValueError):
-            generate(from_file(str(path)))
 
 
 class TestSpecValidation:
