@@ -14,9 +14,8 @@ Estimators
   onto the current difference direction after every step, and the
   exponent is the mean per-step log growth.  For a reservoir with one
   shared transfer and no predictor hook, reference and companion advance
-  as one ``(2, k)`` state stack with one transfer ``eval`` per step and
-  no slopes, which the method never reads; other reservoirs step two
-  copies through ``Reservoir.step``.
+  as one ``(2, k)`` state stack with one transfer ``eval`` per step;
+  other reservoirs step two copies through ``Reservoir.step``.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.
@@ -29,14 +28,20 @@ Estimators
   dominated by that attractor.)
 
 Batched variants of the one-neuron estimators evaluate whole parameter
-grids in one vectorized run; element results are identical to the scalar
-path regardless of how a grid is chunked.
+grids in one vectorized run.  Every estimator is a stream of per-step
+logs read by one reducer, which keeps 20 running batch sums per lane, so
+beyond its input an estimate's memory does not grow with the horizon,
+and a lane's result is identical whether it runs alone or in any split
+of a grid.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -130,7 +135,7 @@ class CriticalPoint:
     residuals: tuple[float, float]
 
 
-# -- renormalized (Benettin) estimation --------------------------------------
+# -- estimators as streamed reductions ----------------------------------------
 
 
 def _check_length(steps: int, washout: int) -> None:
@@ -146,26 +151,39 @@ def _check_d0(d0: float) -> None:
         raise ValueError("d0 must lie in [1e-12, 1e-6]")
 
 
-def _finalize(logs: np.ndarray, washout: int):
-    post = logs[washout:]
-    q = (post.shape[0] // _BATCHES) * _BATCHES
-    post = post[:q]
-    squeeze = post.ndim == 1
-    if squeeze:
-        post = post[:, None]
-    # Reduce along contiguous per-element rows: each element's mean then
-    # depends only on its own log sequence, never on the batch width, so
-    # grid results are identical for any chunking of the grid.
-    rows = np.ascontiguousarray(post.T)
-    lam = rows.mean(axis=1)
-    batches = rows.reshape(rows.shape[0], _BATCHES, q // _BATCHES).mean(axis=2)
-    # A row holding log 0 = -inf has lam = -inf; its spread is undefined,
-    # and std's -inf - -inf gives the documented NaN without a warning.
+def _rate(logs, steps: int, washout: int):
+    """Mean rate and batch-mean standard error of a stream of per-step logs.
+
+    ``logs`` yields one log per step: a scalar, or an array with one value
+    per lane.  The first ``washout`` are skipped and the next ``used`` (the
+    largest multiple of 20 within ``steps - washout``) are summed into 20
+    batch sums as they arrive; nothing after them is drawn.  Each lane's
+    batch means form one contiguous row, so a lane's result depends only
+    on its own logs.  A lane with a log of 0 (``-inf``) gets
+    ``lam = -inf`` and ``stderr = nan``, without a warning.
+
+    Returns ``(lam, stderr, used)``.
+    """
+    per = (steps - washout) // _BATCHES
+    with np.errstate(divide="ignore"):  # the stream's log 0 = -inf is a result
+        for _ in islice(logs, washout):
+            pass
+        sums = [reduce(operator.add, islice(logs, per)) for _ in range(_BATCHES)]
+    batches = np.stack(sums, axis=-1) / per
+    lam = batches.mean(axis=-1)
+    # A -inf lane's spread is -inf - -inf: the documented NaN, not a warning.
     with np.errstate(invalid="ignore"):
-        stderr = batches.std(axis=1, ddof=1) / math.sqrt(_BATCHES)
-    if squeeze:
-        return float(lam[0]), float(stderr[0]), q
-    return lam, stderr, q
+        stderr = batches.std(axis=-1, ddof=1) / math.sqrt(_BATCHES)
+    return lam, stderr, per * _BATCHES
+
+
+def _sequence(inputs, washout: int) -> np.ndarray:
+    """Input rows of a generic estimator, generated from a spec if need be."""
+    if isinstance(inputs, InputSequence):
+        inputs = generate(inputs)
+    inputs = np.asarray(inputs, dtype=float)
+    _check_length(len(inputs), washout)
+    return inputs
 
 
 def lyapunov_renormalized(
@@ -179,18 +197,17 @@ def lyapunov_renormalized(
 
     A companion trajectory starts at separation ``d0`` along a seeded
     random unit direction; after every step the log of the separation
-    ratio is accumulated and the companion is pulled back to distance
-    ``d0`` along the current difference direction.  The estimate is the
-    mean post-washout log rate; the standard error comes from 20 batch
-    means.
+    ratio is taken and the companion is pulled back to distance ``d0``
+    along the current difference direction.  The estimate is the mean
+    post-washout log rate; the standard error comes from 20 batch means.
 
     A reservoir with one shared transfer and no predictor hook advances
     both trajectories as one ``(2, k)`` stack (``Reservoir._stack_steps``):
-    one transfer ``eval`` per step, no ``Reservoir.step`` and no slopes,
-    which this method never reads.  For k = 1 the result is bit-identical
-    to stepping two copies; for k > 1 the stacked matrix product rounds
-    differently, which moves the estimate by up to about 1e-6.  Per-neuron
-    transfers and predictor hooks step two reservoir copies.
+    one transfer ``eval`` per step and no ``Reservoir.step``.  For k = 1
+    the result is bit-identical to stepping two copies; for k > 1 the
+    stacked matrix product rounds differently, which moves the estimate by
+    up to about 1e-6.  Per-neuron transfers and predictor hooks step two
+    reservoir copies.
 
     When the separation reaches exactly 0 after a post-washout step, that
     step's log is ``-inf``: the estimate is ``lam = -inf`` with
@@ -198,40 +215,29 @@ def lyapunov_renormalized(
     initial direction.
     """
     _check_d0(d0)
-    if isinstance(inputs, InputSequence):
-        inputs = generate(inputs)
-    inputs = np.asarray(inputs, dtype=float)
-    steps = len(inputs)
-    _check_length(steps, washout)
+    u = _sequence(inputs, washout)
+    u = u.reshape(len(u), -1)
+    if u.shape[1] != reservoir.n:
+        raise ValueError(f"input width {u.shape[1]} does not match n={reservoir.n}")
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
     start = np.asarray(reservoir.state, dtype=float).reshape(reservoir.k)
-    # Row 0 is the reference trajectory, row 1 the companion.
-    pair = np.stack([start, start + d0 * direction])
-    u = inputs.reshape(steps, -1)
-    if u.shape[1] != reservoir.n:
-        raise ValueError(f"input width {u.shape[1]} does not match n={reservoir.n}")
 
-    logs = np.empty(steps)
-    with np.errstate(divide="ignore"):
-        for t, pair in enumerate(reservoir._stack_steps(pair, u)):
+    def logs():
+        # Row 0 is the reference trajectory, row 1 the companion.
+        for pair in reservoir._stack_steps(np.stack([start, start + d0 * direction]), u):
             delta = pair[1] - pair[0]
             dist = float(np.linalg.norm(delta))
-            logs[t] = np.log(dist / d0)
             if dist > 0.0:
                 pair[1] = pair[0] + delta * (d0 / dist)
             else:
                 pair[1] = pair[0] + d0 * direction
-    lam, stderr, used = _finalize(logs, washout)
-    return LyapunovEstimate(
-        lam=float(lam),
-        method="renormalized",
-        steps_used=used,
-        washout=washout,
-        d0=d0,
-        stderr=float(stderr),
-    )
+            yield np.log(dist / d0)
+
+    lam, stderr, used = _rate(logs(), len(u), washout)
+    return LyapunovEstimate(lam=float(lam), method="renormalized", steps_used=used,
+                            washout=washout, d0=d0, stderr=float(stderr))
 
 
 def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> LyapunovEstimate:
@@ -240,7 +246,8 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     Runs the single trajectory and averages the log tangent factor; for
     one-neuron systems this is the exponent without any finite-separation
     approximation, which makes it the oracle the renormalized estimator
-    is checked against.
+    is checked against.  Each step's slope is taken from the transfer
+    that step used, so a predictor hook's choice is honoured.
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
     transfer), that step's log is ``-inf``: the estimate is
@@ -248,40 +255,36 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
-    if isinstance(inputs, InputSequence):
-        inputs = generate(inputs)
-    inputs = np.asarray(inputs, dtype=float)
-    steps = len(inputs)
-    _check_length(steps, washout)
-
+    u = _sequence(inputs, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
-    logs = np.empty(steps)
-    with np.errstate(divide="ignore"):
-        for t in range(steps):
-            rec = work.step(inputs[t])
-            logs[t] = np.log(gain * float(rec.slopes[0]))
-    lam, stderr, used = _finalize(logs, washout)
-    return LyapunovEstimate(
-        lam=float(lam),
-        method="derivative_product",
-        steps_used=used,
-        washout=washout,
-        d0=None,
-        stderr=float(stderr),
-    )
+
+    def logs():
+        for row in u:
+            rec = work.step(row)
+            yield np.log(gain * float(work.transfers[0].slope(rec.y_lin)[0]))
+
+    lam, stderr, used = _rate(logs(), len(u), washout)
+    return LyapunovEstimate(lam=float(lam), method="derivative_product", steps_used=used,
+                            washout=washout, d0=None, stderr=float(stderr))
 
 
 # -- batched one-neuron engines ----------------------------------------------
 
 
-def _batch_inputs(u, m: int) -> np.ndarray:
+def _lanes(w, w_in, u, y0, washout: int):
+    """Gains, input rows and start states of a batch of one-neuron lanes."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    m = w.size
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
-        return u[:, None]
-    if u.shape[1] not in (1, m):
+        u = u[:, None]
+    elif u.shape[1] not in (1, m):
         raise ValueError("per-element input width must be 1 or match the batch")
-    return u
+    _check_length(len(u), washout)
+    win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
+    state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float)
+    return w, win, u, state
 
 
 def renormalized_scalar_batch(
@@ -304,28 +307,22 @@ def renormalized_scalar_batch(
     depend on how a grid is split into batches.
     """
     _check_d0(d0)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
+    w, win, u, start = _lanes(w, w_in, u, y0, washout)
     m = w.size
-    win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
-    u = _batch_inputs(u, m)
-    steps = u.shape[0]
-    _check_length(steps, washout)
 
-    ref = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float).copy()
-    twin = ref + d0 * direction
-    logs = np.empty((steps, m))
-    with np.errstate(divide="ignore"):
-        for t in range(steps):
-            drive = win * u[t]
-            lin = np.concatenate([w * ref + drive, w * twin + drive])
-            vals = transfer.eval(lin)
+    def logs(ref, twin):
+        for row in u:
+            drive = win * row
+            vals = transfer.eval(np.concatenate([w * ref + drive, w * twin + drive]))
             ref = vals[:m]
             delta = vals[m:] - ref
             dist = np.abs(delta)
-            logs[t] = np.log(dist / d0)
             good = dist > 0.0
-            twin = np.where(good, ref + delta * (d0 / np.where(good, dist, 1.0)), ref + d0 * direction)
-    lam, stderr, _ = _finalize(logs, washout)
+            twin = np.where(good, ref + delta * (d0 / np.where(good, dist, 1.0)),
+                            ref + d0 * direction)
+            yield np.log(dist / d0)
+
+    lam, stderr, _ = _rate(logs(start, start + d0 * direction), len(u), washout)
     return lam, stderr
 
 
@@ -339,22 +336,16 @@ def derivative_product_scalar_batch(
     y0=0.0,
 ):
     """Vectorized tangent-average estimation for one-neuron batches."""
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    m = w.size
-    win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
-    u = _batch_inputs(u, m)
-    steps = u.shape[0]
-    _check_length(steps, washout)
-
-    state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float).copy()
+    w, win, u, start = _lanes(w, w_in, u, y0, washout)
     gain = np.abs(w)
-    logs = np.empty((steps, m))
-    with np.errstate(divide="ignore"):
-        for t in range(steps):
-            lin = w * state + win * u[t]
-            logs[t] = np.log(gain * transfer.slope(lin))
+
+    def logs(state):
+        for row in u:
+            lin = w * state + win * row
+            yield np.log(gain * transfer.slope(lin))
             state = transfer.eval(lin)
-    lam, stderr, _ = _finalize(logs, washout)
+
+    lam, stderr, _ = _rate(logs(start), len(u), washout)
     return lam, stderr
 
 

@@ -50,8 +50,8 @@ from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
 
-#: Largest accepted horizon of the sweeps and of ``forgetting``; a sweep
-#: holds a horizon x grid-size float64 log matrix.
+#: Largest accepted horizon of the sweeps and of ``forgetting``: input
+#: validation only, since the estimators keep no per-step buffer.
 _MAX_HORIZON = 1_000_000
 
 
@@ -432,8 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument("--out", type=str, default=".", help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="ignored; accepted so older command lines still run")
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)

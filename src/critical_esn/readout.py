@@ -68,10 +68,18 @@ def train(states, targets, ridge_lambda: float = 1e-8, washout: int = 100) -> Re
 
 
 def predict_all(model: ReadoutModel, states) -> np.ndarray:
-    """Vectorized readout over a (T, k) state matrix."""
+    """Vectorized readout over a (T, k) state matrix.
+
+    A 1-D array is read as T one-neuron states.  States of another width
+    than the model's raise ``ValueError``.
+    """
     x = np.asarray(states, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
+    k = model.weights.size - 1
+    if x.shape[-1] != k:
+        raise ValueError(f"states have width {x.shape[-1]} but the readout has k={k} "
+                         "(a 1-D array is read as width 1)")
     return x @ model.weights[:-1] + model.weights[-1]
 
 

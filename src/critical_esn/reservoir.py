@@ -51,17 +51,11 @@ PredictorHook = Callable[[int, int, list], Optional[Sequence[float]]]
 
 @dataclass(frozen=True)
 class StepRecord:
-    """State of one update step.
-
-    ``y = transfer(y_lin)`` holds exactly, elementwise; ``slopes`` carries
-    each neuron's transfer slope at its linear response, the per-step
-    factor of the tangent dynamics.
-    """
+    """State of one update step; ``y = transfer(y_lin)`` holds exactly, elementwise."""
 
     t: int
     y_lin: np.ndarray
     y: np.ndarray
-    slopes: np.ndarray
 
 
 def random_orthogonal(k: int, seed: int) -> np.ndarray:
@@ -211,11 +205,9 @@ class Reservoir:
         y_lin = self.W @ self.state + self.w_in @ u
         if self._shared:
             y = self.transfers[0].eval(y_lin)
-            slopes = self.transfers[0].slope(y_lin)
         else:
             y = np.array([tr.eval(float(v)) for tr, v in zip(self.transfers, y_lin)])
-            slopes = np.array([tr.slope(float(v)) for tr, v in zip(self.transfers, y_lin)])
-        rec = StepRecord(t=self.t, y_lin=y_lin, y=y, slopes=slopes)
+        rec = StepRecord(t=self.t, y_lin=y_lin, y=y)
         self.state = y
         self.t += 1
         return rec
@@ -224,8 +216,8 @@ class Reservoir:
         """Yield a ``(B, k)`` stack of trajectories after each input row.
 
         With one shared transfer and no predictor hook, every row takes
-        ``y <- transfer(W y + w_in u)`` through one ``eval`` call per step
-        and no slopes; for k = 1 each row is bit-identical to :meth:`step`.
+        ``y <- transfer(W y + w_in u)`` through one ``eval`` call per step;
+        for k = 1 each row is bit-identical to :meth:`step`.
         Otherwise each row steps its own copy of this reservoir through
         :meth:`step`.  The consumer may write into the yielded stack: the
         next step starts from what it then holds.

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_ecp_list
 from critical_esn.analysis import (
     DistanceSeries,
+    _rate,
     classify_decay,
     derivative_product_scalar_batch,
     expected_orbit_rate,
@@ -228,6 +229,23 @@ class TestDerivativeProduct:
         assert est.lam == -math.inf
         assert math.isnan(est.stderr)
 
+    def test_slope_comes_from_the_hooked_transfer(self):
+        # The hook swaps anchor sets every step; each log must use the
+        # slope of the transfer that step ran on.
+        sets = ((-1.0, 1.0), (-0.5, 0.7))
+        res = anchored_reservoir(0.8, predictor=lambda i, t, history: sets[t % 2])
+        u = generate(iid_plus_minus(2000, 1.0, seed=3))
+        est = lyapunov_derivative_product(res, u, washout=1000)
+
+        transfers = [MorphableTransfer(ecps) for ecps in sets]
+        w, win, y = float(res.W[0, 0]), float(res.w_in[0, 0]), 0.0
+        logs = []
+        for t, x in enumerate(u):
+            lin = w * y + win * x
+            logs.append(math.log(abs(w) * transfers[t % 2].slope(lin)))
+            y = transfers[t % 2].eval(lin)
+        assert est.lam == pytest.approx(np.mean(logs[1000:]), rel=1e-12)
+
     def test_negative_washout_rejected(self):
         with pytest.raises(ValueError, match="washout must be nonnegative"):
             lyapunov_derivative_product(anchored_reservoir(1.0), alternating(3000, 1.0),
@@ -284,6 +302,78 @@ class TestBatchedEngineInputs:
         for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
             with pytest.raises(ValueError, match="short"):
                 engine(*self._args(), washout=2001)
+
+
+class TestLaneIndependence:
+    """A grid point's result is the same alone, in the grid or in a split grid."""
+
+    GRID = np.array([i / 20 for i in range(1, 31)])
+
+    def _run(self, engine, alpha):
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        u = generate(iid_plus_minus(1400, 1.0, seed=4))
+        if engine == "renormalized":
+            return renormalized_scalar_batch(-alpha, 1.0 - alpha * TANH1, u, transfer,
+                                             washout=300, y0=-TANH1, direction=-1.0)
+        return derivative_product_scalar_batch(-alpha, 1.0 - alpha * TANH1, u, transfer,
+                                               washout=300, y0=-TANH1)
+
+    @pytest.mark.parametrize("engine", ["renormalized", "derivative_product"])
+    def test_alone_in_grid_and_in_split_grid(self, engine):
+        lam, err = self._run(engine, self.GRID)
+        parts = [self._run(engine, part) for part in np.split(self.GRID, [7, 19])]
+        assert np.array_equal(lam, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(err, np.concatenate([p[1] for p in parts]))
+        for i, alpha in enumerate(self.GRID):
+            alone = self._run(engine, alpha)
+            assert alone[0][0] == lam[i]
+            assert alone[1][0] == err[i]
+
+
+class TestRate:
+    """The streamed reducer against a two-pass reference that keeps every log."""
+
+    STEPS, WASHOUT, LANES = 2357, 111, 6
+
+    def _values(self):
+        x = rng_stream(41, 17).uniform(0.2, 3.0, (self.STEPS, self.LANES))
+        x[5, 2] = 0.0  # log 0 inside the washout
+        x[1500, 4] = 0.0  # log 0 after it: lane 4 is -inf
+        return x
+
+    def test_matches_two_pass_reference(self):
+        x = self._values()
+        drawn = []
+
+        def stream():
+            for row in x:
+                drawn.append(row)
+                yield np.log(row)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, stderr, used = _rate(stream(), self.STEPS, self.WASHOUT)
+        assert used == (self.STEPS - self.WASHOUT) // 20 * 20
+        assert len(drawn) == self.WASHOUT + used
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            post = np.log(x)[self.WASHOUT:self.WASHOUT + used]
+            batches = post.reshape(20, used // 20, self.LANES).mean(axis=1)
+            ref_err = batches.std(axis=0, ddof=1) / math.sqrt(20)
+        np.testing.assert_allclose(lam, batches.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(stderr, ref_err, rtol=1e-12)
+        assert lam[4] == -math.inf and math.isnan(stderr[4])
+        assert np.all(np.isfinite(np.delete(lam, 4)))
+
+    def test_scalar_stream_equals_its_lane(self):
+        with np.errstate(divide="ignore"):
+            logs = np.log(self._values())
+        lam, stderr, used = _rate(iter(logs), self.STEPS, self.WASHOUT)
+        for j in range(self.LANES):
+            lane = _rate(iter(logs[:, j]), self.STEPS, self.WASHOUT)
+            assert lane[0] == lam[j]
+            assert _same(lane[1], stderr[j])
+            assert lane[2] == used
 
 
 class TestOracleEquivalence:

@@ -265,10 +265,15 @@ class TestConfigFile:
                        "--preset", "anchored", "--alpha", 0.25) == 0
         assert "alpha=0.25" in (tmp_path / "lyapunov.txt").read_text()
 
-    def test_threads_key_still_accepted(self, tmp_path):
+    def test_threads_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threads=4\n")
-        assert run_cli("--out", tmp_path, "--config", cfg, "critical-b") == 0
+        assert run_cli("--out", tmp_path, "--config", cfg, "critical-b") == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): threads\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", tmp_path, "--threads", 2, "critical-b")
+        assert exc.value.code == 2
+        assert not (tmp_path / "critical_b.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -306,14 +311,6 @@ class TestDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(*dirs, common=names, shallow=False)
         assert not mismatch and not errors
         assert set(match) == set(names)
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        for out, threads in ((tmp_path / "t1", 1), (tmp_path / "t3", 3)):
-            assert run_cli("--seed", 7, "--out", out, "--threads", threads,
-                           "sweep-alpha", "--grid", "0.25:1.0:0.25",
-                           "--horizon", 1500) == 0
-        assert filecmp.cmp(tmp_path / "t1" / "sweep_alpha.csv",
-                           tmp_path / "t3" / "sweep_alpha.csv", shallow=False)
 
     def test_csv_floats_parse_back_exactly(self, tmp_path):
         assert run_cli("--seed", 7, "--out", tmp_path, "sweep-alpha",

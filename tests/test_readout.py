@@ -97,6 +97,15 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict_all(model, [[1.0, 2.0, 3.0]])
 
+    def test_width_mismatch_names_both_widths(self):
+        model = ReadoutModel(weights=np.array([1.0, 2.0, 3.0, 0.5]), ridge_lambda=0.0,
+                             washout=0)
+        with pytest.raises(ValueError, match=r"width 2 but the readout has k=3"):
+            predict_all(model, np.ones((4, 2)))
+        # One 3-state passed flat is a column of three one-neuron states.
+        with pytest.raises(ValueError, match=r"width 1 but the readout has k=3"):
+            predict_all(model, [0.1, 0.2, 0.3])
+
 
 class TestDelayedRecall:
     def test_beats_mean_baseline_on_critical_reservoir(self):
