@@ -12,13 +12,17 @@ Estimators
 - :func:`lyapunov_renormalized`: Benettin-style two-trajectory method; a
   companion trajectory is kept at separation ``d0`` by renormalizing it
   onto the current difference direction after every step, and the
-  exponent is the mean per-step log growth.  For a reservoir with one
-  shared transfer and no predictor hook, reference and companion advance
-  as one ``(2, k)`` state stack with one transfer ``eval`` per step;
-  other reservoirs step two copies through ``Reservoir.step``.
+  exponent is the mean per-step log growth.  A one-neuron reservoir with
+  one shared transfer and no predictor hook runs on the blocked
+  one-neuron engine below.  Other reservoirs with one shared transfer
+  and no hook advance reference and companion as one ``(2, k)`` state
+  stack with one transfer ``eval`` per step; the rest step two copies
+  through ``Reservoir.step``.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
-  independent cross-check oracle for the renormalized method.
+  independent cross-check oracle for the renormalized method.  It steps
+  the reservoir through ``Reservoir.step``, so it shares no code with the
+  blocked engine and honours a predictor hook's transfer at every step.
 - :func:`expected_orbit_rate`: tangent growth rate of the tanh baseline
   when the state is held on the expected critical orbit while the input
   amplitude is scaled; this is the quantity that turns positive the
@@ -28,11 +32,17 @@ Estimators
   dominated by that attractor.)
 
 Batched variants of the one-neuron estimators evaluate whole parameter
-grids in one vectorized run.  Every estimator is a stream of per-step
-logs read by one reducer, which keeps 20 running batch sums per lane, so
-beyond its input an estimate's memory does not grow with the horizon,
-and a lane's result is identical whether it runs alone or in any split
-of a grid.
+grids in one vectorized run on one blocked engine.  For one neuron and a
+nondecreasing transfer the renormalized companion is always
+``ref +- d0``, its sign set by the previous step's separation, so only
+the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
+the engine runs it for a block of rows, one ``eval`` per row, and then
+evaluates every companion of the block in one wide ``eval`` (or, for the
+derivative product, every slope in one ``slope`` call).  Every estimator
+is a stream of per-step logs read by one reducer, which keeps 20 running
+batch sums per lane, so beyond its input an estimate's memory does not
+grow with the horizon, and a lane's result is identical whether it runs
+alone or in any split of a grid, whatever the block size.
 """
 
 from __future__ import annotations
@@ -138,12 +148,14 @@ class CriticalPoint:
 # -- estimators as streamed reductions ----------------------------------------
 
 
-def _check_length(steps: int, washout: int) -> None:
-    """Reject a negative washout or fewer than 1000 post-washout steps."""
+def _check_input(u: np.ndarray, washout: int) -> None:
+    """Reject a negative washout, fewer than 1000 post-washout steps or non-finite input."""
     if washout < 0:
         raise ValueError("washout must be nonnegative")
-    if steps < washout + 1000:
+    if len(u) < washout + 1000:
         raise ValueError("input too short: need at least washout + 1000 steps")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("input must be finite")
 
 
 def _check_d0(d0: float) -> None:
@@ -182,7 +194,7 @@ def _sequence(inputs, washout: int) -> np.ndarray:
     if isinstance(inputs, InputSequence):
         inputs = generate(inputs)
     inputs = np.asarray(inputs, dtype=float)
-    _check_length(len(inputs), washout)
+    _check_input(inputs, washout)
     return inputs
 
 
@@ -201,13 +213,18 @@ def lyapunov_renormalized(
     along the current difference direction.  The estimate is the mean
     post-washout log rate; the standard error comes from 20 batch means.
 
-    A reservoir with one shared transfer and no predictor hook advances
-    both trajectories as one ``(2, k)`` stack (``Reservoir._stack_steps``):
-    one transfer ``eval`` per step and no ``Reservoir.step``.  For k = 1
-    the result is bit-identical to stepping two copies; for k > 1 the
-    stacked matrix product rounds differently, which moves the estimate by
-    up to about 1e-6.  Per-neuron transfers and predictor hooks step two
-    reservoir copies.
+    A one-neuron reservoir with one shared transfer and no predictor hook
+    runs as a one-lane batch of the blocked one-neuron engine (see
+    :func:`renormalized_scalar_batch`): its drive is ``u @ w_in[0]`` and
+    its direction, the seeded unit vector of length 1, is exactly +-1.
+    :func:`lyapunov_derivative_product`, the oracle this estimate is
+    checked against, keeps stepping through :meth:`Reservoir.step`, so
+    the two share no code.  Other reservoirs with one shared transfer and
+    no hook advance both trajectories as one ``(2, k)`` stack
+    (``Reservoir._stack_steps``), one transfer ``eval`` per step; the
+    stacked matrix product rounds differently from :meth:`Reservoir.step`,
+    which moves k > 1 estimates by up to about 1e-6.  Per-neuron
+    transfers and predictor hooks step two reservoir copies.
 
     When the separation reaches exactly 0 after a post-washout step, that
     step's log is ``-inf``: the estimate is ``lam = -inf`` with
@@ -224,7 +241,7 @@ def lyapunov_renormalized(
     direction /= np.linalg.norm(direction)
     start = np.asarray(reservoir.state, dtype=float).reshape(reservoir.k)
 
-    def logs():
+    def stacked():
         # Row 0 is the reference trajectory, row 1 the companion.
         for pair in reservoir._stack_steps(np.stack([start, start + d0 * direction]), u):
             delta = pair[1] - pair[0]
@@ -235,9 +252,14 @@ def lyapunov_renormalized(
                 pair[1] = pair[0] + d0 * direction
             yield np.log(dist / d0)
 
-    lam, stderr, used = _rate(logs(), len(u), washout)
-    return LyapunovEstimate(lam=float(lam), method="renormalized", steps_used=used,
-                            washout=washout, d0=d0, stderr=float(stderr))
+    if reservoir.k == 1 and reservoir._shared and reservoir.predictor is None:
+        logs = _renormalized_logs(reservoir.W[0], np.ones(1), (u @ reservoir.w_in[0])[:, None],
+                                  start, reservoir.transfers[0], d0, float(direction[0]))
+    else:
+        logs = stacked()
+    lam, stderr, used = _rate(logs, len(u), washout)
+    return LyapunovEstimate(lam=lam.item(), method="renormalized", steps_used=used,
+                            washout=washout, d0=d0, stderr=stderr.item())
 
 
 def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> LyapunovEstimate:
@@ -269,7 +291,10 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
                             washout=washout, d0=None, stderr=float(stderr))
 
 
-# -- batched one-neuron engines ----------------------------------------------
+# -- blocked one-neuron engine ------------------------------------------------
+
+#: Cells (rows x lanes) of one reference block; a block has max(1, cells // m) rows.
+_BLOCK_CELLS = 1 << 13
 
 
 def _lanes(w, w_in, u, y0, washout: int):
@@ -281,10 +306,71 @@ def _lanes(w, w_in, u, y0, washout: int):
         u = u[:, None]
     elif u.shape[1] not in (1, m):
         raise ValueError("per-element input width must be 1 or match the batch")
-    _check_length(len(u), washout)
+    _check_input(u, washout)
     win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
     state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float)
     return w, win, u, state
+
+
+def _reference_blocks(w, win, u, y, transfer):
+    """The reference recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes, by blocks.
+
+    Each block of ``max(1, _BLOCK_CELLS // m)`` input rows costs one
+    ``eval`` of the ``m`` lanes per row, the only sequential work of the
+    one-neuron estimators.  Yields ``(drive, states)`` per block: the
+    drives ``win*u[t]`` of its rows, and the states before
+    (``states[:-1]``) and after (``states[1:]``) each row.
+    """
+    rows = max(1, _BLOCK_CELLS // w.size)
+    for t0 in range(0, len(u), rows):
+        drive = win * u[t0:t0 + rows]
+        states = np.empty((len(drive) + 1, w.size))
+        states[0] = y
+        for i, d in enumerate(drive, start=1):
+            y = states[i] = transfer.eval(w * y + d)
+        yield drive, states
+
+
+def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
+    """Per-step renormalized logs of one-neuron lanes, one row of ``m`` per step.
+
+    With a nondecreasing transfer the companion of a reference state
+    ``ref`` is always ``ref + sign*d0``: a step maps it to a separation
+    ``delta`` of sign ``sign*sign(w)``, or exactly 0, after which the
+    companion restarts at ``ref + direction*d0``.  So each block predicts
+    every row's sign from the block's first and evaluates all companions
+    in one wide ``eval``.  From the first row whose ``delta`` is 0 or
+    has another sign, the block's remaining rows evaluate both companions,
+    ``ref + d0`` and ``ref - d0``, in one ``eval`` and the signs follow
+    ``delta`` row by row.  The stored reference states are reused.
+    """
+    flip = np.sign(w)
+    both = np.array([1.0, -1.0])[:, None, None]
+    sign = np.full(w.size, direction)  # of the next step's companion offset
+    for drive, states in _reference_blocks(w, win, u, y, transfer):
+        prev, ref = states[:-1], states[1:]
+        # Row i's offset sign is sign * flip**i while every delta keeps
+        # the sign it predicts, signs[i + 1].
+        signs = np.empty_like(states)
+        signs[0::2] = sign
+        signs[1::2] = sign * flip
+        delta = transfer.eval(w * (prev + d0 * signs[:-1]) + drive) - ref
+        held = delta * signs[1:] > 0.0
+        sign = signs[-1]
+        if not held.all():
+            r = int(held.all(axis=1).argmin()) + 1  # first row that follows a miss
+            up, down = transfer.eval(w * (prev[r:] + d0 * both) + drive[r:]) - ref[r:]
+            # The next offset is + after a positive delta, - after a
+            # negative one, and the restart direction's after 0.
+            up_next, down_next, pos = ((x > 0.0) | ((direction > 0.0) & ~(x < 0.0))
+                                       for x in (up, down, delta[r - 1]))
+            chosen = np.empty(up.shape, dtype=bool)
+            for i in range(len(chosen)):
+                chosen[i] = pos
+                pos = np.where(pos, up_next[i], down_next[i])
+            delta[r:] = np.where(chosen, up, down)
+            sign = np.where(pos, 1.0, -1.0)
+        yield from np.log(np.abs(delta) / d0)
 
 
 def renormalized_scalar_batch(
@@ -302,27 +388,19 @@ def renormalized_scalar_batch(
 
     ``w`` and ``w_in`` are the recurrent and input gains per batch
     element; ``u`` is the shared input (T,) or per-element input (T, m);
-    all elements share ``transfer``.  Returns (lambda, stderr) arrays.
-    Elements evolve independently and elementwise, so results do not
-    depend on how a grid is split into batches.
+    all elements share ``transfer``, which must be nondecreasing.  The
+    companion starts at ``y0 + direction*d0`` with ``direction`` +1 or
+    -1, and restarts there after an exact-zero separation.  Returns
+    (lambda, stderr) arrays.  Elements evolve independently and
+    elementwise, so results do not depend on how a grid is split into
+    batches, nor on the engine's block size.
     """
     _check_d0(d0)
+    if direction not in (1.0, -1.0):
+        raise ValueError("direction must be +1 or -1")
     w, win, u, start = _lanes(w, w_in, u, y0, washout)
-    m = w.size
-
-    def logs(ref, twin):
-        for row in u:
-            drive = win * row
-            vals = transfer.eval(np.concatenate([w * ref + drive, w * twin + drive]))
-            ref = vals[:m]
-            delta = vals[m:] - ref
-            dist = np.abs(delta)
-            good = dist > 0.0
-            twin = np.where(good, ref + delta * (d0 / np.where(good, dist, 1.0)),
-                            ref + d0 * direction)
-            yield np.log(dist / d0)
-
-    lam, stderr, _ = _rate(logs(start, start + d0 * direction), len(u), washout)
+    lam, stderr, _ = _rate(_renormalized_logs(w, win, u, start, transfer, d0, direction),
+                           len(u), washout)
     return lam, stderr
 
 
@@ -335,17 +413,19 @@ def derivative_product_scalar_batch(
     washout: int = 1000,
     y0=0.0,
 ):
-    """Vectorized tangent-average estimation for one-neuron batches."""
+    """Vectorized tangent-average estimation for one-neuron batches.
+
+    The logs ``log(|w| * slope(lin))`` of a block of the reference
+    recurrence take one ``slope`` call over its linear responses.
+    """
     w, win, u, start = _lanes(w, w_in, u, y0, washout)
     gain = np.abs(w)
 
-    def logs(state):
-        for row in u:
-            lin = w * state + win * row
-            yield np.log(gain * transfer.slope(lin))
-            state = transfer.eval(lin)
+    def logs():
+        for drive, states in _reference_blocks(w, win, u, start, transfer):
+            yield from np.log(gain * transfer.slope(w * states[:-1] + drive))
 
-    lam, stderr, _ = _rate(logs(start), len(u), washout)
+    lam, stderr, _ = _rate(logs(), len(u), washout)
     return lam, stderr
 
 

@@ -234,8 +234,9 @@ def cmd_sweep_gamma(args) -> list[Path]:
 
     lam_ecp, _ = renormalized_scalar_batch(
         np.full(grid.size, -1.0),
-        1.0 - TANH1,
-        base[:, None] * grid[None, :],
+        # base is +-1, so scaling the input weight scales the input exactly.
+        (1.0 - TANH1) * grid,
+        base,
         transfer,
         d0=args.d0,
         washout=args.washout,

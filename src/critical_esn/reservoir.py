@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _ORTHO_TOL = 1e-12
+_TRANSFER_CACHE = 8  # hooked transfers a reservoir keeps, most recently used
 
 #: Predictor hook signature: (neuron index, step t, history) -> new ECP
 #: list or None to keep the current transfer.  Called once per step for
@@ -100,6 +101,7 @@ class Reservoir:
         anchor of every transfer and a fixed point under zero input).
     predictor : callable, optional
         Per-step hook remapping neuron ECP lists; see ``PredictorHook``.
+        The transfers built for the last few distinct lists are cached.
     require_orthogonal : bool
         Verify ``max|W W^T - I| <= 1e-12`` at construction.
     meta : dict, optional
@@ -185,10 +187,13 @@ class Reservoir:
             current = self.transfers[i]
             variant = getattr(current, "variant", None) or Variant.BRIDGE
             key = (tuple(ecps), variant)
-            cached = self._transfer_cache.get(key)
+            # Re-inserting keeps the dict in least- to most-recently-used order.
+            cached = self._transfer_cache.pop(key, None)
             if cached is None:
                 cached = MorphableTransfer(ecps, variant)
-                self._transfer_cache[key] = cached
+            self._transfer_cache[key] = cached
+            if len(self._transfer_cache) > _TRANSFER_CACHE:
+                del self._transfer_cache[next(iter(self._transfer_cache))]
             if cached.ecps != getattr(current, "ecps", ()):
                 self.transfers[i] = cached
                 changed = True
@@ -271,11 +276,13 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     ``t`` the separation after consuming input element ``t-1``.  The run
     stops as soon as the distance reaches exactly zero (the states are
     then identical and stay identical forever).  Non-finite start states
-    are rejected.
+    and inputs are rejected.
     """
     if isinstance(inputs, InputSequence):
         inputs = generate(inputs)
     inputs = np.asarray(inputs, dtype=float)
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("input must be finite")
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     first = np.asarray(x0, dtype=float).reshape(template.k)

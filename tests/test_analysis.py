@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import critical_esn.analysis as analysis
 from conftest import random_ecp_list
 from critical_esn.analysis import (
     DistanceSeries,
@@ -328,6 +331,177 @@ class TestLaneIndependence:
             alone = self._run(engine, alpha)
             assert alone[0][0] == lam[i]
             assert alone[1][0] == err[i]
+
+
+def per_step_renormalized(w, w_in, u, transfer, d0, y0, direction, *, exact=False):
+    """Per-step reference loop of the renormalized one-neuron estimator.
+
+    Reference and companion advance together, one ``eval`` per step.  The
+    renormalized companion is ``ref + copysign(d0, delta)``, or with
+    ``exact`` the ``ref + delta * (d0 / |delta|)`` it equals up to a
+    rounding of ``d0``; an exact-zero separation restarts it at
+    ``ref + direction * d0``.  Returns the (T, m) matrix of per-step logs.
+    """
+    m = w.size
+    rows = u[:, None] if u.ndim == 1 else u
+    ref = np.full(m, y0)
+    twin = ref + d0 * direction
+    logs = np.empty((len(rows), m))
+    with np.errstate(divide="ignore"):
+        for t, row in enumerate(rows):
+            drive = w_in * row
+            vals = transfer.eval(np.concatenate([w * ref + drive, w * twin + drive]))
+            ref = vals[:m]
+            delta = vals[m:] - ref
+            dist = np.abs(delta)
+            good = dist > 0.0
+            step = delta * (d0 / np.where(good, dist, 1.0)) if exact else np.copysign(d0, delta)
+            twin = np.where(good, ref + step, ref + d0 * direction)
+            logs[t] = np.log(dist / d0)
+    return logs
+
+
+class TestBlockedEngine:
+    """The blocked one-neuron engine against the per-step loop it replaces."""
+
+    def _plateau_case(self):
+        alphas = np.array([0.3, 0.7, 1.0, 1.2])
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
+        u = generate(iid_plus_minus(1500, 1.0, seed=9))
+        return -alphas, 1.0 - alphas * TANH1, u, transfer
+
+    def _both(self, w, w_in, u, transfer):
+        renorm = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1,
+                                           direction=-1.0)
+        deriv = derivative_product_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
+        return renorm + deriv
+
+    def test_block_size_does_not_change_results(self, monkeypatch):
+        bridge = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        alphas = np.array([0.2, 0.9, 1.0, 1.1, 1.4])
+        cases = [
+            (-alphas, 1.0 - alphas * TANH1, generate(alternating(1500, 1.0)), bridge),
+            (alphas, 0.5, generate(iid_plus_minus(1500, 1.0, seed=2)), bridge),
+            self._plateau_case(),
+        ]
+        # The plateau case restarts its companion at a row that ends a
+        # 7-row block, so the next block starts from a restart.
+        w, w_in, u, transfer = self._plateau_case()
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, -1.0)
+        restarts = np.flatnonzero(np.isneginf(logs).any(axis=1))
+        assert np.any(restarts % 7 == 6)
+
+        default = analysis._BLOCK_CELLS
+        for w, w_in, u, transfer in cases:
+            results = []
+            for cells in (1, 7 * w.size, default):
+                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                results.append(self._both(w, w_in, u, transfer))
+            for other in results[1:]:
+                for a, b in zip(results[0], other):
+                    assert np.array_equal(a, b, equal_nan=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(Variant)),
+           kind=st.sampled_from(["alternating", "iid", "iid washout"]),
+           rows=st.integers(1, 400), direction=st.sampled_from([1.0, -1.0]))
+    def test_matches_per_step_loop(self, seed, variant, kind, rows, direction):
+        rng = rng_stream(seed, 17)
+        transfer = MorphableTransfer(random_ecp_list(rng), variant)
+        m = 5
+        w = rng.uniform(-1.3, 1.3, m)  # mixed signs
+        w_in = rng.uniform(-1.0, 1.0, m)
+        y0 = float(rng.uniform(-1.0, 1.0))
+        u = generate(alternating(1300, 1.0))
+        if kind != "alternating":
+            end = 300 if kind == "iid washout" else 1300
+            u[:end] = generate(iid_plus_minus(end, 1.0, seed=seed))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_CELLS", rows * m)
+            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=y0,
+                                                 direction=direction)
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
+        ref_lam, ref_err, _ = _rate(iter(logs), len(u), 300)
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(err, ref_err, equal_nan=True)
+
+        exact = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction, exact=True)
+        exact_lam, _, _ = _rate(iter(exact), len(u), 300)
+        np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
+
+    def test_restarts_in_the_washout_leave_a_finite_estimate(self, monkeypatch):
+        # Random input lands the plateau lanes on flat pieces during the
+        # washout; the expected alternating input after it never does, so
+        # the estimate is finite and every restart's follow-up counts.
+        w, w_in, _, transfer = self._plateau_case()
+        w, w_in = w[:3], w_in[:3]  # at alpha = 1.2 the plateau keeps catching the orbit
+        u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=9)),
+                            generate(alternating(1200, 1.0))])
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, 1.0)
+        assert np.isneginf(logs[:300]).any(axis=0).all()
+        ref_lam, ref_err, _ = _rate(iter(logs), len(u), 300)
+        assert np.all(np.isfinite(ref_lam))
+        for rows in (1, 7, 250, 400):
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * w.size)
+            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
+            assert np.array_equal(lam, ref_lam)
+            assert np.array_equal(err, ref_err)
+
+    def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
+        calls = []
+        stack_steps = Reservoir._stack_steps
+
+        def recording(self, stack, inputs):
+            calls.append(self.k)
+            return stack_steps(self, stack, inputs)
+
+        monkeypatch.setattr(Reservoir, "_stack_steps", recording)
+        spec = iid_plus_minus(1500, 1.0, seed=3)
+        shared = anchored_reservoir(0.9)
+        lyapunov_renormalized(shared, spec, washout=500)
+        assert calls == []
+
+        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, h: None), spec,
+                              washout=500)
+        lyapunov_renormalized(_two_copy_twin(shared), spec, washout=500)
+        res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
+        lyapunov_renormalized(res2, spec, washout=500)
+        assert calls == [1, 1, 2]
+
+    def test_direction_must_be_a_unit_sign(self):
+        w, w_in, u, transfer = self._plateau_case()
+        with pytest.raises(ValueError, match=r"direction must be \+1 or -1"):
+            renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite input row fails before any estimate or series is made."""
+
+    def _rows(self, bad):
+        u = generate(iid_plus_minus(3000, 1.0, seed=1))
+        u[1500] = bad
+        return u
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_generic_estimators(self, bad):
+        for estimator in (lyapunov_renormalized, lyapunov_derivative_product):
+            with pytest.raises(ValueError, match="input must be finite"):
+                estimator(anchored_reservoir(1.0), self._rows(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_batched_engines(self, bad):
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        w = np.array([-0.5, -1.0])
+        for u in (self._rows(bad), np.column_stack([self._rows(0.0), self._rows(bad)])):
+            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+                with pytest.raises(ValueError, match="input must be finite"):
+                    engine(w, 1.0 - TANH1, u, transfer)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_pair(self, bad):
+        with pytest.raises(ValueError, match="input must be finite"):
+            run_pair(anchored_reservoir(1.0), [0.1], [0.2], self._rows(bad))
 
 
 class TestRate:

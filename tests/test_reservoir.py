@@ -255,6 +255,39 @@ class TestPredictorHook:
         assert not np.array_equal(hooked[-1].y, static[-1].y)
 
 
+class TestTransferCache:
+    """Hooked transfers are cached per reservoir, a few at a time."""
+
+    def _counting(self, monkeypatch):
+        import critical_esn.reservoir as reservoir_module
+
+        built = []
+
+        def build(ecps, variant):
+            built.append(tuple(ecps))
+            return MorphableTransfer(ecps, variant)
+
+        monkeypatch.setattr(reservoir_module, "MorphableTransfer", build)
+        return built
+
+    def test_new_anchors_every_step_stay_bounded(self, monkeypatch):
+        import critical_esn.reservoir as reservoir_module
+
+        res = anchored_reservoir(1.0, predictor=lambda i, t, history: (-1.0 - t * 1e-4, 1.0))
+        built = self._counting(monkeypatch)
+        res.run(alternating(5000, 1.0), record=False)
+        assert len(built) == 5000
+        assert len(res._transfer_cache) == reservoir_module._TRANSFER_CACHE
+        assert res.transfers[0].ecps == (-1.0 - 4999e-4, 0.0, 1.0)
+
+    def test_period_two_hook_builds_two_transfers(self, monkeypatch):
+        sets = ((-1.0, 1.0), (-0.5, 0.7))
+        res = anchored_reservoir(0.8, predictor=lambda i, t, history: sets[t % 2])
+        built = self._counting(monkeypatch)
+        res.run(iid_plus_minus(2000, 1.0, seed=3), record=False)
+        assert built == list(sets)
+
+
 class TestConstruction:
     def test_orthogonality_flag_rejects_non_orthogonal(self):
         with pytest.raises(ValueError, match="orthogonal"):
