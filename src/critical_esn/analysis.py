@@ -14,10 +14,10 @@ Estimators
   onto the current difference direction after every step, and the
   exponent is the mean per-step log growth.  A one-neuron reservoir with
   one shared transfer and no predictor hook runs on the blocked
-  one-neuron engine below.  Other reservoirs with one shared transfer
-  and no hook advance reference and companion as one ``(2, k)`` state
-  stack with one transfer ``eval`` per step; the rest step two copies
-  through ``Reservoir.step``.
+  one-neuron engine below.  Every other reservoir advances reference and
+  companion as one ``(2, k)`` state stack through the reservoir's one
+  step kernel; a predictor hook runs once per step, sees the reference
+  state, and sets the transfers of both rows.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.  It steps
@@ -158,6 +158,13 @@ def _check_input(u: np.ndarray, washout: int) -> None:
         raise ValueError("input must be finite")
 
 
+def _check_state(reservoir) -> None:
+    """Reject a reservoir that holds a stack: an estimate follows one trajectory."""
+    shape = np.shape(reservoir.state)
+    if shape != (reservoir.k,):
+        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {shape}")
+
+
 def _check_d0(d0: float) -> None:
     if not (1e-12 <= d0 <= 1e-6):
         raise ValueError("d0 must lie in [1e-12, 1e-6]")
@@ -219,12 +226,10 @@ def lyapunov_renormalized(
     its direction, the seeded unit vector of length 1, is exactly +-1.
     :func:`lyapunov_derivative_product`, the oracle this estimate is
     checked against, keeps stepping through :meth:`Reservoir.step`, so
-    the two share no code.  Other reservoirs with one shared transfer and
-    no hook advance both trajectories as one ``(2, k)`` stack
-    (``Reservoir._stack_steps``), one transfer ``eval`` per step; the
-    stacked matrix product rounds differently from :meth:`Reservoir.step`,
-    which moves k > 1 estimates by up to about 1e-6.  Per-neuron
-    transfers and predictor hooks step two reservoir copies.
+    the two share no code.  Every other reservoir steps a copy of itself
+    holding both trajectories as one ``(2, k)`` stack; a predictor hook
+    sees row 0, the reference, as the oracle's hook sees its trajectory.
+    For k > 1 the stacked product rounds differently from :meth:`Reservoir.step`.
 
     When the separation reaches exactly 0 after a post-washout step, that
     step's log is ``-inf``: the estimate is ``lam = -inf`` with
@@ -232,6 +237,7 @@ def lyapunov_renormalized(
     initial direction.
     """
     _check_d0(d0)
+    _check_state(reservoir)
     u = _sequence(inputs, washout)
     u = u.reshape(len(u), -1)
     if u.shape[1] != reservoir.n:
@@ -239,17 +245,20 @@ def lyapunov_renormalized(
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
-    start = np.asarray(reservoir.state, dtype=float).reshape(reservoir.k)
+    start = np.asarray(reservoir.state, dtype=float)
 
     def stacked():
         # Row 0 is the reference trajectory, row 1 the companion.
-        for pair in reservoir._stack_steps(np.stack([start, start + d0 * direction]), u):
-            delta = pair[1] - pair[0]
+        pair = reservoir.copy(state=np.stack([start, start + d0 * direction]))
+        for row in u:
+            pair._advance(row)
+            state = pair.state
+            delta = state[1] - state[0]
             dist = float(np.linalg.norm(delta))
             if dist > 0.0:
-                pair[1] = pair[0] + delta * (d0 / dist)
+                state[1] = state[0] + delta * (d0 / dist)
             else:
-                pair[1] = pair[0] + d0 * direction
+                state[1] = state[0] + d0 * direction
             yield np.log(dist / d0)
 
     if reservoir.k == 1 and reservoir._shared and reservoir.predictor is None:
@@ -277,6 +286,7 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
+    _check_state(reservoir)
     u = _sequence(inputs, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
@@ -309,6 +319,8 @@ def _lanes(w, w_in, u, y0, washout: int):
     _check_input(u, washout)
     win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
     state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float)
+    if not all(np.all(np.isfinite(x)) for x in (w, win, state)):
+        raise ValueError("gains and start states must be finite")
     return w, win, u, state
 
 

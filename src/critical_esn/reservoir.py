@@ -2,8 +2,9 @@
 
 The update is the standard leakless echo-state form: the linear response
 ``y_lin = W y + w_in u`` goes elementwise through each neuron's transfer
-function.  With orthogonal ``W`` and Lipschitz-1 transfers the map is
-non-expansive for every input, which is what makes the critical tuning
+function; one kernel applies it to a ``(k,)`` state or to every row of a
+``(B, k)`` stack.  With orthogonal ``W`` and Lipschitz-1 transfers the map
+is non-expansive for every input, which is what makes the critical tuning
 safe: no input can push the network into expansion.
 
 One-neuron presets implement the two study systems:
@@ -43,11 +44,11 @@ __all__ = [
 _ORTHO_TOL = 1e-12
 _TRANSFER_CACHE = 8  # hooked transfers a reservoir keeps, most recently used
 
-#: Predictor hook signature: (neuron index, step t, history) -> new ECP
-#: list or None to keep the current transfer.  Called once per step for
-#: each neuron, before the linear response is computed, so a changed
-#: prediction takes effect for the very step it precedes.
-PredictorHook = Callable[[int, int, list], Optional[Sequence[float]]]
+#: Predictor hook signature: (neuron index, step t, state) -> new ECP list
+#: or None to keep the current transfer.  Called once per step for each
+#: neuron, before the linear response, with a copy of the (k,) state (row 0
+#: of a (B, k) stack); the transfers it sets apply to every row that step.
+PredictorHook = Callable[[int, int, np.ndarray], Optional[Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,12 @@ class Reservoir:
     input_weights : (k, n) array
         Input weight matrix.
     transfers : transfer or sequence of transfers
-        One shared transfer or one per neuron.  Shared transfers use a
-        vectorized evaluation path.
-    state : (k,) array, optional
+        One shared transfer, evaluated in one call per step, or one per
+        neuron, evaluated one state column per call.
+    state : (k,) or (B, k) array, optional
         Initial state; defaults to the zero vector (the origin is an
-        anchor of every transfer and a fixed point under zero input).
+        anchor of every transfer and a fixed point under zero input).  A
+        ``(B, k)`` stack advances ``B`` trajectories under the same input.
     predictor : callable, optional
         Per-step hook remapping neuron ECP lists; see ``PredictorHook``.
         The transfers built for the last few distinct lists are cached.
@@ -144,11 +146,11 @@ class Reservoir:
         if state is None:
             self.state = np.zeros(k)
         else:
-            self.state = np.asarray(state, dtype=float).reshape(k).copy()
+            state = np.asarray(state, dtype=float)
+            self.state = state.reshape((k,) if state.ndim < 2 else (len(state), k)).copy()
         self.t = 0
         self.predictor = predictor
         self.meta = dict(meta or {})
-        self._history: list[StepRecord] = []
         self._transfer_cache: dict = {}
 
     # -- basic introspection ----------------------------------------------
@@ -179,9 +181,10 @@ class Reservoir:
     # -- dynamics ----------------------------------------------------------
 
     def _apply_predictor(self) -> None:
+        reference = self.state.reshape(-1, self.k)[0].copy()
         changed = False
         for i in range(self.k):
-            ecps = self.predictor(i, self.t, self._history)
+            ecps = self.predictor(i, self.t, reference)
             if ecps is None:
                 continue
             current = self.transfers[i]
@@ -200,47 +203,31 @@ class Reservoir:
         if changed:
             self._shared = all(tr is self.transfers[0] for tr in self.transfers)
 
+    def _advance(self, u: np.ndarray) -> np.ndarray:
+        """Advance the held (k,) state or (B, k) stack under a checked input row.
+
+        Returns ``y_lin``.  A caller may write into ``state`` between steps.
+        """
+        if self.predictor is not None:
+            self._apply_predictor()
+        y_lin = self.state @ self.W.T + u @ self.w_in.T
+        if self._shared:
+            y = self.transfers[0].eval(y_lin)
+        else:
+            y = np.empty_like(y_lin)
+            for i, tr in enumerate(self.transfers):
+                y[..., i] = tr.eval(y_lin[..., i])
+        self.state = y
+        self.t += 1
+        return y_lin
+
     def step(self, u) -> StepRecord:
         """Advance one step under input ``u`` and return the step record."""
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (self.n,):
             raise ValueError(f"input shape {u.shape} does not match n={self.n}")
-        if self.predictor is not None:
-            self._apply_predictor()
-        y_lin = self.W @ self.state + self.w_in @ u
-        if self._shared:
-            y = self.transfers[0].eval(y_lin)
-        else:
-            y = np.array([tr.eval(float(v)) for tr, v in zip(self.transfers, y_lin)])
-        rec = StepRecord(t=self.t, y_lin=y_lin, y=y)
-        self.state = y
-        self.t += 1
-        return rec
-
-    def _stack_steps(self, stack: np.ndarray, inputs: np.ndarray):
-        """Yield a ``(B, k)`` stack of trajectories after each input row.
-
-        With one shared transfer and no predictor hook, every row takes
-        ``y <- transfer(W y + w_in u)`` through one ``eval`` call per step;
-        for k = 1 each row is bit-identical to :meth:`step`.
-        Otherwise each row steps its own copy of this reservoir through
-        :meth:`step`.  The consumer may write into the yielded stack: the
-        next step starts from what it then holds.
-        """
-        if self._shared and self.predictor is None:
-            transfer = self.transfers[0]
-            w_t, win_t = self.W.T, self.w_in.T
-            for u in inputs:
-                stack = transfer.eval((stack @ w_t + u @ win_t).ravel()).reshape(stack.shape)
-                yield stack
-        else:
-            copies = [self.copy() for _ in stack]
-            for u in inputs:
-                for res, row in zip(copies, stack):
-                    res.state = row
-                    res.step(u)
-                stack = np.stack([res.state for res in copies])
-                yield stack
+        y_lin = self._advance(u)
+        return StepRecord(t=self.t - 1, y_lin=y_lin, y=self.state)
 
     def run(self, inputs, record: bool = True):
         """Drive the reservoir through a whole input sequence.
@@ -256,27 +243,23 @@ class Reservoir:
         inputs = np.asarray(inputs, dtype=float)
         if len(inputs) < 1:
             raise ValueError("input sequence must have at least one element")
-        records: list[StepRecord] = []
         if record:
-            self._history = records  # predictor hooks see the steps so far
-        rec = None
+            return [self.step(u) for u in inputs]
         for u in inputs:
             rec = self.step(u)
-            if record:
-                records.append(rec)
-        self._history = []
-        return records if record else rec
+        return rec
 
 
 def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     """Euclidean distance between two trajectories under identical input.
 
-    Both trajectories run on independent copies of ``template`` started
-    from ``x0`` and ``y0``.  Row ``t=0`` is the initial separation; row
+    Both trajectories start from ``x0`` and ``y0`` as the two rows of one
+    ``(2, k)`` stack on a copy of ``template``, so a predictor hook sees
+    the ``x0`` trajectory.  Row ``t=0`` is the initial separation; row
     ``t`` the separation after consuming input element ``t-1``.  The run
     stops as soon as the distance reaches exactly zero (the states are
     then identical and stay identical forever).  Non-finite start states
-    and inputs are rejected.
+    and inputs, and inputs whose width is not ``template.n``, are rejected.
     """
     if isinstance(inputs, InputSequence):
         inputs = generate(inputs)
@@ -285,6 +268,8 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
         raise ValueError("input must be finite")
     if inputs.ndim == 1:
         inputs = inputs[:, None]
+    if inputs.shape[1] != template.n:
+        raise ValueError(f"input width {inputs.shape[1]} does not match n={template.n}")
     first = np.asarray(x0, dtype=float).reshape(template.k)
     second = np.asarray(y0, dtype=float).reshape(template.k)
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
@@ -294,9 +279,10 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     ds = [float(np.linalg.norm(second - first))]
     truncated = 0 if ds[0] == 0.0 else None
     if truncated is None:
-        steps = template._stack_steps(np.stack([first, second]), inputs)
-        for t, pair in enumerate(steps, start=1):
-            d = float(np.linalg.norm(pair[1] - pair[0]))
+        pair = template.copy(state=np.stack([first, second]))
+        for t, u in enumerate(inputs, start=1):
+            pair._advance(u)
+            d = float(np.linalg.norm(pair.state[1] - pair.state[0]))
             ts.append(t)
             ds.append(d)
             if d == 0.0:

@@ -153,11 +153,12 @@ def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-def _two_copy_twin(res: Reservoir) -> Reservoir:
+def _per_neuron_twin(res: Reservoir) -> Reservoir:
     """Same reservoir with distinct-but-equal per-neuron transfers.
 
-    The copy fails the shared-transfer test, so the estimator steps two
-    reservoir copies instead of the stacked path.
+    The copy fails the shared-transfer test, so the estimator takes the
+    stacked route with one ``eval`` per neuron instead of the blocked
+    engine or one shared ``eval``.
     """
     tr = res.transfers[0]
     twin = Reservoir(res.W, res.w_in, [MorphableTransfer(tr.ecps, tr.variant)
@@ -178,7 +179,7 @@ class TestStackedRenormalized:
                                 state=[float(rng.uniform(-1.0, 1.0))])
                 for spec in (alternating(1500, 1.0), iid_plus_minus(1500, 1.0, seed=5)):
                     a = lyapunov_renormalized(res, spec, washout=500, seed=3)
-                    b = lyapunov_renormalized(_two_copy_twin(res), spec, washout=500, seed=3)
+                    b = lyapunov_renormalized(_per_neuron_twin(res), spec, washout=500, seed=3)
                     assert a.lam == b.lam
                     assert _same(a.stderr, b.stderr)
 
@@ -191,13 +192,13 @@ class TestStackedRenormalized:
             res = Reservoir(random_orthogonal(k, k), w_in, transfer)
             u = rng.integers(0, 2, 1500) * 2.0 - 1.0
             a = lyapunov_renormalized(res, u, washout=500, seed=k)
-            b = lyapunov_renormalized(_two_copy_twin(res), u, washout=500, seed=k)
+            b = lyapunov_renormalized(_per_neuron_twin(res), u, washout=500, seed=k)
             assert abs(a.lam - b.lam) <= 1e-5
 
     def test_predictor_hook_is_still_called(self):
         calls = []
 
-        def hook(i, t, history):
+        def hook(i, t, state):
             calls.append(t)
             return None
 
@@ -205,8 +206,61 @@ class TestStackedRenormalized:
         hooked = lyapunov_renormalized(anchored_reservoir(0.9, predictor=hook), spec,
                                        washout=500)
         plain = lyapunov_renormalized(anchored_reservoir(0.9), spec, washout=500)
-        assert calls == [t for t in range(1500) for _ in range(2)]  # reference, companion
+        assert calls == list(range(1500))  # once per step, for both rows
         assert hooked.lam == plain.lam
+
+
+    def test_estimators_reject_a_stacked_state(self):
+        # A (2, 1) stack would otherwise be estimated silently from row 0.
+        res = anchored_reservoir(0.9)
+        res.state = np.zeros((2, 1))
+        for estimator in (lyapunov_renormalized, lyapunov_derivative_product):
+            with pytest.raises(ValueError, match=r"state must have shape \(1,\), not \(2, 1\)"):
+                estimator(res, alternating(1500, 1.0), washout=500)
+
+
+class TestHookSeesState:
+    """A predictor hook gets a copy of the reference state before each step."""
+
+    def _recording(self, seen):
+        def hook(i, t, state):
+            seen.append((t, state.copy()))
+            state[:] = math.nan  # a copy: the trajectories must not see this
+            return None
+
+        return hook
+
+    def _states(self, start, u):
+        # Pre-step states of an unhooked run from ``start``.
+        res = anchored_reservoir(0.9)
+        res.state = np.asarray(start, dtype=float)
+        return [np.array(start, dtype=float)] + [rec.y.copy() for rec in res.run(u)[:-1]]
+
+    def _check(self, seen, expected):
+        assert [t for t, _ in seen] == list(range(len(expected)))
+        for (_, state), want in zip(seen, expected):
+            assert state.shape == (1,)
+            assert np.array_equal(state, want)
+
+    def test_every_driver_passes_the_pre_step_state(self):
+        u = generate(iid_plus_minus(1500, 1.0, seed=4))
+        start = [0.3]
+        expected = self._states(start, u)
+        runs = {
+            "run": lambda res: res.run(u),
+            "run_pair": lambda res: run_pair(res, start, [0.35], u[:200]),
+            "renormalized": lambda res: lyapunov_renormalized(res, u, washout=500),
+            "derivative_product": lambda res: lyapunov_derivative_product(res, u, washout=500),
+        }
+        for name, drive in runs.items():
+            seen = []
+            res = anchored_reservoir(0.9, predictor=self._recording(seen))
+            res.state = np.array(start)
+            result = drive(res)
+            if name == "run_pair":
+                self._check(seen, expected[:len(result.t) - 1])
+            else:
+                self._check(seen, expected)
 
 
 class TestDerivativeProduct:
@@ -236,7 +290,7 @@ class TestDerivativeProduct:
         # The hook swaps anchor sets every step; each log must use the
         # slope of the transfer that step ran on.
         sets = ((-1.0, 1.0), (-0.5, 0.7))
-        res = anchored_reservoir(0.8, predictor=lambda i, t, history: sets[t % 2])
+        res = anchored_reservoir(0.8, predictor=lambda i, t, state: sets[t % 2])
         u = generate(iid_plus_minus(2000, 1.0, seed=3))
         est = lyapunov_derivative_product(res, u, washout=1000)
 
@@ -450,24 +504,24 @@ class TestBlockedEngine:
 
     def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
         calls = []
-        stack_steps = Reservoir._stack_steps
+        advance = Reservoir._advance
 
-        def recording(self, stack, inputs):
-            calls.append(self.k)
-            return stack_steps(self, stack, inputs)
+        def recording(self, u):
+            calls.append(self.state.shape)
+            return advance(self, u)
 
-        monkeypatch.setattr(Reservoir, "_stack_steps", recording)
+        monkeypatch.setattr(Reservoir, "_advance", recording)
         spec = iid_plus_minus(1500, 1.0, seed=3)
         shared = anchored_reservoir(0.9)
         lyapunov_renormalized(shared, spec, washout=500)
         assert calls == []
 
-        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, h: None), spec,
+        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, s: None), spec,
                               washout=500)
-        lyapunov_renormalized(_two_copy_twin(shared), spec, washout=500)
+        lyapunov_renormalized(_per_neuron_twin(shared), spec, washout=500)
         res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
         lyapunov_renormalized(res2, spec, washout=500)
-        assert calls == [1, 1, 2]
+        assert calls == [(2, 1)] * 3000 + [(2, 2)] * 1500  # one call per step
 
     def test_direction_must_be_a_unit_sign(self):
         w, w_in, u, transfer = self._plateau_case()
@@ -497,6 +551,18 @@ class TestNonFiniteInput:
             for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
                 with pytest.raises(ValueError, match="input must be finite"):
                     engine(w, 1.0 - TANH1, u, transfer)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["w", "w_in", "y0"])
+    def test_batched_engine_gains_and_starts(self, field, bad):
+        # A NaN gain used to give a NaN row, an infinite w_in a false lam = -inf.
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        args = {"w": np.array([-0.5, -1.0]), "w_in": 1.0 - TANH1, "y0": 0.0}
+        args[field] = np.array([args[field], bad]) if field != "w" else np.array([bad, -0.5])
+        u = self._rows(1.0)
+        for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+            with pytest.raises(ValueError, match="gains and start states must be finite"):
+                engine(args["w"], args["w_in"], u, transfer, y0=args["y0"])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_run_pair(self, bad):

@@ -113,19 +113,28 @@ class TestStep:
     rows=st.integers(1, 3),
     steps=st.integers(1, 30),
     bridge=st.booleans(),
+    per_neuron=st.booleans(),
+    hooked=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_stack_steps_match_repeated_step(k, n, rows, steps, bridge, seed):
-    # The stacked kernel against one reservoir copy per row; for k > 1 the
-    # (B, k) @ (k, k) product rounds differently from W @ state.
+def test_stack_steps_match_repeated_step(k, n, rows, steps, bridge, per_neuron, hooked, seed):
+    # The kernel on a (rows, k) stack against one reservoir per row; for
+    # k > 1 the (B, k) @ (k, k) product rounds differently from (k,) @ (k, k).
     rng = rng_stream(seed, 19)
     variant = Variant.BRIDGE if bridge else Variant.PLATEAU
-    transfer = MorphableTransfer(random_ecp_list(rng), variant)
-    res = Reservoir(random_orthogonal(k, seed), rng.normal(0.0, 0.5, (k, n)), transfer)
+    transfers = [MorphableTransfer(random_ecp_list(rng), variant)
+                 for _ in range(k if per_neuron else 1)]
+    anchor_sets = [random_ecp_list(rng) for _ in range(3)]
+    hook = (lambda i, t, state: anchor_sets[(i + t) % 3]) if hooked else None
+    res = Reservoir(random_orthogonal(k, seed), rng.normal(0.0, 0.5, (k, n)),
+                    transfers if per_neuron else transfers[0], predictor=hook)
     start = rng.uniform(-1.0, 1.0, (rows, k))
     u = rng.uniform(-1.5, 1.5, (steps, n))
-    stacked = [stack.copy() for stack in res._stack_steps(start.copy(), u)]
-    assert len(stacked) == steps
+    stack = res.copy(state=start)
+    stacked = []
+    for row in u:
+        stack._advance(row)
+        stacked.append(stack.state.copy())
     for r in range(rows):
         single = res.copy(state=start[r])
         for t in range(steps):
@@ -193,6 +202,10 @@ class TestRunPair:
             with pytest.raises(ValueError, match="start states must be finite"):
                 run_pair(res, x0, y0, alternating(10, 1.0))
 
+    def test_input_width_must_match(self):
+        with pytest.raises(ValueError, match="input width 2 does not match n=1"):
+            run_pair(anchored_reservoir(1.0), [0.1], [0.2], np.ones((50, 2)))
+
     def test_shared_and_per_neuron_paths_agree(self):
         # Distinct-but-equal transfer objects force the generic path.
         tr_a = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
@@ -232,7 +245,7 @@ class TestPredictorHook:
     def test_none_keeps_transfer(self):
         calls = []
 
-        def hook(i, t, history):
+        def hook(i, t, state):
             calls.append((i, t))
             return None
 
@@ -243,7 +256,7 @@ class TestPredictorHook:
         assert [t for _, t in calls] == [0, 1, 2, 3, 4]
 
     def test_swapping_hook_changes_dynamics(self):
-        def hook(i, t, history):
+        def hook(i, t, state):
             return (-0.5, 0.5) if t >= 3 else None
 
         res_hooked = anchored_reservoir(1.0, predictor=hook)
@@ -273,7 +286,7 @@ class TestTransferCache:
     def test_new_anchors_every_step_stay_bounded(self, monkeypatch):
         import critical_esn.reservoir as reservoir_module
 
-        res = anchored_reservoir(1.0, predictor=lambda i, t, history: (-1.0 - t * 1e-4, 1.0))
+        res = anchored_reservoir(1.0, predictor=lambda i, t, state: (-1.0 - t * 1e-4, 1.0))
         built = self._counting(monkeypatch)
         res.run(alternating(5000, 1.0), record=False)
         assert len(built) == 5000
@@ -282,7 +295,7 @@ class TestTransferCache:
 
     def test_period_two_hook_builds_two_transfers(self, monkeypatch):
         sets = ((-1.0, 1.0), (-0.5, 0.7))
-        res = anchored_reservoir(0.8, predictor=lambda i, t, history: sets[t % 2])
+        res = anchored_reservoir(0.8, predictor=lambda i, t, state: sets[t % 2])
         built = self._counting(monkeypatch)
         res.run(iid_plus_minus(2000, 1.0, seed=3), record=False)
         assert built == list(sets)
