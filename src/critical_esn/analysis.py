@@ -56,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import InputSequence, generate, rng_stream, STREAM_DIRECTION
+from .signals import input_rows, rng_stream, STREAM_DIRECTION
 
 __all__ = [
     "LyapunovEstimate",
@@ -148,21 +148,21 @@ class CriticalPoint:
 # -- estimators as streamed reductions ----------------------------------------
 
 
-def _check_input(u: np.ndarray, washout: int) -> None:
-    """Reject a negative washout, fewer than 1000 post-washout steps or non-finite input."""
+def _check_length(u: np.ndarray, washout: int) -> None:
+    """Reject a negative washout or fewer than 1000 post-washout steps."""
     if washout < 0:
         raise ValueError("washout must be nonnegative")
     if len(u) < washout + 1000:
         raise ValueError("input too short: need at least washout + 1000 steps")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("input must be finite")
 
 
 def _check_state(reservoir) -> None:
-    """Reject a reservoir that holds a stack: an estimate follows one trajectory."""
+    """Reject a stack, or a non-finite state assigned after construction."""
     shape = np.shape(reservoir.state)
     if shape != (reservoir.k,):
         raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {shape}")
+    if not np.all(np.isfinite(reservoir.state)):
+        raise ValueError("start states must be finite")
 
 
 def _check_d0(d0: float) -> None:
@@ -196,15 +196,6 @@ def _rate(logs, steps: int, washout: int):
     return lam, stderr, per * _BATCHES
 
 
-def _sequence(inputs, washout: int) -> np.ndarray:
-    """Input rows of a generic estimator, generated from a spec if need be."""
-    if isinstance(inputs, InputSequence):
-        inputs = generate(inputs)
-    inputs = np.asarray(inputs, dtype=float)
-    _check_input(inputs, washout)
-    return inputs
-
-
 def lyapunov_renormalized(
     reservoir,
     inputs,
@@ -219,6 +210,9 @@ def lyapunov_renormalized(
     ratio is taken and the companion is pulled back to distance ``d0``
     along the current difference direction.  The estimate is the mean
     post-washout log rate; the standard error comes from 20 batch means.
+    ``inputs`` is a spec or ``T`` rows of width ``reservoir.n`` (see
+    :func:`~critical_esn.signals.input_rows`); a bad input or a stacked or
+    non-finite ``reservoir.state`` is rejected before the first step.
 
     A one-neuron reservoir with one shared transfer and no predictor hook
     runs as a one-lane batch of the blocked one-neuron engine (see
@@ -238,10 +232,8 @@ def lyapunov_renormalized(
     """
     _check_d0(d0)
     _check_state(reservoir)
-    u = _sequence(inputs, washout)
-    u = u.reshape(len(u), -1)
-    if u.shape[1] != reservoir.n:
-        raise ValueError(f"input width {u.shape[1]} does not match n={reservoir.n}")
+    u = input_rows(inputs, reservoir.n)
+    _check_length(u, washout)
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
@@ -278,7 +270,8 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     one-neuron systems this is the exponent without any finite-separation
     approximation, which makes it the oracle the renormalized estimator
     is checked against.  Each step's slope is taken from the transfer
-    that step used, so a predictor hook's choice is honoured.
+    that step used, so a predictor hook's choice is honoured.  Inputs and
+    the start state are checked as in :func:`lyapunov_renormalized`.
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
     transfer), that step's log is ``-inf``: the estimate is
@@ -287,7 +280,8 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
     _check_state(reservoir)
-    u = _sequence(inputs, washout)
+    u = input_rows(inputs, reservoir.n)
+    _check_length(u, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
 
@@ -311,12 +305,9 @@ def _lanes(w, w_in, u, y0, washout: int):
     """Gains, input rows and start states of a batch of one-neuron lanes."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     m = w.size
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    elif u.shape[1] not in (1, m):
-        raise ValueError("per-element input width must be 1 or match the batch")
-    _check_input(u, washout)
+    # Shared input is (T,) or (T, 1), per-lane input (T, m).
+    u = input_rows(u, 1 if np.shape(u)[1:] in ((), (1,)) else m)
+    _check_length(u, washout)
     win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
     state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float)
     if not all(np.all(np.isfinite(x)) for x in (w, win, state)):
@@ -399,13 +390,15 @@ def renormalized_scalar_batch(
     """Vectorized renormalized estimation for a batch of one-neuron systems.
 
     ``w`` and ``w_in`` are the recurrent and input gains per batch
-    element; ``u`` is the shared input (T,) or per-element input (T, m);
-    all elements share ``transfer``, which must be nondecreasing.  The
-    companion starts at ``y0 + direction*d0`` with ``direction`` +1 or
-    -1, and restarts there after an exact-zero separation.  Returns
-    (lambda, stderr) arrays.  Elements evolve independently and
-    elementwise, so results do not depend on how a grid is split into
-    batches, nor on the engine's block size.
+    element; ``u`` is the shared input, a spec or a (T,) or (T, 1) array,
+    or the per-element input (T, m), checked by
+    :func:`~critical_esn.signals.input_rows`; all elements share
+    ``transfer``, which must be nondecreasing.  The companion starts at
+    ``y0 + direction*d0`` with ``direction`` +1 or -1, and restarts there
+    after an exact-zero separation.  Returns (lambda, stderr) arrays.
+    Elements evolve independently and elementwise, so results do not
+    depend on how a grid is split into batches, nor on the engine's block
+    size.
     """
     _check_d0(d0)
     if direction not in (1.0, -1.0):
@@ -546,22 +539,13 @@ def classify_decay(series: DistanceSeries) -> DecayFit:
     The window drops the first 10 steps (transient) and everything at or
     below the floating-point floor.  The law with the higher coefficient
     of determination wins when the margin exceeds 0.02; otherwise the
-    result is inconclusive.  Never raises.
+    result is inconclusive.  Raises only for an empty series.
     """
     if series.t.size == 0:
         raise ValueError("empty distance series")
     valid = (series.t > 10) & (series.d > _FLOOR)
-    if not valid.any():
-        return DecayFit(
-            law="inconclusive",
-            c_a=None,
-            c_b=None,
-            r2_loglog=0.0,
-            r2_semilog=0.0,
-            window=(11, 11),
-            truncated_at=series.truncated_at,
-        )
-    window = (11, int(series.t[valid].max()))
+    # With no valid point the window is (11, 11), which no fit accepts.
+    window = (11, int(series.t[valid].max(initial=11)))
     try:
         c_a, r2_ll = fit_power_law(series, window)
         c_b, r2_sl = fit_exponential(series, window)

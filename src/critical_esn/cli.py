@@ -163,28 +163,22 @@ plt.show()
 """
 
 
-def cmd_transfer_dump(args) -> list[Path]:
+def cmd_transfer_dump(args) -> None:
     ecps = [float(p) for p in args.ecps.split(",")]
     transfer = MorphableTransfer(ecps, args.variant)
     table = transfer.sample(args.lo, args.hi, args.n)
 
     out = Path(args.out)
-    curve_path = out / "transfer.csv"
-    write_csv(curve_path, ["x", "theta", "slope"], table)
-    markers_path = out / "transfer_ecps.csv"
+    write_csv(out / "transfer.csv", ["x", "theta", "slope"], table)
     write_csv(
-        markers_path,
+        out / "transfer_ecps.csv",
         ["ecp", "theta"],
         ((p, transfer.eval(p)) for p in transfer.ecps),
     )
-    written = [curve_path, markers_path]
     if args.emit_plot_script:
-        script = out / "plot_transfer.py"
-        script.write_text(_PLOT_SCRIPT)
-        written.append(script)
+        (out / "plot_transfer.py").write_text(_PLOT_SCRIPT)
     print(f"transfer-dump: {args.n} rows, variant {transfer.variant.value}, "
           f"ecps {','.join(format(p, 'g') for p in transfer.ecps)}")
-    return written
 
 
 def _sweep_setup(args):
@@ -199,7 +193,7 @@ def _sweep_setup(args):
     return base, transfer, direction
 
 
-def cmd_sweep_alpha(args) -> list[Path]:
+def cmd_sweep_alpha(args) -> None:
     grid = np.array([i / 20 for i in range(1, 31)]) if args.grid is None else parse_grid(args.grid)
     if np.any(grid <= 0.0) or np.any(grid > 1.5):
         raise ValueError("alpha grid must lie in (0, 1.5]")
@@ -216,13 +210,12 @@ def cmd_sweep_alpha(args) -> list[Path]:
         direction=direction,
     )
 
-    path = Path(args.out) / "sweep_alpha.csv"
-    write_csv(path, ["alpha", "lambda", "stderr"], zip(grid, lam, err))
+    write_csv(Path(args.out) / "sweep_alpha.csv", ["alpha", "lambda", "stderr"],
+              zip(grid, lam, err))
     print(f"sweep-alpha: {grid.size} grid points, horizon {args.horizon}")
-    return [path]
 
 
-def cmd_sweep_gamma(args) -> list[Path]:
+def cmd_sweep_gamma(args) -> None:
     grid = (
         np.array([(10 + i) / 20 for i in range(21)])
         if args.grid is None
@@ -247,10 +240,9 @@ def cmd_sweep_gamma(args) -> list[Path]:
     critical = solve_critical_b(math.pi / 4.0)
     lam_tanh = np.array([expected_orbit_rate(critical, math.pi / 4.0, g) for g in grid])
 
-    path = Path(args.out) / "sweep_gamma.csv"
-    write_csv(path, ["gamma", "lambda_ecp", "lambda_tanh"], zip(grid, lam_ecp, lam_tanh))
+    write_csv(Path(args.out) / "sweep_gamma.csv", ["gamma", "lambda_ecp", "lambda_tanh"],
+              zip(grid, lam_ecp, lam_tanh))
     print(f"sweep-gamma: {grid.size} grid points, critical b = {critical.b_star:.6f}")
-    return [path]
 
 
 def _input_spec(kind: str, length: int, amplitude: float, seed: int):
@@ -270,7 +262,7 @@ def _forgetting_states(mode: str, d0: float, seed: int, replicate: int):
     return ref, ref + draw[1] * TANH1
 
 
-def cmd_forgetting(args) -> list[Path]:
+def cmd_forgetting(args) -> None:
     replicates = args.replicates
     if replicates is None:
         replicates = 8 if args.input == "iid" else 1
@@ -281,7 +273,6 @@ def cmd_forgetting(args) -> list[Path]:
 
     res = anchored_reservoir(args.alpha, variant=args.variant)
     out = Path(args.out)
-    written: list[Path] = []
     report_lines: list[str] = []
     fit_rows: list[list] = []
 
@@ -292,9 +283,7 @@ def cmd_forgetting(args) -> list[Path]:
         fit = classify_decay(series)
 
         name = "forgetting.csv" if replicates == 1 else f"forgetting_r{rep}.csv"
-        path = out / name
-        write_csv(path, ["t", "d"], zip(series.t, series.d))
-        written.append(path)
+        write_csv(out / name, ["t", "d"], zip(series.t, series.d))
         fit_rows.append([rep] + decay_csv_row(fit))
 
         report_lines.append(f"[replicate {rep}] input={args.input} init={args.init}")
@@ -305,24 +294,16 @@ def cmd_forgetting(args) -> list[Path]:
             report_lines.append("log-log bend: series too short")
         report_lines.append("")
 
-    fits_path = out / "forgetting_fits.csv"
-    write_csv(fits_path, ["replicate"] + decay_csv_header(), fit_rows)
-    written.append(fits_path)
-    report = out / "forgetting_report.txt"
-    report.write_text("\n".join(report_lines))
-    written.append(report)
-    config = out / "forgetting_config.txt"
-    config.write_text(config_text({**res.meta, "seed": args.seed}))
-    written.append(config)
+    write_csv(out / "forgetting_fits.csv", ["replicate"] + decay_csv_header(), fit_rows)
+    (out / "forgetting_report.txt").write_text("\n".join(report_lines))
+    (out / "forgetting_config.txt").write_text(config_text({**res.meta, "seed": args.seed}))
     print(f"forgetting: {replicates} run(s), input {args.input}, init {args.init}")
-    return written
 
 
-def cmd_critical_b(args) -> list[Path]:
+def cmd_critical_b(args) -> None:
     critical = solve_critical_b(args.amplitude)
-    path = Path(args.out) / "critical_b.csv"
     write_csv(
-        path,
+        Path(args.out) / "critical_b.csv",
         ["amplitude", "b_star", "s_star", "residual_orbit", "residual_tangent"],
         [(args.amplitude, critical.b_star, critical.s_star, *critical.residuals)],
     )
@@ -332,10 +313,9 @@ def cmd_critical_b(args) -> list[Path]:
         f"residuals: orbit {critical.residuals[0]:.3g}, "
         f"tangency {critical.residuals[1]:.3g}"
     )
-    return [path]
 
 
-def cmd_lyapunov(args) -> list[Path]:
+def cmd_lyapunov(args) -> None:
     if args.horizon < 1000:
         raise ValueError("horizon too short: need at least 1000 steps")
     total = args.washout + args.horizon
@@ -363,17 +343,14 @@ def cmd_lyapunov(args) -> list[Path]:
         est = lyapunov_renormalized(res, spec, d0=args.d0, washout=args.washout, seed=args.seed)
 
     out = Path(args.out)
-    csv_path = out / "lyapunov.csv"
-    write_csv(csv_path, lyapunov_csv_header(), [lyapunov_csv_row(est)])
-    txt_path = out / "lyapunov.txt"
-    txt_path.write_text(
+    write_csv(out / "lyapunov.csv", lyapunov_csv_header(), [lyapunov_csv_row(est)])
+    (out / "lyapunov.txt").write_text(
         render_lyapunov(est) + "\n" + config_text({**res.meta, "gamma": args.gamma, "seed": args.seed})
     )
     print(render_lyapunov(est))
-    return [csv_path, txt_path]
 
 
-def cmd_readout_demo(args) -> list[Path]:
+def cmd_readout_demo(args) -> None:
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
@@ -393,20 +370,17 @@ def cmd_readout_demo(args) -> list[Path]:
     nrmse = rmse / base_rmse if base_rmse > 0 else float("inf")
 
     out = Path(args.out)
-    csv_path = out / "readout_demo.csv"
     write_csv(
-        csv_path,
+        out / "readout_demo.csv",
         ["k", "delay", "nrmse", "rmse", "baseline_rmse", "ridge_lambda"],
         [(args.k, args.delay, nrmse, rmse, base_rmse, args.ridge)],
     )
-    txt_path = out / "readout_demo.txt"
-    txt_path.write_text(
+    (out / "readout_demo.txt").write_text(
         f"delayed recall of u[t-{args.delay}] from a k={args.k} critical reservoir\n"
         f"test NRMSE = {nrmse:.6f} (baseline 1.0 = predicting the mean)\n"
         + readout.model_to_text(model)
     )
     print(f"readout-demo: k={args.k} delay={args.delay} NRMSE={nrmse:.4f}")
-    return [csv_path, txt_path]
 
 
 # -- argument plumbing ---------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import DistanceSeries
-from .signals import InputSequence, generate, rng_stream, STREAM_WEIGHTS
+from .signals import input_rows, rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
 __all__ = [
@@ -101,6 +101,7 @@ class Reservoir:
         Initial state; defaults to the zero vector (the origin is an
         anchor of every transfer and a fixed point under zero input).  A
         ``(B, k)`` stack advances ``B`` trajectories under the same input.
+        A non-finite start state is rejected.
     predictor : callable, optional
         Per-step hook remapping neuron ECP lists; see ``PredictorHook``.
         The transfers built for the last few distinct lists are cached.
@@ -147,6 +148,8 @@ class Reservoir:
             self.state = np.zeros(k)
         else:
             state = np.asarray(state, dtype=float)
+            if not np.all(np.isfinite(state)):
+                raise ValueError("start states must be finite")
             self.state = state.reshape((k,) if state.ndim < 2 else (len(state), k)).copy()
         self.t = 0
         self.predictor = predictor
@@ -188,7 +191,7 @@ class Reservoir:
             if ecps is None:
                 continue
             current = self.transfers[i]
-            variant = getattr(current, "variant", None) or Variant.BRIDGE
+            variant = current.variant or Variant.BRIDGE
             key = (tuple(ecps), variant)
             # Re-inserting keeps the dict in least- to most-recently-used order.
             cached = self._transfer_cache.pop(key, None)
@@ -197,7 +200,7 @@ class Reservoir:
             self._transfer_cache[key] = cached
             if len(self._transfer_cache) > _TRANSFER_CACHE:
                 del self._transfer_cache[next(iter(self._transfer_cache))]
-            if cached.ecps != getattr(current, "ecps", ()):
+            if cached.ecps != current.ecps:
                 self.transfers[i] = cached
                 changed = True
         if changed:
@@ -229,25 +232,19 @@ class Reservoir:
         y_lin = self._advance(u)
         return StepRecord(t=self.t - 1, y_lin=y_lin, y=self.state)
 
-    def run(self, inputs, record: bool = True):
+    def run(self, inputs) -> list[StepRecord]:
         """Drive the reservoir through a whole input sequence.
 
-        ``inputs`` is an :class:`InputSequence` spec or an array of
-        inputs (length T, each a scalar for n=1 or an n-vector).  With
-        ``record`` the full trajectory is returned as a list of
-        :class:`StepRecord`; without it only the final record, which
-        keeps long runs memory-light.
+        ``inputs`` is whatever :func:`~critical_esn.signals.input_rows`
+        accepts for width ``n``: a spec, or T scalars for n=1, or T
+        n-vectors.  A wrong width, a non-finite value and an empty sequence
+        are rejected before the first step.  Returns the trajectory as one
+        :class:`StepRecord` per input row.
         """
-        if isinstance(inputs, InputSequence):
-            inputs = generate(inputs)
-        inputs = np.asarray(inputs, dtype=float)
-        if len(inputs) < 1:
+        rows = input_rows(inputs, self.n)
+        if len(rows) < 1:
             raise ValueError("input sequence must have at least one element")
-        if record:
-            return [self.step(u) for u in inputs]
-        for u in inputs:
-            rec = self.step(u)
-        return rec
+        return [self.step(u) for u in rows]
 
 
 def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
@@ -258,29 +255,19 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     the ``x0`` trajectory.  Row ``t=0`` is the initial separation; row
     ``t`` the separation after consuming input element ``t-1``.  The run
     stops as soon as the distance reaches exactly zero (the states are
-    then identical and stay identical forever).  Non-finite start states
-    and inputs, and inputs whose width is not ``template.n``, are rejected.
+    then identical and stay identical forever).  The input passes
+    :func:`~critical_esn.signals.input_rows` for width ``template.n``, and
+    the stack is checked like any start state, so a non-finite start state
+    is rejected.
     """
-    if isinstance(inputs, InputSequence):
-        inputs = generate(inputs)
-    inputs = np.asarray(inputs, dtype=float)
-    if not np.all(np.isfinite(inputs)):
-        raise ValueError("input must be finite")
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    if inputs.shape[1] != template.n:
-        raise ValueError(f"input width {inputs.shape[1]} does not match n={template.n}")
-    first = np.asarray(x0, dtype=float).reshape(template.k)
-    second = np.asarray(y0, dtype=float).reshape(template.k)
-    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(second))):
-        raise ValueError("start states must be finite")
+    rows = input_rows(inputs, template.n)
+    pair = template.copy(state=[np.reshape(x0, template.k), np.reshape(y0, template.k)])
 
     ts = [0]
-    ds = [float(np.linalg.norm(second - first))]
+    ds = [float(np.linalg.norm(pair.state[1] - pair.state[0]))]
     truncated = 0 if ds[0] == 0.0 else None
     if truncated is None:
-        pair = template.copy(state=np.stack([first, second]))
-        for t, u in enumerate(inputs, start=1):
+        for t, u in enumerate(rows, start=1):
             pair._advance(u)
             d = float(np.linalg.norm(pair.state[1] - pair.state[0]))
             ts.append(t)

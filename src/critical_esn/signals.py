@@ -5,6 +5,11 @@ bit for bit.  Pseudo-random draws come from numpy's PCG64 generator keyed
 through ``SeedSequence(seed, spawn_key=(stream,))``; the (seed, stream)
 pair fully determines the stream, and distinct stream ids give
 statistically independent substreams of the same experiment seed.
+
+:func:`input_rows` is the one gate for input sequences: every function
+that steps a reservoir through one (``Reservoir.run``, ``run_pair``, the
+Lyapunov estimators and the batched one-neuron engines) turns it into
+checked rows there once, before its first step.
 """
 
 from __future__ import annotations
@@ -103,3 +108,24 @@ def generate(spec: InputSequence) -> np.ndarray:
         signs = rng.integers(0, 2, size=spec.length) * 2.0 - 1.0
         return spec.amplitude * signs
     return spec.gamma * generate(spec.base)
+
+
+def input_rows(inputs, width: int) -> np.ndarray:
+    """An input sequence as checked ``(T, width)`` float rows.
+
+    ``inputs`` is an :class:`InputSequence` spec, generated here, or an
+    array of ``T`` rows; a 1-D array reads as ``T`` rows of width 1.  A
+    row width other than ``width`` and a non-finite value are rejected.
+    """
+    if isinstance(inputs, InputSequence):
+        inputs = generate(inputs)
+    rows = np.asarray(inputs, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2:
+        raise ValueError(f"input must be 1-D or 2-D, not {rows.ndim}-D")
+    if rows.shape[1] != width:
+        raise ValueError(f"input width {rows.shape[1]} does not match n={width}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("input must be finite")
+    return rows

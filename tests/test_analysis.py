@@ -136,8 +136,9 @@ class TestRenormalized:
 
     def test_input_width_must_match(self):
         res = anchored_reservoir(1.0)
-        with pytest.raises(ValueError, match="does not match n=1"):
-            lyapunov_renormalized(res, np.ones((3000, 2)))
+        for estimator in (lyapunov_renormalized, lyapunov_derivative_product):
+            with pytest.raises(ValueError, match="^input width 2 does not match n=1$"):
+                estimator(res, np.ones((3000, 2)))
 
     def test_exact_zero_separation_is_minus_inf(self):
         # Both trajectories land on one plateau: the separation is exactly 0.
@@ -360,6 +361,12 @@ class TestBatchedEngineInputs:
             with pytest.raises(ValueError, match="short"):
                 engine(*self._args(), washout=2001)
 
+    def test_per_lane_input_width_must_match(self):
+        w, w_in, u, transfer = self._args()
+        for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+            with pytest.raises(ValueError, match="input width 3 does not match n=2"):
+                engine(w, w_in, np.column_stack([u, u, u]), transfer)
+
 
 class TestLaneIndependence:
     """A grid point's result is the same alone, in the grid or in a split grid."""
@@ -568,6 +575,22 @@ class TestNonFiniteInput:
     def test_run_pair(self, bad):
         with pytest.raises(ValueError, match="input must be finite"):
             run_pair(anchored_reservoir(1.0), [0.1], [0.2], self._rows(bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_run(self, bad):
+        res = anchored_reservoir(1.0)
+        with pytest.raises(ValueError, match="input must be finite"):
+            res.run(self._rows(bad))
+        assert res.t == 0 and res.state.tolist() == [0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_generic_estimators_reject_a_state_set_later(self, bad):
+        # Both used to return lam = nan.
+        for estimator in (lyapunov_renormalized, lyapunov_derivative_product):
+            res = anchored_reservoir(1.0)
+            res.state = np.array([bad])
+            with pytest.raises(ValueError, match="start states must be finite"):
+                estimator(res, self._rows(1.0))
 
 
 class TestRate:

@@ -160,14 +160,6 @@ class TestRun:
         records = res.run(np.zeros(32))
         assert all(rec.y[0] == 0.0 for rec in records)
 
-    def test_recording_modes_agree(self):
-        res_a = anchored_reservoir(0.8)
-        res_b = anchored_reservoir(0.8)
-        spec = iid_plus_minus(200, 1.0, seed=4)
-        full = res_a.run(spec)
-        final = res_b.run(spec, record=False)
-        assert np.array_equal(full[-1].y, final.y)
-
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             anchored_reservoir(1.0).run(np.array([]))
@@ -288,7 +280,7 @@ class TestTransferCache:
 
         res = anchored_reservoir(1.0, predictor=lambda i, t, state: (-1.0 - t * 1e-4, 1.0))
         built = self._counting(monkeypatch)
-        res.run(alternating(5000, 1.0), record=False)
+        res.run(alternating(5000, 1.0))
         assert len(built) == 5000
         assert len(res._transfer_cache) == reservoir_module._TRANSFER_CACHE
         assert res.transfers[0].ecps == (-1.0 - 4999e-4, 0.0, 1.0)
@@ -297,7 +289,7 @@ class TestTransferCache:
         sets = ((-1.0, 1.0), (-0.5, 0.7))
         res = anchored_reservoir(0.8, predictor=lambda i, t, state: sets[t % 2])
         built = self._counting(monkeypatch)
-        res.run(iid_plus_minus(2000, 1.0, seed=3), record=False)
+        res.run(iid_plus_minus(2000, 1.0, seed=3))
         assert built == list(sets)
 
 
@@ -314,6 +306,14 @@ class TestConstruction:
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             Reservoir([[float("nan")]], [[1.0]], MorphableTransfer([0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_state_rejected(self, bad):
+        res = anchored_reservoir(1.0)
+        with pytest.raises(ValueError, match="start states must be finite"):
+            Reservoir(res.W, res.w_in, res.transfers, state=[bad])
+        with pytest.raises(ValueError, match="start states must be finite"):
+            res.copy(state=[[0.1], [bad]])
 
     def test_transfer_count_must_match(self):
         with pytest.raises(ValueError):
