@@ -38,11 +38,15 @@ nondecreasing transfer the renormalized companion is always
 the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
 the engine runs it for a block of rows, one ``eval`` per row, and then
 evaluates every companion of the block in one wide ``eval`` (or, for the
-derivative product, every slope in one ``slope`` call).  Every estimator
-is a stream of per-step logs read by one reducer, which keeps 20 running
-batch sums per lane, so beyond its input an estimate's memory does not
-grow with the horizon, and a lane's result is identical whether it runs
-alone or in any split of a grid, whatever the block size.
+derivative product, every slope in one ``slope`` call).  Blocks start at
+one row and double up to ``2**13`` cells (rows x lanes), so a consumer
+that stops early has computed at most about twice the rows it read;
+:func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
+lanes of the same recurrence and stops at an exact-zero distance.  Every
+estimator is a stream of per-step logs read by one reducer, which keeps
+20 running batch sums per lane, so beyond its input an estimate's memory
+does not grow with the horizon, and a lane's result is identical whether
+it runs alone or in any split of a grid, whatever the block size.
 """
 
 from __future__ import annotations
@@ -253,7 +257,7 @@ def lyapunov_renormalized(
                 state[1] = state[0] + d0 * direction
             yield np.log(dist / d0)
 
-    if reservoir.k == 1 and reservoir._shared and reservoir.predictor is None:
+    if _one_lane(reservoir):
         logs = _renormalized_logs(reservoir.W[0], np.ones(1), (u @ reservoir.w_in[0])[:, None],
                                   start, reservoir.transfers[0], d0, float(direction[0]))
     else:
@@ -297,8 +301,16 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
 
 # -- blocked one-neuron engine ------------------------------------------------
 
-#: Cells (rows x lanes) of one reference block; a block has max(1, cells // m) rows.
+#: Cells (rows x lanes) of the largest reference block: max(1, cells // m) rows.
 _BLOCK_CELLS = 1 << 13
+
+
+def _one_lane(reservoir) -> bool:
+    """Whether ``reservoir`` runs on the blocked engine, one lane per trajectory.
+
+    That takes one neuron, one shared transfer and no predictor hook.
+    """
+    return reservoir.k == 1 and reservoir._shared and reservoir.predictor is None
 
 
 def _lanes(w, w_in, u, y0, washout: int):
@@ -318,20 +330,26 @@ def _lanes(w, w_in, u, y0, washout: int):
 def _reference_blocks(w, win, u, y, transfer):
     """The reference recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes, by blocks.
 
-    Each block of ``max(1, _BLOCK_CELLS // m)`` input rows costs one
-    ``eval`` of the ``m`` lanes per row, the only sequential work of the
-    one-neuron estimators.  Yields ``(drive, states)`` per block: the
-    drives ``win*u[t]`` of its rows, and the states before
-    (``states[:-1]``) and after (``states[1:]``) each row.
+    Each input row costs one ``eval`` of the ``m`` lanes, the only
+    sequential work of the one-neuron engine.  The first block has one
+    row and each next one twice as many, up to ``max(1, _BLOCK_CELLS //
+    m)``, so a consumer that stops early (a pair whose distance reached
+    zero) has computed at most about twice the rows it read.  Yields
+    ``(drive, states)`` per block: the drives ``win*u[t]`` of its rows,
+    and the states before (``states[:-1]``) and after (``states[1:]``)
+    each row.  Every row is computed alike whatever block holds it.
     """
-    rows = max(1, _BLOCK_CELLS // w.size)
-    for t0 in range(0, len(u), rows):
+    cap = max(1, _BLOCK_CELLS // w.size)
+    rows, t0 = 1, 0
+    while t0 < len(u):
         drive = win * u[t0:t0 + rows]
         states = np.empty((len(drive) + 1, w.size))
         states[0] = y
         for i, d in enumerate(drive, start=1):
             y = states[i] = transfer.eval(w * y + d)
         yield drive, states
+        t0 += rows
+        rows = min(2 * rows, cap)
 
 
 def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -55,20 +56,51 @@ TANH1 = math.tanh(1.0)
 _MAX_HORIZON = 1_000_000
 
 
+#: Rows formatted and written per chunk by :func:`write_csv`.
+_CSV_CHUNK = 4096
+
+
+def _cell_format(kind: type) -> str:
+    """Format of a CSV cell of type ``kind``: see :func:`fmt`."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
 def fmt(value) -> str:
-    """CSV cell: floats at 17 significant digits (exact round-trip)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    """CSV cell: floats at 17 significant digits (exact round-trip).
+
+    Strings are written verbatim and integers as ``str(int)``.
+    """
+    return _cell_format(type(value)) % (value,)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows``, every cell as :func:`fmt` writes it.
+
+    Rows are formatted a chunk at a time: a column of one type in a chunk
+    takes one format for all its cells, a mixed column is formatted cell
+    by cell.  A row whose width differs from the header's is rejected.
+    """
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        while chunk := list(islice(rows, _CSV_CHUNK)):
+            if set(map(len, chunk)) != {len(header)}:
+                raise ValueError(f"{Path(path).name}: a row's width differs from the header's")
+            columns = list(zip(*chunk))
+            formats = []
+            for i, column in enumerate(columns):
+                kinds = set(map(type, column))
+                if len(kinds) == 1:
+                    formats.append(_cell_format(kinds.pop()))
+                else:
+                    formats.append("%s")
+                    columns[i] = list(map(fmt, column))
+            line = ",".join(formats) + "\n"
+            fh.write("".join([line % row for row in zip(*columns)]))
 
 
 def read_config(path: str) -> dict:
@@ -351,6 +383,8 @@ def cmd_lyapunov(args) -> None:
 
 
 def cmd_readout_demo(args) -> None:
+    if args.delay < 0:
+        raise ValueError("delay must be nonnegative")
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)

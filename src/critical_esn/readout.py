@@ -8,6 +8,7 @@ regularization is reported instead of being silently regularized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ def train(states, targets, ridge_lambda: float = 1e-8, washout: int = 100) -> Re
     ``states`` is a (T, k) array or list of k-vectors, ``targets`` the
     matching scalars.  Solves ``(X^T X + lambda I) w = X^T y`` with a
     bias column in X and checks the solution residual; a singular system
-    at ``ridge_lambda = 0`` raises instead of being patched over.
+    at ``ridge_lambda = 0``, a non-finite or negative ``ridge_lambda`` and
+    a solution that is not finite raise instead of being patched over.
     """
     x = np.asarray(states, dtype=float)
     if x.ndim == 1:
@@ -42,8 +44,10 @@ def train(states, targets, ridge_lambda: float = 1e-8, washout: int = 100) -> Re
     y = np.asarray(targets, dtype=float).reshape(-1)
     if len(x) != len(y):
         raise ValueError("states and targets must have equal length")
-    if ridge_lambda < 0.0:
-        raise ValueError("ridge_lambda must be nonnegative")
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0.0):
+        raise ValueError("ridge_lambda must be finite and nonnegative")
+    if washout < 0:
+        raise ValueError("washout must be nonnegative")
     k = x.shape[1]
     if len(x) < washout + k + 1:
         raise ValueError("need at least washout + k + 1 rows")
@@ -59,7 +63,7 @@ def train(states, targets, ridge_lambda: float = 1e-8, washout: int = 100) -> Re
 
     scale = max(1.0, float(np.max(np.abs(rhs))))
     residual = float(np.max(np.abs(gram @ weights - rhs)))
-    if residual > _RESIDUAL_REL * scale:
+    if not residual <= _RESIDUAL_REL * scale:  # NaN weights fail too
         raise ValueError(
             f"normal-equation residual {residual:.3g} exceeds {_RESIDUAL_REL:g} * scale; "
             f"system is numerically singular at ridge_lambda={ridge_lambda:g}"

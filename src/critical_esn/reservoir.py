@@ -3,9 +3,12 @@
 The update is the standard leakless echo-state form: the linear response
 ``y_lin = W y + w_in u`` goes elementwise through each neuron's transfer
 function; one kernel applies it to a ``(k,)`` state or to every row of a
-``(B, k)`` stack.  With orthogonal ``W`` and Lipschitz-1 transfers the map
-is non-expansive for every input, which is what makes the critical tuning
-safe: no input can push the network into expansion.
+``(B, k)`` stack.  :func:`run_pair` runs a one-neuron pair with one shared
+transfer and no predictor hook as two lanes of the blocked one-neuron
+engine of :mod:`~critical_esn.analysis` instead.  With orthogonal ``W``
+and Lipschitz-1 transfers the map is non-expansive for every input, which
+is what makes the critical tuning safe: no input can push the network
+into expansion.
 
 One-neuron presets implement the two study systems:
 
@@ -25,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DistanceSeries
+from .analysis import DistanceSeries, _one_lane, _reference_blocks
 from .signals import input_rows, rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
@@ -259,25 +262,52 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     :func:`~critical_esn.signals.input_rows` for width ``template.n``, and
     the stack is checked like any start state, so a non-finite start state
     is rejected.
+
+    A one-neuron pair with one shared transfer and no predictor hook runs
+    as two lanes of the blocked one-neuron engine in
+    :mod:`~critical_esn.analysis`, whose blocks grow from one row, so a
+    pair that reaches zero at step ``s`` computes at most ``2*s`` steps.
+    Each distance is ``sqrt(diff*diff)``, which is what
+    ``np.linalg.norm`` computes for one element, so with one input
+    (n = 1) the series is bit-identical to stepping the stack.  With
+    n > 1 the drive is ``u @ w_in[0]``, as in
+    :func:`~critical_esn.analysis.lyapunov_renormalized`, which may round
+    differently from the stack's per-row product.  Every other pair steps
+    the stack through the reservoir's one step kernel.
     """
     rows = input_rows(inputs, template.n)
     pair = template.copy(state=[np.reshape(x0, template.k), np.reshape(y0, template.k)])
-
-    ts = [0]
-    ds = [float(np.linalg.norm(pair.state[1] - pair.state[0]))]
-    truncated = 0 if ds[0] == 0.0 else None
-    if truncated is None:
-        for t, u in enumerate(rows, start=1):
-            pair._advance(u)
-            d = float(np.linalg.norm(pair.state[1] - pair.state[0]))
-            ts.append(t)
-            ds.append(d)
-            if d == 0.0:
-                truncated = t
+    start = np.linalg.norm(pair.state[1] - pair.state[0])
+    parts = [np.array([start])]
+    if start > 0.0:
+        steps = _lane_distances(pair, rows) if _one_lane(pair) else _stack_distances(pair, rows)
+        for d in steps:
+            parts.append(d)
+            if not d.all():
                 break
-    return DistanceSeries(
-        t=np.asarray(ts, dtype=int), d=np.asarray(ds), truncated_at=truncated
-    )
+    d = np.concatenate(parts)
+    zeros = np.flatnonzero(d == 0.0)
+    truncated = int(zeros[0]) if zeros.size else None
+    if truncated is not None:
+        d = d[:truncated + 1]
+    return DistanceSeries(t=np.arange(d.size), d=d, truncated_at=truncated)
+
+
+def _lane_distances(pair: Reservoir, rows: np.ndarray):
+    """Distances of a one-lane pair, one array per block of the blocked engine."""
+    lanes = _reference_blocks(np.repeat(pair.W[0], 2), np.ones(2),
+                              (rows @ pair.w_in[0])[:, None], pair.state[:, 0],
+                              pair.transfers[0])
+    for _, states in lanes:
+        diff = states[1:, 1] - states[1:, 0]
+        yield np.sqrt(diff * diff)
+
+
+def _stack_distances(pair: Reservoir, rows: np.ndarray):
+    """Distances of a pair stepped as a ``(2, k)`` stack, one 1-element array per step."""
+    for u in rows:
+        pair._advance(u)
+        yield np.array([np.linalg.norm(pair.state[1] - pair.state[0])])
 
 
 # -- presets ----------------------------------------------------------------

@@ -310,8 +310,11 @@ class MorphableTransfer:
     def sample(self, lo: float, hi: float, n: int) -> np.ndarray:
         """Evenly spaced table of (x, value, slope), endpoints included.
 
-        Returns an (n, 3) array; used by the CLI curve dump.
+        Returns an (n, 3) array; used by the CLI curve dump.  Both bounds
+        must be finite.
         """
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("sample range requires finite bounds")
         if not (lo < hi):
             raise ValueError("sample range requires lo < hi")
         if n < 2:

@@ -462,6 +462,21 @@ class TestBlockedEngine:
                 for a, b in zip(results[0], other):
                     assert np.array_equal(a, b, equal_nan=True)
 
+        # A one-neuron pair runs as two lanes of the same engine.
+        pairs = [(anchored_reservoir(alpha, variant=variant), spec)
+                 for alpha in (0.5, 1.0, 1.2) for variant in Variant
+                 for spec in (alternating(1500, 1.0), iid_plus_minus(1500, 1.0, seed=2))]
+        start = anchored_orbit_state()
+        for res, spec in pairs:
+            series = []
+            for cells in (1, 14, default):
+                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                series.append(run_pair(res, start, start + 1.0, spec))
+            for other in series[1:]:
+                assert np.array_equal(series[0].t, other.t)
+                assert series[0].d.tobytes() == other.d.tobytes()
+                assert series[0].truncated_at == other.truncated_at
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(Variant)),
            kind=st.sampled_from(["alternating", "iid", "iid washout"]),

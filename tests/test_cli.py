@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from critical_esn import cli
 from critical_esn.cli import fmt, main, parse_grid
 
 
@@ -22,6 +23,25 @@ class TestHelpers:
         values = [0.1, 1.0 / 3.0, math.pi, 1e-300, -7.25, 2.3441859259659443]
         for v in values:
             assert float(fmt(v)) == v
+
+    def test_fmt_cells(self):
+        assert [fmt(v) for v in ("a,b", "", True, np.int64(-7), 2**70, 0.1, np.float32(0.5),
+                                 -0.0, math.nan, -math.inf)] == [
+            "a,b", "", "1", "-7", str(2**70), "0.10000000000000001", "0.5", "-0", "nan", "-inf"]
+
+    def test_write_csv_matches_cell_by_cell(self, tmp_path, monkeypatch):
+        # Chunks of 3 rows: columns change type between and within chunks.
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 3)
+        rows = [(np.int64(i), float(i) / 3.0, "" if i % 4 else np.float64(i) / 7.0, "x")
+                for i in range(10)]
+        rows += [(10, 1, 2.5, 3)]
+        cli.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], iter(rows))
+        expected = "a,b,c,d\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+        assert (tmp_path / "t.csv").read_text() == expected
+
+    def test_write_csv_rejects_a_row_of_another_width(self, tmp_path):
+        with pytest.raises(ValueError, match="width"):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
 
     def test_parse_grid_range(self):
         grid = parse_grid("0.5:1.0:0.25")
@@ -464,3 +484,17 @@ class TestNoNanRows:
                                  "--replicates", replicates)
         assert "replicates must be at least 1" in err
         assert not (tmp_path / "forgetting_report.txt").exists()
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_readout_non_finite_ridge(self, tmp_path, capsys, ridge):
+        err = self.fails_cleanly(tmp_path, capsys, "readout-demo", "--ridge", ridge)
+        assert "ridge_lambda must be finite and nonnegative" in err
+
+    @pytest.mark.parametrize("option", ["--delay", "--washout"])
+    def test_readout_negative_option(self, tmp_path, capsys, option):
+        err = self.fails_cleanly(tmp_path, capsys, "readout-demo", option, -3)
+        assert f"{option[2:]} must be nonnegative" in err
+
+    def test_transfer_dump_infinite_bound(self, tmp_path, capsys):
+        err = self.fails_cleanly(tmp_path, capsys, "transfer-dump", "--hi", "inf")
+        assert "sample range requires finite bounds" in err

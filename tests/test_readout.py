@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,22 @@ class TestTrain:
         x = np.ones((200, 1))
         model = train(x, np.full(200, 2.0), ridge_lambda=1e-6, washout=0)
         assert predict_all(model, [[1.0]])[0] == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+    def test_ridge_must_be_finite_and_nonnegative(self, ridge):
+        x = _states(rng_stream(4, 0), 300)
+        with pytest.raises(ValueError, match="ridge_lambda must be finite and nonnegative"):
+            train(x, x[:, 0], ridge_lambda=ridge, washout=0)
+
+    def test_nan_solution_fails_the_residual_check(self):
+        x = _states(rng_stream(5, 0), 300, 2)
+        x[150, 1] = math.nan
+        with pytest.raises(ValueError, match="residual nan"):
+            train(x, x[:, 0], washout=0)
+
+    def test_negative_washout_rejected(self):
+        with pytest.raises(ValueError, match="washout must be nonnegative"):
+            train(np.ones((50, 1)), np.ones(50), washout=-5)
 
     def test_length_guard(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from critical_esn.reservoir import (
     run_pair,
 )
 from critical_esn.analysis import solve_critical_b
-from critical_esn.signals import alternating, iid_plus_minus, rng_stream
+from critical_esn.signals import alternating, constant, iid_plus_minus, rng_stream
 from critical_esn.transfer import MorphableTransfer, Variant
 
 TANH1 = float(np.tanh(1.0))
@@ -199,17 +200,73 @@ class TestRunPair:
             run_pair(anchored_reservoir(1.0), [0.1], [0.2], np.ones((50, 2)))
 
     def test_shared_and_per_neuron_paths_agree(self):
-        # Distinct-but-equal transfer objects force the generic path.
-        tr_a = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-        tr_b = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-        shared = Reservoir([[-1.0]], [[1.0 - TANH1]], tr_a)
-        generic = Reservoir([[-1.0]], [[1.0 - TANH1]], [tr_b])
-        generic.transfers = [tr_b]
-        generic._shared = False
-        spec = iid_plus_minus(120, 1.0, seed=8)
-        a = run_pair(shared, [0.2], [0.25], spec)
-        b = run_pair(generic, [0.2], [0.25], spec)
-        assert np.allclose(a.d, b.d, rtol=1e-12, atol=0.0)
+        # An unhooked one-neuron pair takes the blocked one-lane route; a
+        # hook that keeps the transfer sends the same pair through the
+        # stacked step kernel (a copy recomputes ``_shared``, so a k = 1
+        # reservoir cannot be forced there any other way).  Both must agree
+        # bit for bit, whether or not the distance reaches zero.  Under zero
+        # input the 1e-150 pair shrinks until diff*diff underflows, where
+        # norm, unlike abs, reads 0.
+        truncations = []
+        for alpha, variant, spec, (x0, y0) in itertools.product(
+            (0.5, 1.0, 1.2),
+            (Variant.BRIDGE, Variant.PLATEAU),
+            (alternating(300, 1.0), iid_plus_minus(300, 1.0, seed=8), constant(300, 1.0),
+             np.zeros(300)),
+            (([-TANH1], [1.0 - TANH1]), ([0.2], [0.25]), ([0.0], [1e-150])),
+        ):
+            lane = anchored_reservoir(alpha, variant=variant)
+            stacked = anchored_reservoir(alpha, variant=variant,
+                                         predictor=lambda i, t, state: None)
+            a = run_pair(lane, x0, y0, spec)
+            b = run_pair(stacked, x0, y0, spec)
+            assert np.array_equal(a.t, b.t)
+            assert a.d.tobytes() == b.d.tobytes()
+            assert a.truncated_at == b.truncated_at
+            truncations.append(a.truncated_at)
+        assert None in truncations
+        assert any(t is not None for t in truncations)
+
+    def test_only_one_lane_pairs_skip_the_stack(self, monkeypatch):
+        steps = []
+        advance = Reservoir._advance
+
+        def counted(self, u):
+            steps.append(self.k)
+            return advance(self, u)
+
+        monkeypatch.setattr(Reservoir, "_advance", counted)
+        spec = alternating(50, 1.0)
+        run_pair(anchored_reservoir(1.0), [0.1], [0.3], spec)
+        assert steps == []
+        hooked = run_pair(anchored_reservoir(1.0, predictor=lambda i, t, state: None),
+                          [0.1], [0.3], spec)
+        assert steps == [1] * (hooked.t.size - 1) and steps
+        steps.clear()
+        wide = Reservoir(random_orthogonal(2, 3), [[0.3], [0.2]],
+                         MorphableTransfer((-1.0, 1.0)))
+        stacked = run_pair(wide, [0.1, 0.2], [0.3, -0.1], spec)
+        assert steps == [2] * (stacked.t.size - 1) and steps
+
+    def test_extinct_pair_evaluates_few_steps_beyond_zero(self, monkeypatch):
+        # Blocks grow from one row, so a pair that reaches zero at step s
+        # has evaluated at most 2*s reference steps, not a whole block.
+        res = anchored_reservoir(1.0)
+        evals = []
+        original = MorphableTransfer.eval
+
+        def counted(self, x):
+            evals.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(MorphableTransfer, "eval", counted)
+        for seed in range(8):
+            evals.clear()
+            series = run_pair(res, anchored_orbit_state(), anchored_orbit_state() + 1.0,
+                              iid_plus_minus(100_000, 1.0, seed=seed))
+            s = series.truncated_at
+            assert s is not None and s < 1000
+            assert len(evals) <= 2 * s + 2
 
     def test_non_expansive_for_orthogonal_weights(self):
         rng = rng_stream(77, 13)

@@ -334,6 +334,11 @@ class TestSample:
         with pytest.raises(ValueError):
             f.sample(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="finite bounds"):
+            MorphableTransfer([0.0]).sample(lo, hi, 10)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
