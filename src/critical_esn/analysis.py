@@ -38,9 +38,13 @@ nondecreasing transfer the renormalized companion is always
 the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
 the engine runs it for a block of rows, one ``eval`` per row, and then
 evaluates every companion of the block in one wide ``eval`` (or, for the
-derivative product, every slope in one ``slope`` call).  Blocks start at
-one row and double up to ``2**13`` cells (rows x lanes), so a consumer
-that stops early has computed at most about twice the rows it read;
+derivative product, every slope in one ``slope`` call).  Once the lanes
+close an exact 1- or 2-cycle under input that repeats with that period
+(every state equal, bit for bit, to the one p rows earlier), the
+reference recurrence is replayed from the cycle instead of stepped;
+``eval`` is pure, so the replayed states are the stepped ones.  Blocks
+start at one row and double up to ``2**13`` cells (rows x lanes), so a
+consumer that stops early has computed at most about twice the rows it read;
 :func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
 lanes of the same recurrence and stops at an exact-zero distance.  Every
 estimator is a stream of per-step logs read by one reducer, which keeps
@@ -327,28 +331,83 @@ def _lanes(w, w_in, u, y0, washout: int):
     return w, win, u, state
 
 
+#: Periods of the constant and the alternating input, the ones a replay detects.
+_PERIODS = (1, 2)
+
+
+def _period_starts(u) -> list[int]:
+    """Per period p, the first row ``s`` with ``u[r+p] == u[r]``, bit for bit, for all ``r >= s``.
+
+    Raw bits, so -0.0 and 0.0 differ.
+    """
+    bits = u.view(np.uint64)
+    starts = []
+    for p in _PERIODS:
+        moved = (bits[p:] != bits[:-p]).any(axis=1)[::-1]  # newest row first
+        starts.append(len(moved) - int(moved.argmax()) if moved.any() else 0)
+    return starts
+
+
+def _closed_cycle(recent, starts, t_next: int):
+    """The closed p-cycle ``c``, with ``s[r] = c[r % p]`` for every row ``r >= t_next``, or None.
+
+    ``recent`` holds the last states, the newest ``s[t]`` (after row
+    ``t = t_next - 1``) last.  If ``s[t] == s[t-p]`` bit for bit and the
+    input repeats with period p from row ``t+1-p``, each next state is
+    the pure ``eval`` of the same bits as the state p rows before it.
+    """
+    for p, start in zip(_PERIODS, starts):
+        if (len(recent) > p and start <= t_next - p
+                and np.array_equal(recent[-1].view(np.uint64), recent[-1 - p].view(np.uint64))):
+            return np.roll(recent[-p:], t_next, axis=0)  # s[t_next - p] lands at t_next % p
+    return None
+
+
 def _reference_blocks(w, win, u, y, transfer):
     """The reference recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes, by blocks.
 
     Each input row costs one ``eval`` of the ``m`` lanes, the only
-    sequential work of the one-neuron engine.  The first block has one
-    row and each next one twice as many, up to ``max(1, _BLOCK_CELLS //
-    m)``, so a consumer that stops early (a pair whose distance reached
-    zero) has computed at most about twice the rows it read.  Yields
-    ``(drive, states)`` per block: the drives ``win*u[t]`` of its rows,
-    and the states before (``states[:-1]``) and after (``states[1:]``)
-    each row.  Every row is computed alike whatever block holds it.
+    sequential work of the one-neuron engine, until the lanes close an
+    exact cycle: after each block ending at row ``t``, if every state
+    after row ``t`` equals, bit for bit, the one p = 1 or 2 rows earlier
+    and the input rows repeat with period p from row ``t+1-p``, every
+    later state is that p-cycle (``eval`` is pure), and later blocks are
+    filled from it without an ``eval``.  The first block has one row and
+    each next one twice as many, up to ``max(1, _BLOCK_CELLS // m)``, so
+    a consumer that stops early (a pair whose distance reached zero) has
+    computed at most about twice the rows it read.  Yields ``(drive,
+    states)`` per block: the drives ``win*u[t]`` of its rows, and the
+    states before (``states[:-1]``) and after (``states[1:]``) each row.
+    Every row is computed alike whatever block holds it.
+
+    A linear response that can overflow float64 is rejected before the
+    first row; every transfer here stays within +-2.
     """
+    with np.errstate(over="ignore"):
+        reach = (np.abs(w) * np.maximum(2.0, np.abs(y))
+                 + np.abs(win) * np.maximum(u.max(axis=0, initial=0.0),
+                                            -u.min(axis=0, initial=0.0)))
+    if not np.all(np.isfinite(reach)):
+        raise ValueError("linear response overflows float64")
+    starts = _period_starts(u)
     cap = max(1, _BLOCK_CELLS // w.size)
     rows, t0 = 1, 0
+    recent, cycle = y[None], None  # the last three states, newest last
     while t0 < len(u):
         drive = win * u[t0:t0 + rows]
+        t1 = t0 + len(drive)
         states = np.empty((len(drive) + 1, w.size))
         states[0] = y
-        for i, d in enumerate(drive, start=1):
-            y = states[i] = transfer.eval(w * y + d)
+        if cycle is None:
+            for i, d in enumerate(drive, start=1):
+                y = states[i] = transfer.eval(w * y + d)
+            recent = np.concatenate((recent[:-1], states[-3:]))[-3:]
+            cycle = _closed_cycle(recent, starts, t1)
+        else:
+            states[1:] = cycle[np.arange(t0, t1) % len(cycle)]
+            y = states[-1]
         yield drive, states
-        t0 += rows
+        t0 = t1
         rows = min(2 * rows, cap)
 
 
@@ -411,9 +470,11 @@ def renormalized_scalar_batch(
     element; ``u`` is the shared input, a spec or a (T,) or (T, 1) array,
     or the per-element input (T, m), checked by
     :func:`~critical_esn.signals.input_rows`; all elements share
-    ``transfer``, which must be nondecreasing.  The companion starts at
-    ``y0 + direction*d0`` with ``direction`` +1 or -1, and restarts there
-    after an exact-zero separation.  Returns (lambda, stderr) arrays.
+    ``transfer``, which must be nondecreasing and whose ``eval`` must be
+    a pure function: the reference recurrence is replayed once it closes
+    an exact cycle (see :func:`_reference_blocks`).  The companion starts
+    at ``y0 + direction*d0`` with ``direction`` +1 or -1, and restarts
+    there after an exact-zero separation.  Returns (lambda, stderr) arrays.
     Elements evolve independently and elementwise, so results do not
     depend on how a grid is split into batches, nor on the engine's block
     size.
@@ -439,7 +500,10 @@ def derivative_product_scalar_batch(
     """Vectorized tangent-average estimation for one-neuron batches.
 
     The logs ``log(|w| * slope(lin))`` of a block of the reference
-    recurrence take one ``slope`` call over its linear responses.
+    recurrence take one ``slope`` call over its linear responses.  Inputs
+    and gains are as in :func:`renormalized_scalar_batch`; ``transfer.eval``
+    must be a pure function, because the reference recurrence is replayed
+    once it closes an exact cycle.
     """
     w, win, u, start = _lanes(w, w_in, u, y0, washout)
     gain = np.abs(w)

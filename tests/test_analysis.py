@@ -22,6 +22,7 @@ from critical_esn.analysis import (
     renormalized_scalar_batch,
     solve_critical_b,
 )
+from critical_esn.cli import main as cli_main
 from critical_esn.reservoir import (
     Reservoir,
     anchored_orbit_state,
@@ -31,8 +32,15 @@ from critical_esn.reservoir import (
     random_orthogonal,
     run_pair,
 )
-from critical_esn.signals import alternating, generate, iid_plus_minus, rng_stream, scaled
-from critical_esn.transfer import MorphableTransfer, Variant
+from critical_esn.signals import (
+    alternating,
+    constant,
+    generate,
+    iid_plus_minus,
+    rng_stream,
+    scaled,
+)
+from critical_esn.transfer import MorphableTransfer, TanhTransfer, Variant
 
 TANH1 = float(np.tanh(1.0))
 QPI = math.pi / 4.0
@@ -549,6 +557,198 @@ class TestBlockedEngine:
         w, w_in, u, transfer = self._plateau_case()
         with pytest.raises(ValueError, match=r"direction must be \+1 or -1"):
             renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
+
+
+def per_row_states(w, w_in, u, y0, transfer):
+    """States after each input row of ``y <- transfer(w*y + w_in*u[t])``, one ``eval`` per row."""
+    rows = u[:, None] if u.ndim == 1 else u
+    y = np.broadcast_to(np.asarray(y0, dtype=float), w.shape)
+    states = np.empty((len(rows), w.size))
+    for t, row in enumerate(rows):
+        y = states[t] = transfer.eval(w * y + w_in * row)
+    return states
+
+
+@pytest.fixture
+def eval_calls(monkeypatch):
+    """A list that grows by one for every ``MorphableTransfer.eval`` call."""
+    calls = []
+    original = MorphableTransfer.eval
+
+    def counted(self, x):
+        calls.append(np.size(x))
+        return original(self, x)
+
+    monkeypatch.setattr(MorphableTransfer, "eval", counted)
+    return calls
+
+
+class TestCycleReplay:
+    """A reference recurrence that closes an exact cycle is replayed with the per-row bytes."""
+
+    T = 1100
+    WASHOUT = 100
+    KINDS = ["constant", "alternating", "iid", "prefix", "per-lane"]
+
+    def _inputs(self, kind, m, rng):
+        u = generate(alternating(self.T, 1.0))
+        if kind == "constant":
+            u = generate(constant(self.T, 0.7))
+        elif kind == "iid":
+            u = generate(iid_plus_minus(self.T, 1.0, seed=int(rng.integers(2**31))))
+        elif kind == "prefix":  # random, then alternating
+            u[:37] = rng.standard_normal(37)
+        elif kind == "per-lane":
+            u = u[:, None] * rng.uniform(0.5, 1.5, m)
+        return u
+
+    def _check_engine(self, eval_calls, w, w_in, u, y0, transfer):
+        """Check each engine output against its per-row loop; return the reference's evals."""
+        states = per_row_states(w, w_in, u, y0, transfer)
+        before = np.vstack([np.broadcast_to(y0, w.shape), states[:-1]])
+        lanes = analysis._lanes(w, w_in, u, y0, self.WASHOUT)
+        eval_calls.clear()
+        blocks = list(analysis._reference_blocks(*lanes, transfer))
+        evals = len(eval_calls)
+        assert np.concatenate([s[1:] for _, s in blocks]).tobytes() == states.tobytes()
+        assert np.concatenate([s[:-1] for _, s in blocks]).tobytes() == before.tobytes()
+
+        lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
+        ref_lam, ref_err, _ = _rate(iter(logs), len(u), self.WASHOUT)
+        assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
+
+        lam, err = derivative_product_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT,
+                                                   y0=y0)
+        rows = u[:, None] if u.ndim == 1 else u
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.abs(w) * transfer.slope(w * before + w_in * rows))
+        ref_lam, ref_err, _ = _rate(iter(logs), len(u), self.WASHOUT)
+        assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
+        return evals
+
+    def _anchored_case(self, variant, kind, m):
+        rng = rng_stream(m, 23)
+        alphas = rng.uniform(0.3, 0.8, m)
+        y0 = -TANH1 if kind == "iid" else rng.uniform(-1.0, 1.0, m)
+        return (-alphas, 1.0 - alphas * TANH1, self._inputs(kind, m, rng), y0,
+                MorphableTransfer((-1.0, 1.0), variant))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_matches_per_row_loop(self, monkeypatch, eval_calls, variant, kind, m):
+        case = self._anchored_case(variant, kind, m)
+        for cells in (1, 14, analysis._BLOCK_CELLS):
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+            evals = self._check_engine(eval_calls, *case)
+            assert (evals == self.T) == (kind == "iid")  # the replay fired
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_wide_batch_matches_per_row_loop(self, eval_calls, kind):
+        # 2800 lanes: the default blocks hold at most 2 rows.
+        assert analysis._BLOCK_CELLS // 2800 == 2
+        case = self._anchored_case(Variant.BRIDGE, kind, 2800)
+        evals = self._check_engine(eval_calls, *case)
+        assert (evals == self.T) == (kind == "iid")
+
+    def test_random_anchors_match_per_row_loop(self, monkeypatch, eval_calls):
+        rng = rng_stream(4, 23)
+        for variant in Variant:
+            transfer = MorphableTransfer(random_ecp_list(rng), variant)
+            w, w_in = rng.uniform(-1.3, 1.3, 4), rng.uniform(-1.0, 1.0, 4)
+            for kind in ("constant", "alternating", "prefix", "per-lane"):
+                u = self._inputs(kind, 4, rng)
+                for cells in (14, analysis._BLOCK_CELLS):
+                    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                    self._check_engine(eval_calls, w, w_in, u, 0.25, transfer)
+
+    def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, eval_calls):
+        # On the expected orbit the state repeats from the first rows of
+        # the alternating prefix, but the input turns iid at row 700.
+        alphas = np.array([0.5, 1.0, 1.2])
+        u = generate(alternating(self.T, 1.0))
+        u[700:] = generate(iid_plus_minus(self.T - 700, 1.0, seed=4))
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        states = per_row_states(-alphas, 1.0 - alphas * TANH1, u, -TANH1, transfer)
+        assert np.array_equal(states[2], states[0])
+        for cells in (1, 14, analysis._BLOCK_CELLS):
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+            evals = self._check_engine(eval_calls, -alphas, 1.0 - alphas * TANH1, u, -TANH1,
+                                       transfer)
+            assert evals == self.T
+
+    def test_signed_zero_breaks_the_input_period(self):
+        # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is -0.0.
+        u = np.zeros(self.T)
+        u[900] = -0.0
+        w, w_in, u, start = analysis._lanes(-0.5, 1.0, u, 0.0, self.WASHOUT)
+        blocks = analysis._reference_blocks(w, w_in, u, start, TanhTransfer())
+        states = np.concatenate([s[1:] for _, s in blocks])
+        assert states.tobytes() == per_row_states(w, w_in, u, 0.0, TanhTransfer()).tobytes()
+        assert np.signbit(states[900, 0])
+
+    def test_cycle_closes_across_one_row_blocks(self, monkeypatch, eval_calls):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
+        w, w_in, u, start = analysis._lanes(-1.0, 1.0 - TANH1, alternating(self.T, 1.0),
+                                            -TANH1, self.WASHOUT)
+        for _ in analysis._reference_blocks(w, w_in, u, start,
+                                            MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)):
+            pass
+        assert len(eval_calls) == 2  # s[1] == s[-1]: the 2-cycle closes after row 1
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
+    @pytest.mark.parametrize("kind", ["constant", "alternating", "iid", "prefix"])
+    def test_run_pair_matches_per_row_loop(self, monkeypatch, kind, start):
+        rng = rng_stream(6, 23)
+        u = self._inputs(kind, 1, rng)
+        for alpha in (0.5, 1.0, 1.2):
+            res = anchored_reservoir(alpha)
+            states = per_row_states(np.repeat(res.W[0], 2), np.ones(2), u * res.w_in[0, 0],
+                                    np.array(start), res.transfers[0])
+            diff = np.concatenate([[start[1] - start[0]], states[:, 1] - states[:, 0]])
+            d = np.sqrt(diff * diff)
+            zeros = np.flatnonzero(d == 0.0)
+            if zeros.size:
+                d = d[:zeros[0] + 1]
+            for cells in (1, 14, analysis._BLOCK_CELLS):
+                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                series = run_pair(res, start[0], start[1], u)
+                assert series.d.tobytes() == d.tobytes()
+                assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
+
+    @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
+    def test_default_commands_replay(self, tmp_path, eval_calls, argv):
+        assert cli_main(["--out", str(tmp_path), *argv]) == 0
+        assert len(eval_calls) <= 1000
+
+    def test_iid_input_steps_every_row(self, eval_calls):
+        u = generate(iid_plus_minus(self.T, 1.0, seed=8))
+        alphas = np.array([0.5, 0.9])
+        renormalized_scalar_batch(-alphas, 1.0 - alphas * TANH1, u,
+                                  MorphableTransfer((-1.0, 1.0)), washout=self.WASHOUT)
+        assert len(eval_calls) >= self.T
+
+    @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
+                                      constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_replayed_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
+        # The oracle steps through Reservoir.step and never replays.
+        res = anchored_reservoir(alpha)
+        renorm = lyapunov_renormalized(res, spec, washout=1000)
+        assert len(eval_calls) < 200  # replayed
+        deriv = lyapunov_derivative_product(res, spec, washout=1000)
+        assert abs(renorm.lam - deriv.lam) <= 1e-3
+
+    def test_overflowing_linear_response_is_rejected(self):
+        transfer = MorphableTransfer((-1.0, 1.0))
+        u = generate(alternating(1200, 2.0))
+        for w, w_in, y0 in [(1e308, 0.5, 0.0), (0.5, 1e308, 0.0), (-10.0, 0.5, 1e308)]:
+            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+                with pytest.raises(ValueError, match="linear response overflows float64"):
+                    engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
+        with pytest.raises(ValueError, match="linear response overflows float64"):
+            run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
 
 
 class TestNonFiniteInput:

@@ -495,6 +495,15 @@ class TestNoNanRows:
         err = self.fails_cleanly(tmp_path, capsys, "readout-demo", option, -3)
         assert f"{option[2:]} must be nonnegative" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["forgetting", "--alpha", "1e308", "--horizon", 1000],
+        ["lyapunov", "--preset", "anchored", "--alpha", "1e308"],
+    ], ids=["forgetting", "lyapunov"])
+    def test_overflowing_linear_response(self, tmp_path, capsys, argv):
+        err = self.fails_cleanly(tmp_path, capsys, *argv)
+        assert "linear response overflows float64" in err
+        assert not any(tmp_path.iterdir())
+
     def test_transfer_dump_infinite_bound(self, tmp_path, capsys):
         err = self.fails_cleanly(tmp_path, capsys, "transfer-dump", "--hi", "inf")
         assert "sample range requires finite bounds" in err
