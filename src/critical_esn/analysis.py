@@ -156,21 +156,49 @@ class CriticalPoint:
 # -- estimators as streamed reductions ----------------------------------------
 
 
-def _check_length(u: np.ndarray, washout: int) -> None:
-    """Reject a negative washout or fewer than 1000 post-washout steps."""
-    if washout < 0:
+def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndarray:
+    """The checked ``(T, width)`` input rows of a run, before its first step.
+
+    The one gate of every stepping run: ``Reservoir.run``, ``run_pair``,
+    both Lyapunov estimators and both batched one-neuron engines.  ``w``
+    and ``w_in`` are a reservoir's ``(k, k)`` and ``(k, n)`` weights, or
+    the ``(m,)`` gains of ``m`` one-neuron lanes, which read shared input
+    as ``(T,)`` or ``(T, 1)`` rows and per-lane input as ``(T, m)``.
+    ``starts`` holds every start row of the run, neurons or lanes on its
+    last axis.  Rejected, in this order:
+
+    - a bad input, by :func:`~critical_esn.signals.input_rows`;
+    - an empty input, or with a ``washout``, a negative one or fewer than
+      ``washout + 1000`` rows;
+    - a non-finite gain or start state;
+    - a linear response that can overflow float64.  Every transfer stays
+      within +-2 and a renormalized companion within ``d0 <= 1e-6`` of
+      its reference, so each neuron's or lane's ``|y_lin|`` is at most
+      ``|w| @ (max(2, |s|) + 1e-6) + |w_in| @ max|u|`` (elementwise for
+      lanes), with ``|s|`` the largest start row and ``max|u|`` the
+      largest input of each column; the run is rejected unless that is
+      finite.
+    """
+    lanes = w.ndim == 1
+    width = (1 if np.shape(inputs)[1:] in ((), (1,)) else w.size) if lanes else w_in.shape[1]
+    rows = input_rows(inputs, width)
+    if washout is None:
+        if len(rows) < 1:
+            raise ValueError("input sequence must have at least one element")
+    elif washout < 0:
         raise ValueError("washout must be nonnegative")
-    if len(u) < washout + 1000:
+    elif len(rows) < washout + 1000:
         raise ValueError("input too short: need at least washout + 1000 steps")
-
-
-def _check_state(reservoir) -> None:
-    """Reject a stack, or a non-finite state assigned after construction."""
-    shape = np.shape(reservoir.state)
-    if shape != (reservoir.k,):
-        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {shape}")
-    if not np.all(np.isfinite(reservoir.state)):
-        raise ValueError("start states must be finite")
+    starts = np.asarray(starts, dtype=float)
+    if not all(np.all(np.isfinite(x)) for x in (w, w_in, starts)):
+        raise ValueError("gains and start states must be finite")
+    y = np.maximum(2.0, np.abs(starts)).reshape(-1, len(w)).max(axis=0) + 1e-6
+    u = np.abs(rows).max(axis=0)
+    with np.errstate(over="ignore"):
+        reach = np.abs(w) * y + np.abs(w_in) * u if lanes else np.abs(w) @ y + np.abs(w_in) @ u
+    if not np.all(np.isfinite(reach)):
+        raise ValueError("linear response overflows float64")
+    return rows
 
 
 def _check_d0(d0: float) -> None:
@@ -218,9 +246,9 @@ def lyapunov_renormalized(
     ratio is taken and the companion is pulled back to distance ``d0``
     along the current difference direction.  The estimate is the mean
     post-washout log rate; the standard error comes from 20 batch means.
-    ``inputs`` is a spec or ``T`` rows of width ``reservoir.n`` (see
-    :func:`~critical_esn.signals.input_rows`); a bad input or a stacked or
-    non-finite ``reservoir.state`` is rejected before the first step.
+    ``inputs`` is a spec or ``T`` rows of width ``reservoir.n``; a
+    stacked ``reservoir.state`` is rejected, and so is whatever the run
+    gate :func:`_run_rows` rejects, before the first step.
 
     A one-neuron reservoir with one shared transfer and no predictor hook
     runs as a one-lane batch of the blocked one-neuron engine (see
@@ -239,13 +267,13 @@ def lyapunov_renormalized(
     initial direction.
     """
     _check_d0(d0)
-    _check_state(reservoir)
-    u = input_rows(inputs, reservoir.n)
-    _check_length(u, washout)
+    start = np.asarray(reservoir.state, dtype=float)
+    if start.shape != (reservoir.k,):
+        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {start.shape}")
+    u = _run_rows(inputs, reservoir.W, reservoir.w_in, start, washout)
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
-    start = np.asarray(reservoir.state, dtype=float)
 
     def stacked():
         # Row 0 is the reference trajectory, row 1 the companion.
@@ -287,9 +315,10 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
-    _check_state(reservoir)
-    u = input_rows(inputs, reservoir.n)
-    _check_length(u, washout)
+    start = np.asarray(reservoir.state, dtype=float)
+    if start.shape != (reservoir.k,):
+        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {start.shape}")
+    u = _run_rows(inputs, reservoir.W, reservoir.w_in, start, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
 
@@ -317,18 +346,11 @@ def _one_lane(reservoir) -> bool:
     return reservoir.k == 1 and reservoir._shared and reservoir.predictor is None
 
 
-def _lanes(w, w_in, u, y0, washout: int):
-    """Gains, input rows and start states of a batch of one-neuron lanes."""
+def _lanes(w, w_in, y0):
+    """Gains, input gains and start states of a batch of one-neuron lanes."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    m = w.size
-    # Shared input is (T,) or (T, 1), per-lane input (T, m).
-    u = input_rows(u, 1 if np.shape(u)[1:] in ((), (1,)) else m)
-    _check_length(u, washout)
-    win = np.broadcast_to(np.asarray(w_in, dtype=float), (m,))
-    state = np.broadcast_to(np.asarray(y0, dtype=float), (m,)).astype(float)
-    if not all(np.all(np.isfinite(x)) for x in (w, win, state)):
-        raise ValueError("gains and start states must be finite")
-    return w, win, u, state
+    win = np.broadcast_to(np.asarray(w_in, dtype=float), w.shape)
+    return w, win, np.broadcast_to(np.asarray(y0, dtype=float), w.shape).astype(float)
 
 
 #: Periods of the constant and the alternating input, the ones a replay detects.
@@ -379,16 +401,7 @@ def _reference_blocks(w, win, u, y, transfer):
     states)`` per block: the drives ``win*u[t]`` of its rows, and the
     states before (``states[:-1]``) and after (``states[1:]``) each row.
     Every row is computed alike whatever block holds it.
-
-    A linear response that can overflow float64 is rejected before the
-    first row; every transfer here stays within +-2.
     """
-    with np.errstate(over="ignore"):
-        reach = (np.abs(w) * np.maximum(2.0, np.abs(y))
-                 + np.abs(win) * np.maximum(u.max(axis=0, initial=0.0),
-                                            -u.min(axis=0, initial=0.0)))
-    if not np.all(np.isfinite(reach)):
-        raise ValueError("linear response overflows float64")
     starts = _period_starts(u)
     cap = max(1, _BLOCK_CELLS // w.size)
     rows, t0 = 1, 0
@@ -468,8 +481,8 @@ def renormalized_scalar_batch(
 
     ``w`` and ``w_in`` are the recurrent and input gains per batch
     element; ``u`` is the shared input, a spec or a (T,) or (T, 1) array,
-    or the per-element input (T, m), checked by
-    :func:`~critical_esn.signals.input_rows`; all elements share
+    or the per-element input (T, m), checked with the gains and ``y0`` by
+    the run gate :func:`_run_rows`; all elements share
     ``transfer``, which must be nondecreasing and whose ``eval`` must be
     a pure function: the reference recurrence is replayed once it closes
     an exact cycle (see :func:`_reference_blocks`).  The companion starts
@@ -482,7 +495,8 @@ def renormalized_scalar_batch(
     _check_d0(d0)
     if direction not in (1.0, -1.0):
         raise ValueError("direction must be +1 or -1")
-    w, win, u, start = _lanes(w, w_in, u, y0, washout)
+    w, win, start = _lanes(w, w_in, y0)
+    u = _run_rows(u, w, win, start, washout)
     lam, stderr, _ = _rate(_renormalized_logs(w, win, u, start, transfer, d0, direction),
                            len(u), washout)
     return lam, stderr
@@ -505,7 +519,8 @@ def derivative_product_scalar_batch(
     must be a pure function, because the reference recurrence is replayed
     once it closes an exact cycle.
     """
-    w, win, u, start = _lanes(w, w_in, u, y0, washout)
+    w, win, start = _lanes(w, w_in, y0)
+    u = _run_rows(u, w, win, start, washout)
     gain = np.abs(w)
 
     def logs():
@@ -674,57 +689,3 @@ def loglog_bend(series: DistanceSeries, points: int = 25) -> float:
     curvature = 2.0 * (right - left) / (x[2:] - x[:-2])
     return float(curvature.mean())
 
-
-# -- serialization -------------------------------------------------------------
-
-
-def lyapunov_csv_header() -> list[str]:
-    return ["lambda", "stderr", "method", "steps_used", "washout", "d0"]
-
-
-def lyapunov_csv_row(est: LyapunovEstimate) -> list:
-    return [est.lam, est.stderr, est.method, est.steps_used, est.washout,
-            "" if est.d0 is None else est.d0]
-
-
-def decay_csv_header() -> list[str]:
-    return ["law", "c_a", "c_b", "r2_loglog", "r2_semilog",
-            "window_lo", "window_hi", "truncated_at"]
-
-
-def decay_csv_row(fit: DecayFit) -> list:
-    return [
-        fit.law,
-        "" if fit.c_a is None else fit.c_a,
-        "" if fit.c_b is None else fit.c_b,
-        fit.r2_loglog,
-        fit.r2_semilog,
-        fit.window[0],
-        fit.window[1],
-        "" if fit.truncated_at is None else fit.truncated_at,
-    ]
-
-
-def render_decay(fit: DecayFit) -> str:
-    lines = [f"decay law: {fit.law}"]
-    if fit.c_a is not None:
-        lines.append(f"power-law exponent c_a = {fit.c_a:.6g}")
-    if fit.c_b is not None:
-        lines.append(f"exponential base c_b = {fit.c_b:.6g} per step")
-    lines.append(f"r2 log-log  = {fit.r2_loglog:.6f}")
-    lines.append(f"r2 semi-log = {fit.r2_semilog:.6f}")
-    lines.append(f"fit window  = [{fit.window[0]}, {fit.window[1]}]")
-    if fit.truncated_at is not None:
-        lines.append(f"distance reached exact zero at step {fit.truncated_at}")
-    return "\n".join(lines)
-
-
-def render_lyapunov(est: LyapunovEstimate) -> str:
-    lines = [
-        f"lambda = {est.lam:.9g} nats/step (stderr {est.stderr:.3g})",
-        f"method = {est.method}",
-        f"steps used = {est.steps_used} after washout {est.washout}",
-    ]
-    if est.d0 is not None:
-        lines.append(f"initial separation d0 = {est.d0:g}")
-    return "\n".join(lines)

@@ -17,22 +17,17 @@ import math
 import sys
 from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import readout, signals
 from .analysis import (
     classify_decay,
-    decay_csv_header,
-    decay_csv_row,
     expected_orbit_rate,
     loglog_bend,
-    lyapunov_csv_header,
-    lyapunov_csv_row,
     lyapunov_derivative_product,
     lyapunov_renormalized,
-    render_decay,
-    render_lyapunov,
     renormalized_scalar_batch,
     solve_critical_b,
 )
@@ -51,7 +46,7 @@ from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
 
-#: Largest accepted horizon of the sweeps and of ``forgetting``: input
+#: Largest accepted ``--horizon``, ``--washout`` and ``--length``: input
 #: validation only, since the estimators keep no per-step buffer.
 _MAX_HORIZON = 1_000_000
 
@@ -77,7 +72,7 @@ def fmt(value) -> str:
     return _cell_format(type(value)) % (value,)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write ``header`` and ``rows``, every cell as :func:`fmt` writes it.
 
     Rows are formatted a chunk at a time: a column of one type in a chunk
@@ -101,6 +96,36 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                     columns[i] = list(map(fmt, column))
             line = ",".join(formats) + "\n"
             fh.write("".join([line % row for row in zip(*columns)]))
+
+
+_LYAPUNOV_CSV_HEADER = ("lambda", "stderr", "method", "steps_used", "washout", "d0")
+_DECAY_CSV_HEADER = ("law", "c_a", "c_b", "r2_loglog", "r2_semilog",
+                     "window_lo", "window_hi", "truncated_at")
+
+
+def _render_decay(fit) -> str:
+    lines = [f"decay law: {fit.law}"]
+    if fit.c_a is not None:
+        lines.append(f"power-law exponent c_a = {fit.c_a:.6g}")
+    if fit.c_b is not None:
+        lines.append(f"exponential base c_b = {fit.c_b:.6g} per step")
+    lines.append(f"r2 log-log  = {fit.r2_loglog:.6f}")
+    lines.append(f"r2 semi-log = {fit.r2_semilog:.6f}")
+    lines.append(f"fit window  = [{fit.window[0]}, {fit.window[1]}]")
+    if fit.truncated_at is not None:
+        lines.append(f"distance reached exact zero at step {fit.truncated_at}")
+    return "\n".join(lines)
+
+
+def _render_lyapunov(est) -> str:
+    lines = [
+        f"lambda = {est.lam:.9g} nats/step (stderr {est.stderr:.3g})",
+        f"method = {est.method}",
+        f"steps used = {est.steps_used} after washout {est.washout}",
+    ]
+    if est.d0 is not None:
+        lines.append(f"initial separation d0 = {est.d0:g}")
+    return "\n".join(lines)
 
 
 def read_config(path: str) -> dict:
@@ -213,12 +238,21 @@ def cmd_transfer_dump(args) -> None:
           f"ecps {','.join(format(p, 'g') for p in transfer.ecps)}")
 
 
+def _check_lengths(args, min_horizon=None) -> None:
+    """Cap ``--horizon``, ``--washout`` and ``--length`` at 1e6, and check ``min_horizon``.
+
+    Every command that generates an input calls this before ``generate``.
+    """
+    if min_horizon is not None and args.horizon < min_horizon:
+        raise ValueError(f"horizon too short: need at least {min_horizon} steps")
+    for name in ("horizon", "washout", "length"):
+        if getattr(args, name, 0) > _MAX_HORIZON:
+            raise ValueError(f"{name} above the 1e6 cap")
+
+
 def _sweep_setup(args):
-    """Horizon checks, base input, transfer and companion sign of both sweeps."""
-    if args.horizon < 1000:
-        raise ValueError("horizon too short: need at least 1000 steps")
-    if args.horizon > _MAX_HORIZON:
-        raise ValueError("horizon above the 1e6 cap")
+    """Length checks, base input, transfer and companion sign of both sweeps."""
+    _check_lengths(args, min_horizon=1000)
     base = generate(alternating(args.washout + args.horizon, 1.0))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
@@ -300,8 +334,7 @@ def cmd_forgetting(args) -> None:
         replicates = 8 if args.input == "iid" else 1
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    if args.horizon > _MAX_HORIZON:
-        raise ValueError("horizon above the 1e6 cap")
+    _check_lengths(args)
 
     res = anchored_reservoir(args.alpha, variant=args.variant)
     out = Path(args.out)
@@ -316,17 +349,19 @@ def cmd_forgetting(args) -> None:
 
         name = "forgetting.csv" if replicates == 1 else f"forgetting_r{rep}.csv"
         write_csv(out / name, ["t", "d"], zip(series.t, series.d))
-        fit_rows.append([rep] + decay_csv_row(fit))
+        fit_rows.append([rep, fit.law, "" if fit.c_a is None else fit.c_a,
+                         "" if fit.c_b is None else fit.c_b, fit.r2_loglog, fit.r2_semilog,
+                         *fit.window, "" if fit.truncated_at is None else fit.truncated_at])
 
         report_lines.append(f"[replicate {rep}] input={args.input} init={args.init}")
-        report_lines.append(render_decay(fit))
+        report_lines.append(_render_decay(fit))
         try:
             report_lines.append(f"log-log bend (mean 2nd difference) = {loglog_bend(series):.6g}")
         except ValueError:
             report_lines.append("log-log bend: series too short")
         report_lines.append("")
 
-    write_csv(out / "forgetting_fits.csv", ["replicate"] + decay_csv_header(), fit_rows)
+    write_csv(out / "forgetting_fits.csv", ["replicate", *_DECAY_CSV_HEADER], fit_rows)
     (out / "forgetting_report.txt").write_text("\n".join(report_lines))
     (out / "forgetting_config.txt").write_text(config_text({**res.meta, "seed": args.seed}))
     print(f"forgetting: {replicates} run(s), input {args.input}, init {args.init}")
@@ -348,8 +383,7 @@ def cmd_critical_b(args) -> None:
 
 
 def cmd_lyapunov(args) -> None:
-    if args.horizon < 1000:
-        raise ValueError("horizon too short: need at least 1000 steps")
+    _check_lengths(args, min_horizon=1000)
     total = args.washout + args.horizon
 
     if args.preset == "anchored":
@@ -375,16 +409,19 @@ def cmd_lyapunov(args) -> None:
         est = lyapunov_renormalized(res, spec, d0=args.d0, washout=args.washout, seed=args.seed)
 
     out = Path(args.out)
-    write_csv(out / "lyapunov.csv", lyapunov_csv_header(), [lyapunov_csv_row(est)])
+    write_csv(out / "lyapunov.csv", _LYAPUNOV_CSV_HEADER,
+              [(est.lam, est.stderr, est.method, est.steps_used, est.washout,
+                "" if est.d0 is None else est.d0)])
     (out / "lyapunov.txt").write_text(
-        render_lyapunov(est) + "\n" + config_text({**res.meta, "gamma": args.gamma, "seed": args.seed})
+        _render_lyapunov(est) + "\n" + config_text({**res.meta, "gamma": args.gamma, "seed": args.seed})
     )
-    print(render_lyapunov(est))
+    print(_render_lyapunov(est))
 
 
 def cmd_readout_demo(args) -> None:
     if args.delay < 0:
         raise ValueError("delay must be nonnegative")
+    _check_lengths(args)
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)

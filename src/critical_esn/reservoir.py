@@ -28,8 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DistanceSeries, _one_lane, _reference_blocks
-from .signals import input_rows, rng_stream, STREAM_WEIGHTS
+from .analysis import DistanceSeries, _one_lane, _reference_blocks, _run_rows
+from .signals import rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
 __all__ = [
@@ -228,7 +228,11 @@ class Reservoir:
         return y_lin
 
     def step(self, u) -> StepRecord:
-        """Advance one step under input ``u`` and return the step record."""
+        """Advance one step under input ``u`` and return the step record.
+
+        Only the row's width is checked: float64 reach is checked once per
+        run (:meth:`run`, :func:`run_pair`, the estimators), not per step.
+        """
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (self.n,):
             raise ValueError(f"input shape {u.shape} does not match n={self.n}")
@@ -240,14 +244,12 @@ class Reservoir:
 
         ``inputs`` is whatever :func:`~critical_esn.signals.input_rows`
         accepts for width ``n``: a spec, or T scalars for n=1, or T
-        n-vectors.  A wrong width, a non-finite value and an empty sequence
-        are rejected before the first step.  Returns the trajectory as one
-        :class:`StepRecord` per input row.
+        n-vectors.  The run gate (:func:`~critical_esn.analysis._run_rows`)
+        rejects a bad or empty input, a non-finite state and a run whose
+        linear response can overflow before the first step.  Returns the
+        trajectory as one :class:`StepRecord` per input row.
         """
-        rows = input_rows(inputs, self.n)
-        if len(rows) < 1:
-            raise ValueError("input sequence must have at least one element")
-        return [self.step(u) for u in rows]
+        return [self.step(u) for u in _run_rows(inputs, self.W, self.w_in, self.state)]
 
 
 def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
@@ -258,10 +260,11 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     the ``x0`` trajectory.  Row ``t=0`` is the initial separation; row
     ``t`` the separation after consuming input element ``t-1``.  The run
     stops as soon as the distance reaches exactly zero (the states are
-    then identical and stay identical forever).  The input passes
-    :func:`~critical_esn.signals.input_rows` for width ``template.n``, and
-    the stack is checked like any start state, so a non-finite start state
-    is rejected.
+    then identical and stay identical forever).  The input, the template's
+    weights and both start states pass the run gate
+    (:func:`~critical_esn.analysis._run_rows`) before the first step, so
+    a bad or empty input, a non-finite start state and a run whose linear
+    response can overflow are rejected.
 
     A one-neuron pair with one shared transfer and no predictor hook runs
     as two lanes of the blocked one-neuron engine in
@@ -275,8 +278,9 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     differently from the stack's per-row product.  Every other pair steps
     the stack through the reservoir's one step kernel.
     """
-    rows = input_rows(inputs, template.n)
-    pair = template.copy(state=[np.reshape(x0, template.k), np.reshape(y0, template.k)])
+    starts = [np.reshape(x0, template.k), np.reshape(y0, template.k)]
+    rows = _run_rows(inputs, template.W, template.w_in, starts)
+    pair = template.copy(state=starts)
     start = np.linalg.norm(pair.state[1] - pair.state[0])
     parts = [np.array([start])]
     if start > 0.0:

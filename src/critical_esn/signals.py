@@ -5,11 +5,6 @@ bit for bit.  Pseudo-random draws come from numpy's PCG64 generator keyed
 through ``SeedSequence(seed, spawn_key=(stream,))``; the (seed, stream)
 pair fully determines the stream, and distinct stream ids give
 statistically independent substreams of the same experiment seed.
-
-:func:`input_rows` is the one gate for input sequences: every function
-that steps a reservoir through one (``Reservoir.run``, ``run_pair``, the
-Lyapunov estimators and the batched one-neuron engines) turns it into
-checked rows there once, before its first step.
 """
 
 from __future__ import annotations
@@ -111,7 +106,7 @@ def generate(spec: InputSequence) -> np.ndarray:
 
 
 def input_rows(inputs, width: int) -> np.ndarray:
-    """An input sequence as checked ``(T, width)`` float rows.
+    """An input sequence as checked ``(T, width)`` float rows, for the run gate.
 
     ``inputs`` is an :class:`InputSequence` spec, generated here, or an
     array of ``T`` rows; a 1-D array reads as ``T`` rows of width 1.  A

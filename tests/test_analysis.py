@@ -606,9 +606,10 @@ class TestCycleReplay:
         """Check each engine output against its per-row loop; return the reference's evals."""
         states = per_row_states(w, w_in, u, y0, transfer)
         before = np.vstack([np.broadcast_to(y0, w.shape), states[:-1]])
-        lanes = analysis._lanes(w, w_in, u, y0, self.WASHOUT)
+        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+        rows = analysis._run_rows(u, lane_w, lane_w_in, start, self.WASHOUT)
         eval_calls.clear()
-        blocks = list(analysis._reference_blocks(*lanes, transfer))
+        blocks = list(analysis._reference_blocks(lane_w, lane_w_in, rows, start, transfer))
         evals = len(eval_calls)
         assert np.concatenate([s[1:] for _, s in blocks]).tobytes() == states.tobytes()
         assert np.concatenate([s[:-1] for _, s in blocks]).tobytes() == before.tobytes()
@@ -682,7 +683,8 @@ class TestCycleReplay:
         # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is -0.0.
         u = np.zeros(self.T)
         u[900] = -0.0
-        w, w_in, u, start = analysis._lanes(-0.5, 1.0, u, 0.0, self.WASHOUT)
+        w, w_in, start = analysis._lanes(-0.5, 1.0, 0.0)
+        u = analysis._run_rows(u, w, w_in, start, self.WASHOUT)
         blocks = analysis._reference_blocks(w, w_in, u, start, TanhTransfer())
         states = np.concatenate([s[1:] for _, s in blocks])
         assert states.tobytes() == per_row_states(w, w_in, u, 0.0, TanhTransfer()).tobytes()
@@ -690,8 +692,8 @@ class TestCycleReplay:
 
     def test_cycle_closes_across_one_row_blocks(self, monkeypatch, eval_calls):
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
-        w, w_in, u, start = analysis._lanes(-1.0, 1.0 - TANH1, alternating(self.T, 1.0),
-                                            -TANH1, self.WASHOUT)
+        w, w_in, start = analysis._lanes(-1.0, 1.0 - TANH1, -TANH1)
+        u = analysis._run_rows(alternating(self.T, 1.0), w, w_in, start, self.WASHOUT)
         for _ in analysis._reference_blocks(w, w_in, u, start,
                                             MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)):
             pass
@@ -740,13 +742,14 @@ class TestCycleReplay:
         deriv = lyapunov_derivative_product(res, spec, washout=1000)
         assert abs(renorm.lam - deriv.lam) <= 1e-3
 
-    def test_overflowing_linear_response_is_rejected(self):
+    def test_overflowing_linear_response_is_rejected(self, eval_calls):
         transfer = MorphableTransfer((-1.0, 1.0))
         u = generate(alternating(1200, 2.0))
         for w, w_in, y0 in [(1e308, 0.5, 0.0), (0.5, 1e308, 0.0), (-10.0, 0.5, 1e308)]:
             for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
                 with pytest.raises(ValueError, match="linear response overflows float64"):
                     engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
+                assert not eval_calls  # rejected before the first row
         with pytest.raises(ValueError, match="linear response overflows float64"):
             run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
 
@@ -806,6 +809,56 @@ class TestNonFiniteInput:
             res.state = np.array([bad])
             with pytest.raises(ValueError, match="start states must be finite"):
                 estimator(res, self._rows(1.0))
+
+
+class TestReachGate:
+    """Every reservoir run rejects a linear response that can overflow, before its first step.
+
+    The batched engines' cases are in ``TestCycleReplay``.
+    """
+
+    # (w, w_in, start): a gain, an input gain or a start state of 1e308.
+    CASES = {"gain": (1e308, 0.5, 0.0), "input-gain": (0.5, 1e308, 0.0),
+             "start": (-10.0, 0.5, 1e308)}
+    RUNS = {
+        "run": lambda res, u: res.run(u),
+        # Only the second trajectory starts at the start state.
+        "run_pair": lambda res, u: run_pair(res, np.full(res.k, 0.5), res.state, u),
+        "renormalized": lambda res, u: lyapunov_renormalized(res, u, washout=100),
+        "derivative_product": lambda res, u: lyapunov_derivative_product(res, u, washout=100),
+    }
+    # The derivative product takes one neuron only.
+    RUN_ROUTES = [(run, route) for run in RUNS for route in ("one-lane", "hooked", "k2")
+                  if (run, route) != ("derivative_product", "k2")]
+
+    def _reservoir(self, route, w, w_in, start, hook_calls):
+        transfer = MorphableTransfer((-1.0, 1.0))
+        if route == "k2":
+            return Reservoir([[w, 0.0], [0.0, 0.5]], [[w_in], [0.5]], transfer,
+                             state=[start, 0.0])
+        hook = (lambda i, t, state: hook_calls.append(t)) if route == "hooked" else None
+        return Reservoir([[w]], [[w_in]], transfer, state=[start], predictor=hook)
+
+    @pytest.mark.parametrize("run,route", RUN_ROUTES)
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reservoir_runs(self, eval_calls, case, run, route):
+        hook_calls = []
+        res = self._reservoir(route, *self.CASES[case], hook_calls)
+        eval_calls.clear()
+        with pytest.raises(ValueError, match="^linear response overflows float64$"):
+            self.RUNS[run](res, generate(alternating(1200, 2.0)))
+        assert res.t == 0 and not eval_calls and not hook_calls
+
+    def test_finite_edge_still_runs(self):
+        # Gain 1e307: every |y_lin| stays below 2.1e307.
+        u = generate(alternating(1200, 2.0))
+        for run, route in self.RUN_ROUTES:
+            res = self._reservoir(route, 1e307, 0.5, 0.0, [])
+            self.RUNS[run](res, u)
+        for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+            lam, _ = engine(np.array([0.5, 1e307]), 0.5, u, MorphableTransfer((-1.0, 1.0)),
+                            washout=100)
+            assert np.isfinite(lam[0])
 
 
 class TestRate:

@@ -498,10 +498,25 @@ class TestNoNanRows:
     @pytest.mark.parametrize("argv", [
         ["forgetting", "--alpha", "1e308", "--horizon", 1000],
         ["lyapunov", "--preset", "anchored", "--alpha", "1e308"],
-    ], ids=["forgetting", "lyapunov"])
+        ["lyapunov", "--preset", "anchored", "--alpha", "1e308", "--method", "derivative_product",
+         "--horizon", 1000],
+    ], ids=["forgetting", "lyapunov", "lyapunov-derivative-product"])
     def test_overflowing_linear_response(self, tmp_path, capsys, argv):
         err = self.fails_cleanly(tmp_path, capsys, *argv)
         assert "linear response overflows float64" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--horizon"], ["sweep-alpha", "--washout"],
+        ["sweep-gamma", "--horizon"], ["sweep-gamma", "--washout"],
+        ["forgetting", "--horizon"],
+        ["lyapunov", "--preset", "anchored", "--horizon"],
+        ["lyapunov", "--preset", "anchored", "--washout"],
+        ["readout-demo", "--length"], ["readout-demo", "--washout"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_generated_length_cap(self, tmp_path, capsys, argv):
+        err = self.fails_cleanly(tmp_path, capsys, *argv, 1_000_001)
+        assert err == f"error: {argv[-1][2:]} above the 1e6 cap\n"
         assert not any(tmp_path.iterdir())
 
     def test_transfer_dump_infinite_bound(self, tmp_path, capsys):
