@@ -85,6 +85,8 @@ __all__ = [
 
 _BATCHES = 20  # batch-mean count for the standard error
 _FLOOR = 1e-13  # distances below this are floating-point noise for fits
+_MIN_FIT_POINTS = 30  # a decay fit needs at least this many points in its window
+_BEND_POINTS = 25  # geometric resampling size of loglog_bend
 
 
 @dataclass(frozen=True)
@@ -586,7 +588,7 @@ def expected_orbit_rate(critical: CriticalPoint, amplitude: float, gamma: float)
 # -- decay-law fitting ---------------------------------------------------------
 
 
-def _window_points(series: DistanceSeries, window, minimum: int = 30):
+def _window_points(series: DistanceSeries, window):
     t_lo, t_hi = window
     mask = (
         (series.t >= t_lo)
@@ -594,10 +596,10 @@ def _window_points(series: DistanceSeries, window, minimum: int = 30):
         & (series.t >= 1)
         & (series.d > _FLOOR)
     )
-    if int(mask.sum()) < minimum:
+    if int(mask.sum()) < _MIN_FIT_POINTS:
         raise ValueError(
             f"insufficient valid points in window [{t_lo}, {t_hi}]: "
-            f"{int(mask.sum())} < {minimum}"
+            f"{int(mask.sum())} < {_MIN_FIT_POINTS}"
         )
     return series.t[mask].astype(float), series.d[mask]
 
@@ -664,7 +666,7 @@ def classify_decay(series: DistanceSeries) -> DecayFit:
     return DecayFit("inconclusive", None, None, r2_ll, r2_sl, window, series.truncated_at)
 
 
-def loglog_bend(series: DistanceSeries, points: int = 25) -> float:
+def loglog_bend(series: DistanceSeries) -> float:
     """Mean second difference of log d versus log t.
 
     Computed on a geometric resampling of the series, so it measures the
@@ -677,7 +679,7 @@ def loglog_bend(series: DistanceSeries, points: int = 25) -> float:
     if t.size < 3:
         raise ValueError("need at least three valid points for a bend estimate")
     targets = np.unique(
-        np.rint(10 ** np.linspace(math.log10(t[0]), math.log10(t[-1]), points))
+        np.rint(10 ** np.linspace(math.log10(t[0]), math.log10(t[-1]), _BEND_POINTS))
     )
     idx = np.unique(np.searchsorted(t, targets).clip(0, t.size - 1))
     x = np.log(t[idx])

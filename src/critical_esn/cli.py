@@ -421,6 +421,8 @@ def cmd_lyapunov(args) -> None:
 def cmd_readout_demo(args) -> None:
     if args.delay < 0:
         raise ValueError("delay must be nonnegative")
+    if args.delay >= args.length:
+        raise ValueError(f"delay {args.delay} must be below length {args.length}")
     _check_lengths(args)
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))

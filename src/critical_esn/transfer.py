@@ -137,6 +137,15 @@ def _normalize_ecps(points) -> np.ndarray:
     return pts
 
 
+def _nearest_distance(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each of ``xs`` to the nearest of the sorted ``pts``, inf if none.
+
+    Only the two neighbours ``searchsorted`` brackets a point with can be nearest."""
+    fence = np.concatenate(([-np.inf], pts, [np.inf]))
+    i = fence.searchsorted(xs)
+    return np.minimum(np.abs(xs - fence[i - 1]), np.abs(xs - fence[i]))
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     """One invariant violation found by :meth:`MorphableTransfer.validate`."""
@@ -193,9 +202,10 @@ class MorphableTransfer:
     at build time to residuals below 1e-14.  Evaluation is one
     ``searchsorted`` on the kinks, a gather from each array of the piece
     table (``a``, ``s``, ``b``, ``c``; see the module docstring) and one
-    formula, the same for every piece, so a call costs a fixed handful of
-    numpy operations at any batch size.  ``eval(+-inf)`` is the saturated tail
-    value, ``slope(+-inf)`` is 0 and NaN maps to NaN.
+    formula, ``_value``, so a call costs a fixed handful of numpy operations
+    at any batch size.  The build's residual check and :meth:`validate` read
+    the junction gaps through ``_value`` too.  ``eval(+-inf)`` is the
+    saturated tail value, ``slope(+-inf)`` is 0 and NaN maps to NaN.
     """
 
     def __init__(self, ecps, variant: Variant | str = Variant.BRIDGE):
@@ -256,19 +266,19 @@ class MorphableTransfer:
         self._lo = float(pts[0]) - _TAIL_CLAMP
         self._hi = float(pts[-1]) + _TAIL_CLAMP
 
-        mismatch = self._junction_mismatch()
+        mismatch = self._junction_gaps().max(initial=0.0)
         if mismatch > _RESIDUAL_TOL:
             raise RuntimeError(f"junction residual {mismatch:.3g} above tolerance")
 
-    def _piece_value(self, j: int, x: float) -> float:
-        s = self._s[j]
-        return self._a[j] * _tanh(x - s) + self._b[j] + self._c[j] * (x - s)
+    def _value(self, j, x):
+        """Piece ``j`` of the table at ``x``, the one formula every value comes from."""
+        d = x - self._s[j]
+        return self._a[j] * np.tanh(d) + self._b[j] + self._c[j] * d
 
-    def _junction_mismatch(self) -> float:
-        worst = 0.0
-        for j, b in enumerate(self._breaks):
-            worst = max(worst, abs(self._piece_value(j, b) - self._piece_value(j + 1, b)))
-        return worst
+    def _junction_gaps(self) -> np.ndarray:
+        """``|left piece - right piece|`` at every kink."""
+        j = np.arange(self._breaks.size)
+        return np.abs(self._value(j, self._breaks) - self._value(j + 1, self._breaks))
 
     # -- queries ----------------------------------------------------------
 
@@ -292,9 +302,7 @@ class MorphableTransfer:
         # Past the clamp the tails are flat to the last bit; clamping keeps
         # x = +-inf from reaching c * (x - s) as 0 * inf = NaN.
         xc = np.minimum(np.maximum(arr, self._lo), self._hi)
-        j = self._breaks.searchsorted(xc, side="right")
-        d = xc - self._s[j]
-        out = self._a[j] * np.tanh(d) + self._b[j] + self._c[j] * d
+        out = self._value(self._breaks.searchsorted(xc, side="right"), xc)
         return out if arr.ndim else float(out)
 
     __call__ = eval
@@ -332,72 +340,58 @@ class MorphableTransfer:
         bound, junction continuity within 1e-12, agreement between the
         analytic slope and a central finite difference away from kinks,
         and (bridge variant) strictly positive slope between the extreme
-        anchors.  Violations are reported, never raised.
+        anchors.  Violations are reported, never raised, grouped by check in
+        ascending ``x``.  It is one vectorized pass: junction gaps come from
+        ``eval``'s piece formula, nearest anchors and kinks from ``searchsorted``.
         """
         if not (0.0 < grid_step <= 1e-2):
             raise ValueError("grid_step must be in (0, 1e-2]")
         issues: list[ValidationIssue] = []
+
+        def flag(check, where, mask, size):
+            issues.extend(ValidationIssue(float(x), check, float(m))
+                          for x, m in zip(where[mask], size[mask]))
+
         pts = self._ecps
         lo, hi = pts[0] - 5.0, pts[-1] + 5.0
         count = int(round((hi - lo) / grid_step)) + 1
         xs = np.linspace(lo, hi, count)
 
-        for p, anchor in zip(pts, np.tanh(pts)):
-            got = self.eval(float(p))
-            if got != anchor:
-                issues.append(ValidationIssue(float(p), "anchor value", abs(got - anchor)))
-            if self.slope(float(p)) != 1.0:
-                issues.append(ValidationIssue(float(p), "anchor slope", abs(self.slope(float(p)) - 1.0)))
+        got, anchors = self.eval(pts), np.tanh(pts)
+        flag("anchor value", pts, got != anchors, np.abs(got - anchors))
+        got = self.slope(pts)
+        flag("anchor slope", pts, got != 1.0, np.abs(got - 1.0))
 
         vals = self.eval(xs)
         slopes = self.slope(xs)
-
-        bad = (slopes < 0.0) | (slopes > 1.0)
-        for x, s in zip(xs[bad], slopes[bad]):
-            issues.append(ValidationIssue(float(x), "slope range", float(max(-s, s - 1.0))))
-
+        flag("slope range", xs, (slopes < 0.0) | (slopes > 1.0),
+             np.maximum(-slopes, slopes - 1.0))
         # Slope 1 is allowed only within one grid step of an anchor.
-        at_one = slopes >= 1.0
-        if at_one.any():
-            dist = np.min(np.abs(xs[at_one, None] - pts[None, :]), axis=1)
-            for x, d in zip(xs[at_one][dist > grid_step], dist[dist > grid_step]):
-                issues.append(ValidationIssue(float(x), "unit slope off anchor", float(d)))
+        dist = _nearest_distance(xs, pts)
+        flag("unit slope off anchor", xs, (slopes >= 1.0) & (dist > grid_step), dist)
 
         dv = np.diff(vals)
-        dx = np.diff(xs)
-        for x, m in zip(xs[:-1][dv < 0.0], -dv[dv < 0.0]):
-            issues.append(ValidationIssue(float(x), "monotonicity", float(m)))
-        over = dv - dx
-        for x, m in zip(xs[:-1][over > 0.0], over[over > 0.0]):
-            issues.append(ValidationIssue(float(x), "Lipschitz-1 increment", float(m)))
+        flag("monotonicity", xs[:-1], dv < 0.0, -dv)
+        over = dv - np.diff(xs)
+        flag("Lipschitz-1 increment", xs[:-1], over > 0.0, over)
 
         bound = 1.0 + max(abs(np.tanh(pts[0])), abs(np.tanh(pts[-1])))
-        big = np.abs(vals) > bound
-        for x, v in zip(xs[big], np.abs(vals[big]) - bound):
-            issues.append(ValidationIssue(float(x), "amplitude bound", float(v)))
+        excess = np.abs(vals) - bound
+        flag("amplitude bound", xs, excess > 0.0, excess)
 
-        if self._variant is Variant.BRIDGE and len(pts) > 1:
-            inside = (xs > pts[0]) & (xs < pts[-1])
-            flat = inside & (slopes <= 0.0)
-            for x in xs[flat]:
-                issues.append(ValidationIssue(float(x), "bridge slope positivity", 0.0))
+        if self._variant is Variant.BRIDGE:
+            flat = (xs > pts[0]) & (xs < pts[-1]) & (slopes <= 0.0)
+            flag("bridge slope positivity", xs, flat, np.zeros_like(xs))
 
-        for j, b in enumerate(self._breaks):
-            gap = abs(self._piece_value(j, float(b)) - self._piece_value(j + 1, float(b)))
-            if gap > 1e-12:
-                issues.append(ValidationIssue(float(b), "junction continuity", gap))
+        gaps = self._junction_gaps()
+        flag("junction continuity", self._breaks, gaps > 1e-12, gaps)
 
         # Central finite difference vs analytic slope, away from kinks.
         h = 1e-7
-        if self._breaks.size:
-            kink_dist = np.min(np.abs(xs[:, None] - self._breaks[None, :]), axis=1)
-            smooth = kink_dist > 2.0 * h
-        else:
-            smooth = np.ones_like(xs, dtype=bool)
+        smooth = _nearest_distance(xs, self._breaks) > 2.0 * h
         fd = (self.eval(xs[smooth] + h) - self.eval(xs[smooth] - h)) / (2.0 * h)
         err = np.abs(fd - slopes[smooth])
-        for x, e in zip(xs[smooth][err > 1e-6], err[err > 1e-6]):
-            issues.append(ValidationIssue(float(x), "finite-difference slope", float(e)))
+        flag("finite-difference slope", xs[smooth], err > 1e-6, err)
 
         return ValidationReport(grid_step=grid_step, points_checked=count, issues=issues)
 

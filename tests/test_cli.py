@@ -495,6 +495,13 @@ class TestNoNanRows:
         err = self.fails_cleanly(tmp_path, capsys, "readout-demo", option, -3)
         assert f"{option[2:]} must be nonnegative" in err
 
+    @pytest.mark.parametrize("length", [2, 3])
+    def test_readout_delay_not_below_length(self, tmp_path, capsys, length):
+        err = self.fails_cleanly(tmp_path, capsys, "readout-demo", "--length", length,
+                                 "--delay", 3)
+        assert f"delay 3 must be below length {length}" in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["forgetting", "--alpha", "1e308", "--horizon", 1000],
         ["lyapunov", "--preset", "anchored", "--alpha", "1e308"],

@@ -11,7 +11,9 @@ from critical_esn.transfer import (
     MIN_ECP_SPACING,
     MorphableTransfer,
     TanhTransfer,
+    ValidationIssue,
     Variant,
+    _nearest_distance,
 )
 
 TANH1 = float(np.tanh(1.0))
@@ -41,6 +43,86 @@ def masked_reference(f, x, slope=False):
         out[line] = b[idx[line]] + c[idx[line]] * (arr[line] - s[idx[line]])
         out[flat] = b[idx[flat]]
     return out
+
+
+def reference_validate(f, grid_step):
+    """Issues of ``f.validate(grid_step)`` by the loop form the one-pass check replaced.
+
+    Anchors and kinks are checked one at a time, the kink pieces through a
+    scalar evaluator, each check appends its issues in its own loop, and
+    the nearest anchor and kink come from ``(n, P)`` broadcast matrices.
+    """
+
+    def piece_value(j, x):
+        s = f._s[j]
+        return f._a[j] * float(np.tanh(x - s)) + f._b[j] + f._c[j] * (x - s)
+
+    issues = []
+    pts = f._ecps
+    lo, hi = pts[0] - 5.0, pts[-1] + 5.0
+    count = int(round((hi - lo) / grid_step)) + 1
+    xs = np.linspace(lo, hi, count)
+
+    for p, anchor in zip(pts, np.tanh(pts)):
+        got = f.eval(float(p))
+        if got != anchor:
+            issues.append(ValidationIssue(float(p), "anchor value", abs(got - anchor)))
+        if f.slope(float(p)) != 1.0:
+            issues.append(ValidationIssue(float(p), "anchor slope", abs(f.slope(float(p)) - 1.0)))
+
+    vals = f.eval(xs)
+    slopes = f.slope(xs)
+
+    bad = (slopes < 0.0) | (slopes > 1.0)
+    for x, s in zip(xs[bad], slopes[bad]):
+        issues.append(ValidationIssue(float(x), "slope range", float(max(-s, s - 1.0))))
+
+    at_one = slopes >= 1.0
+    if at_one.any():
+        dist = np.min(np.abs(xs[at_one, None] - pts[None, :]), axis=1)
+        for x, d in zip(xs[at_one][dist > grid_step], dist[dist > grid_step]):
+            issues.append(ValidationIssue(float(x), "unit slope off anchor", float(d)))
+
+    dv = np.diff(vals)
+    dx = np.diff(xs)
+    for x, m in zip(xs[:-1][dv < 0.0], -dv[dv < 0.0]):
+        issues.append(ValidationIssue(float(x), "monotonicity", float(m)))
+    over = dv - dx
+    for x, m in zip(xs[:-1][over > 0.0], over[over > 0.0]):
+        issues.append(ValidationIssue(float(x), "Lipschitz-1 increment", float(m)))
+
+    bound = 1.0 + max(abs(np.tanh(pts[0])), abs(np.tanh(pts[-1])))
+    big = np.abs(vals) > bound
+    for x, v in zip(xs[big], np.abs(vals[big]) - bound):
+        issues.append(ValidationIssue(float(x), "amplitude bound", float(v)))
+
+    if f.variant is Variant.BRIDGE and len(pts) > 1:
+        inside = (xs > pts[0]) & (xs < pts[-1])
+        flat = inside & (slopes <= 0.0)
+        for x in xs[flat]:
+            issues.append(ValidationIssue(float(x), "bridge slope positivity", 0.0))
+
+    for j, b in enumerate(f._breaks):
+        gap = abs(piece_value(j, float(b)) - piece_value(j + 1, float(b)))
+        if gap > 1e-12:
+            issues.append(ValidationIssue(float(b), "junction continuity", gap))
+
+    h = 1e-7
+    if f._breaks.size:
+        kink_dist = np.min(np.abs(xs[:, None] - f._breaks[None, :]), axis=1)
+        smooth = kink_dist > 2.0 * h
+    else:
+        smooth = np.ones_like(xs, dtype=bool)
+    fd = (f.eval(xs[smooth] + h) - f.eval(xs[smooth] - h)) / (2.0 * h)
+    err = np.abs(fd - slopes[smooth])
+    for x, e in zip(xs[smooth][err > 1e-6], err[err > 1e-6]):
+        issues.append(ValidationIssue(float(x), "finite-difference slope", float(e)))
+    return issues
+
+
+def issue_bits(issues):
+    """Issues as sorted ``(check, x, magnitude)`` tuples, floats by their exact bits."""
+    return sorted((i.check, float(i.x).hex(), float(i.magnitude).hex()) for i in issues)
 
 
 class TestBuild:
@@ -299,6 +381,85 @@ class TestValidate:
         checks = {issue.check for issue in report.issues}
         assert "slope range" in checks
         assert "Lipschitz-1 increment" in checks
+
+
+class TestValidateMatchesReference:
+    """The one-pass ``validate`` reports exactly what the loop form reports."""
+
+    def test_clean_lists(self):
+        rng = rng_stream(314, 78)
+        for _ in range(100):
+            ecps = random_ecp_list(rng)
+            for variant in (Variant.PLATEAU, Variant.BRIDGE):
+                f = MorphableTransfer(ecps, variant)
+                assert f.validate(1e-2).ok and reference_validate(f, 1e-2) == []
+
+    def test_corrupted_tables(self):
+        rng = rng_stream(2718, 3)
+        seen = set()
+        failing = 0
+        for _ in range(1000):
+            ecps = random_ecp_list(rng)
+            for variant in (Variant.PLATEAU, Variant.BRIDGE):
+                f = MorphableTransfer(ecps, variant)
+                name = ("_a", "_s", "_b", "_c")[int(rng.integers(4))]
+                table = getattr(f, name).copy()
+                table[int(rng.integers(table.size))] += (1e-9, 1e-6, 0.3, -0.5, 1.5)[
+                    int(rng.integers(5))]
+                setattr(f, name, table)
+                issues = f.validate(1e-2).issues
+                assert issue_bits(issues) == issue_bits(reference_validate(f, 1e-2)), (
+                    ecps, variant, name)
+                seen |= {issue.check for issue in issues}
+                failing += bool(issues)
+        assert failing > 1000
+        assert seen == {
+            "anchor value", "anchor slope", "slope range", "unit slope off anchor",
+            "monotonicity", "Lipschitz-1 increment", "amplitude bound",
+            "bridge slope positivity", "junction continuity",
+        }
+
+    @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
+    def test_slope_off_the_value_curve(self, variant):
+        # A slope that disagrees with the values is the one fault only the
+        # finite-difference check sees; the table cannot produce it.
+        f = MorphableTransfer([-1.3, 0.4, 2.2], variant)
+        f.slope = lambda x, _slope=f.slope: _slope(x) * 0.999
+        issues = f.validate(1e-2).issues
+        assert "finite-difference slope" in {issue.check for issue in issues}
+        assert issue_bits(issues) == issue_bits(reference_validate(f, 1e-2))
+
+
+class TestNearestDistance:
+    @pytest.mark.parametrize("pts", [
+        [],
+        [0.5],
+        [-1.0, 0.0, 2.5],
+        [-2.0, -2.0 + 1e-6, 0.0, 1e-12, 3.0],
+    ], ids=["none", "one", "three", "close"])
+    def test_matches_broadcast_minimum_bitwise(self, pts):
+        pts = np.array(pts, dtype=float)
+        xs = np.concatenate([
+            np.linspace(-5.0, 5.0, 1001),  # beyond both ends of every list
+            pts,  # exactly on a point
+            np.nextafter(pts, -np.inf),
+            np.nextafter(pts, np.inf),
+            0.5 * (pts[1:] + pts[:-1]),  # halfway between neighbours
+            [-1e300, 1e300],
+        ])
+        expected = np.min(np.abs(xs[:, None] - pts[None, :]), axis=1, initial=np.inf)
+        got = _nearest_distance(xs, pts)
+        assert got.tobytes() == expected.tobytes()
+        if not pts.size:
+            assert np.all(got == np.inf)
+
+    def test_kinks_of_built_transfers(self):
+        rng = rng_stream(2024, 6)
+        for _ in range(50):
+            f = MorphableTransfer(random_ecp_list(rng), Variant.BRIDGE)
+            xs = np.linspace(f.ecps[0] - 5.0, f.ecps[-1] + 5.0, 2001)
+            expected = np.min(np.abs(xs[:, None] - f._breaks[None, :]), axis=1, initial=np.inf)
+            assert _nearest_distance(xs, f._breaks).tobytes() == expected.tobytes()
 
 
 class TestSample:
