@@ -38,13 +38,18 @@ nondecreasing transfer the renormalized companion is always
 the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
 the engine runs it for a block of rows, one ``eval`` per row, and then
 evaluates every companion of the block in one wide ``eval`` (or, for the
-derivative product, every slope in one ``slope`` call).  Once the lanes
-close an exact 1- or 2-cycle under input that repeats with that period
-(every state equal, bit for bit, to the one p rows earlier), the
-reference recurrence is replayed from the cycle instead of stepped;
-``eval`` is pure, so the replayed states are the stepped ones.  Blocks
-start at one row and double up to ``2**13`` cells (rows x lanes), so a
-consumer that stops early has computed at most about twice the rows it read;
+derivative product, every slope in one ``slope`` call).  A block of at
+most ``_FLOAT_LANES`` (m* = 6) lanes, such as a ``forgetting`` pair or
+one renormalized ``lyapunov`` estimate, steps its lanes as Python floats
+instead, through the same piece table and bit for bit what ``eval``
+returns, because one small ``eval`` costs more than six float steps.
+Once the lanes close an exact 1- or 2-cycle under input that repeats
+with that period (every state equal, bit for bit, to the one p rows
+earlier), the reference recurrence is replayed from the cycle instead of
+stepped; ``eval`` is pure, so the replayed states are the stepped ones.
+Blocks start at one row and double up to ``2**13`` cells (rows x lanes),
+so a consumer that stops early has computed at most about twice the rows
+it read;
 :func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
 lanes of the same recurrence and stops at an exact-zero distance.  Every
 estimator is a stream of per-step logs read by one reducer, which keeps
@@ -387,12 +392,33 @@ def _closed_cycle(recent, starts, t_next: int):
     return None
 
 
+#: Most lanes whose reference recurrence steps Python floats, one
+#: ``_eval_float`` per lane and row; more lanes take one ``eval`` per row.
+#: Measured crossover (CPython 3.11, numpy 2.4.6, 2 vCPUs, iid input, per
+#: row): 1.4 us per float lane plus about 1.3 us, against 10-11 us for one
+#: ``eval`` of up to 8 lanes; at 6 lanes floats won 33 of 36 paired runs,
+#: at 7 lanes 14 of 36.
+_FLOAT_LANES = 6
+
+
+def _float_rows(step, w, y, drive) -> list:
+    """States after each row of ``drive``, the lanes stepped as Python floats by ``step``."""
+    ws, ys, rows = w.tolist(), y.tolist(), []
+    for row in drive.tolist():
+        ys = [step(a * b + d) for a, b, d in zip(ws, ys, row)]
+        rows.append(ys)
+    return rows
+
+
 def _reference_blocks(w, win, u, y, transfer):
     """The reference recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes, by blocks.
 
-    Each input row costs one ``eval`` of the ``m`` lanes, the only
-    sequential work of the one-neuron engine, until the lanes close an
-    exact cycle: after each block ending at row ``t``, if every state
+    Each input row is the only sequential work of the one-neuron engine.
+    With at most ``_FLOAT_LANES`` (m*) lanes it costs one ``_eval_float``
+    per lane, the lanes stepped as Python floats through the transfer's
+    piece table, bit for bit what ``eval`` returns at a fraction of its
+    per-call cost; with more it costs one ``eval`` of the ``m`` lanes.
+    Either way rows are stepped until the lanes close an exact cycle: after each block ending at row ``t``, if every state
     after row ``t`` equals, bit for bit, the one p = 1 or 2 rows earlier
     and the input rows repeat with period p from row ``t+1-p``, every
     later state is that p-cycle (``eval`` is pure), and later blocks are
@@ -414,8 +440,12 @@ def _reference_blocks(w, win, u, y, transfer):
         states = np.empty((len(drive) + 1, w.size))
         states[0] = y
         if cycle is None:
-            for i, d in enumerate(drive, start=1):
-                y = states[i] = transfer.eval(w * y + d)
+            if w.size <= _FLOAT_LANES:
+                states[1:] = _float_rows(transfer._eval_float, w, y, drive)
+                y = states[-1]
+            else:
+                for i, d in enumerate(drive, start=1):
+                    y = states[i] = transfer.eval(w * y + d)
             recent = np.concatenate((recent[:-1], states[-3:]))[-3:]
             cycle = _closed_cycle(recent, starts, t1)
         else:
@@ -485,9 +515,12 @@ def renormalized_scalar_batch(
     element; ``u`` is the shared input, a spec or a (T,) or (T, 1) array,
     or the per-element input (T, m), checked with the gains and ``y0`` by
     the run gate :func:`_run_rows`; all elements share
-    ``transfer``, which must be nondecreasing and whose ``eval`` must be
-    a pure function: the reference recurrence is replayed once it closes
-    an exact cycle (see :func:`_reference_blocks`).  The companion starts
+    ``transfer``, a :class:`~critical_esn.transfer.MorphableTransfer` or
+    :class:`~critical_esn.transfer.TanhTransfer`, which must be
+    nondecreasing and whose ``eval`` must be a pure function: the reference
+    recurrence is replayed once it closes an exact cycle, and up to
+    ``_FLOAT_LANES`` lanes step it through ``_eval_float`` (see
+    :func:`_reference_blocks`).  The companion starts
     at ``y0 + direction*d0`` with ``direction`` +1 or -1, and restarts
     there after an exact-zero separation.  Returns (lambda, stderr) arrays.
     Elements evolve independently and elementwise, so results do not

@@ -334,6 +334,8 @@ def cmd_forgetting(args) -> None:
         replicates = 8 if args.input == "iid" else 1
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    if args.d0 == 0.0:
+        raise ValueError("--d0 must be nonzero: the twin would start on the reference")
     _check_lengths(args)
 
     res = anchored_reservoir(args.alpha, variant=args.variant)
@@ -424,6 +426,12 @@ def cmd_readout_demo(args) -> None:
     if args.delay >= args.length:
         raise ValueError(f"delay {args.delay} must be below length {args.length}")
     _check_lengths(args)
+    split = int(0.7 * (args.length - args.delay))  # training rows
+    if split < args.washout + args.k + 1:
+        raise ValueError(
+            f"too few training rows: the 70% split of --length {args.length} minus --delay "
+            f"{args.delay} is {split} rows, below --washout {args.washout} + --k {args.k} + 1"
+        )
     weights = random_orthogonal(args.k, args.seed)
     w_in = rng_stream(args.seed, signals.STREAM_INIT).normal(0.0, 0.5, size=(args.k, 1))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
@@ -434,7 +442,6 @@ def cmd_readout_demo(args) -> None:
     xs = states[args.delay :]
     ys = u[: args.length - args.delay]
 
-    split = int(0.7 * len(xs))
     model = readout.train(xs[:split], ys[:split], ridge_lambda=args.ridge, washout=args.washout)
     pred = readout.predict_all(model, xs[split:])
     target = ys[split:]
@@ -518,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="recurrent gain")
     p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
                    default="fixed-delta", help="how the twin start states are drawn")
-    p.add_argument("--d0", type=float, default=1.0, help="fixed-delta separation")
+    p.add_argument("--d0", type=float, default=1.0,
+                   help="fixed-delta separation, nonzero; a negative one starts the twin below")
     p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
     p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
                    help="gluing between anchors")

@@ -30,7 +30,8 @@ Outside the extreme anchors the curve follows the outermost branch, so
 the tails saturate at ``tanh(p_extreme) +- 1``.
 
 The pieces are stored as one table of four arrays, ``a``, ``s``, ``b``
-and ``c``, with one entry per piece.  Every piece is evaluated by one
+and ``c``, with one entry per piece (kept as Python lists too, for the
+one-neuron engine's float step).  Every piece is evaluated by one
 formula, ``a * tanh(x - s) + b + c * (x - s)``, with slope
 ``a * (1 - tanh(x - s)**2) + c``:
 
@@ -48,6 +49,7 @@ Instances are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -263,6 +265,8 @@ class MorphableTransfer:
         if self._breaks.size and np.any(np.diff(self._breaks) <= 0.0):
             raise RuntimeError("piece junctions out of order")
         self._a, self._s, self._b, self._c = np.array(pieces).T.copy()
+        # The same table as Python lists, read by _eval_float.
+        self._rows = tuple(t.tolist() for t in (self._breaks, self._a, self._s, self._b, self._c))
         self._lo = float(pts[0]) - _TAIL_CLAMP
         self._hi = float(pts[-1]) + _TAIL_CLAMP
 
@@ -306,6 +310,21 @@ class MorphableTransfer:
         return out if arr.ndim else float(out)
 
     __call__ = eval
+
+    def _eval_float(self, x: float) -> float:
+        """``eval`` of one Python float, bit for bit, without numpy's per-call cost.
+
+        The same clamp, the same piece (``bisect_right`` finds what
+        ``searchsorted(side="right")`` finds, NaN included) and ``_value``'s
+        operations in its order.  The tanh is ``np.tanh`` of a float, never
+        ``math.tanh``, which differs from numpy's SIMD kernels in the last
+        bit on a sizable share of points.
+        """
+        breaks, a, s, b, c = self._rows
+        x = min(max(x, self._lo), self._hi)
+        j = bisect_right(breaks, x)
+        d = x - s[j]
+        return a[j] * float(np.tanh(d)) + b[j] + c[j] * d
 
     def slope(self, x):
         """Analytic slope of the active piece (right-sided at kinks)."""
@@ -418,6 +437,10 @@ class TanhTransfer:
         return out if arr.ndim else float(out)
 
     __call__ = eval
+
+    def _eval_float(self, x: float) -> float:
+        """``eval`` of one Python float, as in :meth:`MorphableTransfer._eval_float`."""
+        return float(np.tanh(x))
 
     def slope(self, x):
         arr = np.asarray(x, dtype=float)

@@ -571,15 +571,25 @@ def per_row_states(w, w_in, u, y0, transfer):
 
 @pytest.fixture
 def eval_calls(monkeypatch):
-    """A list that grows by one for every ``MorphableTransfer.eval`` call."""
+    """A list that grows by one for every ``MorphableTransfer.eval`` call and every float row.
+
+    A reference block of at most ``_FLOAT_LANES`` lanes steps its rows as
+    Python floats instead of one ``eval`` per row, so each row it steps
+    counts as one call too, of its lane count.
+    """
     calls = []
-    original = MorphableTransfer.eval
+    original, float_rows = MorphableTransfer.eval, analysis._float_rows
 
     def counted(self, x):
         calls.append(np.size(x))
         return original(self, x)
 
+    def counted_rows(step, w, y, drive):
+        calls.extend([w.size] * len(drive))
+        return float_rows(step, w, y, drive)
+
     monkeypatch.setattr(MorphableTransfer, "eval", counted)
+    monkeypatch.setattr(analysis, "_float_rows", counted_rows)
     return calls
 
 
@@ -637,7 +647,8 @@ class TestCycleReplay:
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("m", [1, 5])
+    # Both sides of the float-lane crossover m*.
+    @pytest.mark.parametrize("m", sorted({1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1}))
     def test_matches_per_row_loop(self, monkeypatch, eval_calls, variant, kind, m):
         case = self._anchored_case(variant, kind, m)
         for cells in (1, 14, analysis._BLOCK_CELLS):
@@ -723,6 +734,19 @@ class TestCycleReplay:
     def test_default_commands_replay(self, tmp_path, eval_calls, argv):
         assert cli_main(["--out", str(tmp_path), *argv]) == 0
         assert len(eval_calls) <= 1000
+
+    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
+    def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
+        sizes = []
+        original = MorphableTransfer.eval
+        monkeypatch.setattr(MorphableTransfer, "eval",
+                            lambda self, x: sizes.append(np.size(x)) or original(self, x))
+        w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
+        u = analysis._run_rows(iid_plus_minus(self.T, 1.0, seed=8), w, w_in, start,
+                               self.WASHOUT)
+        for _ in analysis._reference_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0))):
+            pass
+        assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * self.T)
 
     def test_iid_input_steps_every_row(self, eval_calls):
         u = generate(iid_plus_minus(self.T, 1.0, seed=8))

@@ -478,6 +478,13 @@ class TestNoNanRows:
                                  "--d0", d0)
         assert "start states must be finite" in err
 
+    @pytest.mark.parametrize("d0", ["0", "-0.0"])
+    def test_forgetting_zero_d0(self, tmp_path, capsys, d0):
+        # It used to write a one-row series, "exact zero at step 0", with exit 0.
+        err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000, "--d0", d0)
+        assert err == "error: --d0 must be nonzero: the twin would start on the reference\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("replicates", [0, -1])
     def test_forgetting_needs_a_replicate(self, tmp_path, capsys, replicates):
         err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,
@@ -500,6 +507,17 @@ class TestNoNanRows:
         err = self.fails_cleanly(tmp_path, capsys, "readout-demo", "--length", length,
                                  "--delay", 3)
         assert f"delay 3 must be below length {length}" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,split,need", [
+        (["--length", 40], 25, "--washout 100 + --k 8 + 1"),
+        (["--length", 200, "--washout", 150], 137, "--washout 150 + --k 8 + 1"),
+    ], ids=["short-length", "long-washout"])
+    def test_readout_too_few_training_rows(self, tmp_path, capsys, argv, split, need):
+        # Both used to fail only inside readout.train, naming no option.
+        err = self.fails_cleanly(tmp_path, capsys, "readout-demo", *argv)
+        assert err.startswith("error: too few training rows: the 70% split of --length ")
+        assert f"--delay 3 is {split} rows, below {need}\n" in err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

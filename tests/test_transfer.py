@@ -260,6 +260,60 @@ class TestPieceTable:
         assert np.all(flat._c == 0.0)
 
 
+def float_hex_pin(f, xs):
+    """``f._eval_float`` of every one of ``xs`` equals ``f.eval(xs)``, compared by ``float.hex``.
+
+    ``eval`` takes numpy's array tanh kernel, ``_eval_float`` its scalar
+    one: where the two disagree this fails, before any engine output moves.
+    """
+    want = [float.hex(v) for v in f.eval(xs).tolist()]
+    got = [float.hex(f._eval_float(x)) for x in xs.tolist()]
+    bad = [(x, g, w) for x, g, w in zip(xs.tolist(), got, want) if g != w]
+    assert not bad, f"{f!r}: {len(bad)} of {len(xs)} points differ, first {bad[:3]}"
+
+
+#: Signed zeros, infinities and NaN.
+SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+class TestEvalFloat:
+    """The float step of the one-neuron engine, ``_eval_float``, is ``eval`` bit for bit."""
+
+    POINTS = 200_000
+
+    def _edges(self, f):
+        """Every anchor, kink and clamp edge, with both float neighbours."""
+        marks = np.concatenate([f.ecps, f.kinks, [f._lo, f._hi]])
+        return np.concatenate([marks, np.nextafter(marks, -math.inf),
+                               np.nextafter(marks, math.inf)])
+
+    def _random(self, f, rng, n):
+        """``n`` uniform points within 25 of the extreme anchors."""
+        return rng.uniform(f.ecps[0] - 25.0, f.ecps[-1] + 25.0, n)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_default_anchors(self, variant):
+        f = MorphableTransfer((-1.0, 1.0), variant)
+        rng = rng_stream(13, 5)
+        float_hex_pin(f, np.concatenate([self._random(f, rng, self.POINTS), self._edges(f),
+                                         SPECIALS]))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_random_anchor_lists(self, variant):
+        rng = rng_stream(14, 5)
+        for _ in range(20):
+            f = MorphableTransfer(random_ecp_list(rng), variant)
+            float_hex_pin(f, np.concatenate([self._random(f, rng, self.POINTS // 20),
+                                             self._edges(f), SPECIALS]))
+
+    def test_plain_tanh(self):
+        f = TanhTransfer()
+        # Subnormals, and where tanh saturates (|x| > 19.1).
+        edges = np.array([5e-324, -5e-324, 1e-300, -1e-300, 19.0, 19.1, -19.1, 25.0])
+        float_hex_pin(f, np.concatenate([rng_stream(15, 5).uniform(-25.0, 25.0, self.POINTS),
+                                         edges, SPECIALS]))
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("variant", [Variant.PLATEAU, Variant.BRIDGE])
     def test_infinite_inputs_hit_the_saturated_tails(self, variant):
