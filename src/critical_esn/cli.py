@@ -334,6 +334,8 @@ def cmd_forgetting(args) -> None:
         replicates = 8 if args.input == "iid" else 1
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    if not math.isfinite(args.d0):
+        raise ValueError("--d0 must be finite")
     if args.d0 == 0.0:
         raise ValueError("--d0 must be nonzero: the twin would start on the reference")
     _check_lengths(args)
@@ -526,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
                    default="fixed-delta", help="how the twin start states are drawn")
     p.add_argument("--d0", type=float, default=1.0,
-                   help="fixed-delta separation, nonzero; a negative one starts the twin below")
+                   help="fixed-delta separation, finite and nonzero; a negative one starts the "
+                        "twin below; bit-scale checks it but ignores its magnitude")
     p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
     p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
                    help="gluing between anchors")

@@ -1,5 +1,8 @@
 import math
+import operator
 import warnings
+from functools import reduce
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -402,6 +405,25 @@ class TestLaneIndependence:
             assert alone[1][0] == err[i]
 
 
+def row_fold_rate(logs, steps: int, washout: int):
+    """Reference reducer: ``_rate`` on a stream of single rows, each batch folded one row at a time.
+
+    ``logs`` yields one log per step: a scalar, or an array with one value
+    per lane.  The first ``washout`` are skipped, the next ``used`` are
+    added left to right into 20 batch sums, and nothing after them is
+    drawn.  Returns ``(lam, stderr, used)`` as ``_rate`` does.
+    """
+    per = (steps - washout) // 20
+    with np.errstate(divide="ignore"):
+        for _ in islice(logs, washout):
+            pass
+        sums = [reduce(operator.add, islice(logs, per)) for _ in range(20)]
+    batches = np.stack(sums, axis=-1) / per
+    with np.errstate(invalid="ignore"):
+        stderr = batches.std(axis=-1, ddof=1) / math.sqrt(20)
+    return batches.mean(axis=-1), stderr, per * 20
+
+
 def per_step_renormalized(w, w_in, u, transfer, d0, y0, direction, *, exact=False):
     """Per-step reference loop of the renormalized one-neuron estimator.
 
@@ -506,12 +528,12 @@ class TestBlockedEngine:
             lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=y0,
                                                  direction=direction)
         logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
-        ref_lam, ref_err, _ = _rate(iter(logs), len(u), 300)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
         assert np.array_equal(lam, ref_lam)
         assert np.array_equal(err, ref_err, equal_nan=True)
 
         exact = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction, exact=True)
-        exact_lam, _, _ = _rate(iter(exact), len(u), 300)
+        exact_lam, _, _ = row_fold_rate(iter(exact), len(u), 300)
         np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
 
     def test_restarts_in_the_washout_leave_a_finite_estimate(self, monkeypatch):
@@ -524,7 +546,7 @@ class TestBlockedEngine:
                             generate(alternating(1200, 1.0))])
         logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, 1.0)
         assert np.isneginf(logs[:300]).any(axis=0).all()
-        ref_lam, ref_err, _ = _rate(iter(logs), len(u), 300)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
         assert np.all(np.isfinite(ref_lam))
         for rows in (1, 7, 250, 400):
             monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * w.size)
@@ -626,7 +648,7 @@ class TestCycleReplay:
 
         lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
         logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
-        ref_lam, ref_err, _ = _rate(iter(logs), len(u), self.WASHOUT)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), self.WASHOUT)
         assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
 
         lam, err = derivative_product_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT,
@@ -634,7 +656,7 @@ class TestCycleReplay:
         rows = u[:, None] if u.ndim == 1 else u
         with np.errstate(divide="ignore"):
             logs = np.log(np.abs(w) * transfer.slope(w * before + w_in * rows))
-        ref_lam, ref_err, _ = _rate(iter(logs), len(u), self.WASHOUT)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), self.WASHOUT)
         assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
         return evals
 
@@ -897,38 +919,76 @@ class TestRate:
         return x
 
     def test_matches_two_pass_reference(self):
+        # The reference fold reads rows, the block reducer one-row blocks.
         x = self._values()
-        drawn = []
+        for reducer, shape in ((row_fold_rate, lambda r: r), (_rate, np.atleast_2d)):
+            drawn = []
 
-        def stream():
-            for row in x:
-                drawn.append(row)
-                yield np.log(row)
+            def stream():
+                for row in x:
+                    drawn.append(row)
+                    yield shape(np.log(row))
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            lam, stderr, used = _rate(stream(), self.STEPS, self.WASHOUT)
-        assert used == (self.STEPS - self.WASHOUT) // 20 * 20
-        assert len(drawn) == self.WASHOUT + used
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lam, stderr, used = reducer(stream(), self.STEPS, self.WASHOUT)
+            assert used == (self.STEPS - self.WASHOUT) // 20 * 20
+            assert len(drawn) == self.WASHOUT + used
 
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = np.log(x)[self.WASHOUT:self.WASHOUT + used]
-            batches = post.reshape(20, used // 20, self.LANES).mean(axis=1)
-            ref_err = batches.std(axis=0, ddof=1) / math.sqrt(20)
-        np.testing.assert_allclose(lam, batches.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(stderr, ref_err, rtol=1e-12)
-        assert lam[4] == -math.inf and math.isnan(stderr[4])
-        assert np.all(np.isfinite(np.delete(lam, 4)))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                post = np.log(x)[self.WASHOUT:self.WASHOUT + used]
+                batches = post.reshape(20, used // 20, self.LANES).mean(axis=1)
+                ref_err = batches.std(axis=0, ddof=1) / math.sqrt(20)
+            np.testing.assert_allclose(lam, batches.mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(stderr, ref_err, rtol=1e-12)
+            assert lam[4] == -math.inf and math.isnan(stderr[4])
+            assert np.all(np.isfinite(np.delete(lam, 4)))
 
     def test_scalar_stream_equals_its_lane(self):
         with np.errstate(divide="ignore"):
             logs = np.log(self._values())
-        lam, stderr, used = _rate(iter(logs), self.STEPS, self.WASHOUT)
+        lam, stderr, used = _rate([logs], self.STEPS, self.WASHOUT)
         for j in range(self.LANES):
-            lane = _rate(iter(logs[:, j]), self.STEPS, self.WASHOUT)
+            lane = _rate([logs[:, j]], self.STEPS, self.WASHOUT)
             assert lane[0] == lam[j]
             assert _same(lane[1], stderr[j])
             assert lane[2] == used
+
+    # None is a scalar stream of (rows,) blocks; 1, 2 and 30 lanes fold by
+    # cumsum, 3000 row by row.
+    @pytest.mark.parametrize("lanes", [None, 1, 2, 30, 3000])
+    @pytest.mark.parametrize("split", ["1", "2", "whole", "random"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), per=st.integers(1, 5), washout=st.integers(0, 30),
+           extra=st.integers(0, 19), seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_the_row_fold(self, lanes, split, data, per, washout, extra, seed):
+        steps = washout + 20 * per + extra  # batches of per rows
+        rng = rng_stream(seed, 17)
+        shape = (steps,) if lanes is None else (steps, lanes)
+        logs = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        for row in data.draw(st.lists(st.integers(0, steps - 1), max_size=2), label="-inf rows"):
+            logs[(row,) if lanes is None else (row, row % lanes)] = -math.inf
+        if split == "random":
+            cuts = sorted(data.draw(st.sets(st.integers(1, steps - 1)), label="cuts"))
+        else:
+            cuts = list(range(int(split), steps, int(split))) if split != "whole" else []
+        blocks = np.split(logs, cuts)
+        pulled = []
+
+        def stream():
+            for block in blocks:
+                pulled.append(block)
+                yield block
+
+        before = logs.copy()
+        ref = row_fold_rate(iter(before), steps, washout)
+        lam, stderr, used = _rate(stream(), steps, washout)
+        assert np.asarray(lam).tobytes() == np.asarray(ref[0]).tobytes()
+        assert np.asarray(stderr).tobytes() == np.asarray(ref[1]).tobytes()
+        assert used == ref[2]
+        # The last block drawn holds the last used row.
+        assert len(pulled) == int(np.searchsorted(cuts, washout + used - 1, side="right")) + 1
+        assert logs.tobytes() == before.tobytes()  # the blocks are read, not written
 
 
 class TestOracleEquivalence:

@@ -476,7 +476,15 @@ class TestNoNanRows:
     def test_forgetting_non_finite_d0(self, tmp_path, capsys, d0):
         err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,
                                  "--d0", d0)
-        assert "start states must be finite" in err
+        assert err == "error: --d0 must be finite\n"
+
+    @pytest.mark.parametrize("d0", ["nan", "inf", "0"])
+    def test_forgetting_bit_scale_checks_d0(self, tmp_path, capsys, d0):
+        # bit-scale ignores the magnitude, but it used to take nan and inf with exit 0.
+        err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--init", "bit-scale",
+                                 "--horizon", 1000, "--d0", d0)
+        assert err.startswith("error: --d0 must be")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("d0", ["0", "-0.0"])
     def test_forgetting_zero_d0(self, tmp_path, capsys, d0):
