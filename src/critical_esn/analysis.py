@@ -47,6 +47,12 @@ Once the lanes close an exact 1- or 2-cycle under input that repeats
 with that period (every state equal, bit for bit, to the one p rows
 earlier), the reference recurrence is replayed from the cycle instead of
 stepped; ``eval`` is pure, so the replayed states are the stepped ones.
+The logs then repeat too: from the first replayed block of at least two
+rows (for the renormalized estimator, one in which every companion also
+kept its predicted sign), every later log row equals, bit for bit, the
+one two rows earlier, so the rest of the run's log blocks are filled
+from that block's last two rows, the log-cycle tail, without a further
+``eval`` or ``slope``.
 Blocks start at one row and double up to ``2**13`` cells (rows x lanes),
 so a consumer that stops early has computed at most about twice the rows
 it read;
@@ -361,8 +367,9 @@ def lyapunov_renormalized(
             yield np.log(dist / d0)
 
     if _one_lane(reservoir):
-        blocks = _renormalized_logs(reservoir.W[0], np.ones(1), (u @ reservoir.w_in[0])[:, None],
-                                    start, reservoir.transfers[0], d0, float(direction[0]))
+        blocks = _log_cycle_tail(_renormalized_logs(
+            reservoir.W[0], np.ones(1), (u @ reservoir.w_in[0])[:, None], start,
+            reservoir.transfers[0], d0, float(direction[0])), len(u))
     else:
         blocks = _doubling_blocks(stacked())
     lam, stderr, used = _rate(blocks, len(u), washout)
@@ -490,9 +497,12 @@ def _reference_blocks(w, win, u, y, transfer):
     each next one twice as many, up to ``max(1, _BLOCK_CELLS // m)``, so
     a consumer that stops early (a pair whose distance reached zero) has
     computed at most about twice the rows it read.  Yields ``(drive,
-    states)`` per block: the drives ``win*u[t]`` of its rows, and the
-    states before (``states[:-1]``) and after (``states[1:]``) each row.
-    Every row is computed alike whatever block holds it.
+    states, replayed)`` per block: the drives ``win*u[t]`` of its rows,
+    the states before (``states[:-1]``) and after (``states[1:]``) each
+    row, and whether the block was filled from the closed cycle, in which
+    case the states and drives of its rows and of every later row repeat
+    with period 1 or 2.  Every row is computed alike whatever block holds
+    it.
     """
     starts = _period_starts(u)
     cap = max(1, _BLOCK_CELLS // w.size)
@@ -503,7 +513,8 @@ def _reference_blocks(w, win, u, y, transfer):
         t1 = t0 + len(drive)
         states = np.empty((len(drive) + 1, w.size))
         states[0] = y
-        if cycle is None:
+        replayed = cycle is not None
+        if not replayed:
             if w.size <= _FLOAT_LANES:
                 states[1:] = _float_rows(transfer._eval_float, w, y, drive)
                 y = states[-1]
@@ -515,13 +526,45 @@ def _reference_blocks(w, win, u, y, transfer):
         else:
             states[1:] = cycle[np.arange(t0, t1) % len(cycle)]
             y = states[-1]
-        yield drive, states
+        yield drive, states, replayed
         t0 = t1
         rows = min(2 * rows, cap)
 
 
+def _log_cycle_tail(blocks, steps: int):
+    """The ``(rows, m)`` log blocks of ``steps`` rows, from ``(logs, periodic)`` pairs.
+
+    ``periodic`` vouches that from the block's first row on every log
+    equals, bit for bit, the log two rows earlier.  Blocks are passed on
+    until the first periodic one of at least two rows; the remaining rows
+    then come from its last two (:func:`_two_row_cycle`), and no further
+    pair is drawn.
+    """
+    t = 0
+    for logs, periodic in blocks:
+        yield logs
+        t += len(logs)
+        if periodic and len(logs) >= 2:
+            yield from _two_row_cycle(logs[-2:], t, steps)
+            return
+
+
+def _two_row_cycle(last, t: int, steps: int):
+    """Rows ``t`` to ``steps - 1`` of a 2-periodic log stream whose rows ``t-2`` and ``t-1`` are ``last``.
+
+    Row ``r`` is ``last[(r - t) % 2]``.  Blocks hold at most
+    ``_BLOCK_CELLS`` cells; they are read-only views of one tile.
+    """
+    rows = max(1, _BLOCK_CELLS // last.shape[1])
+    tile = last[np.arange(rows + 1) % 2]  # tile[i] is row t + i
+    tile.flags.writeable = False
+    for r in range(t, steps, rows):
+        k = (r - t) % 2
+        yield tile[k:k + min(rows, steps - r)]
+
+
 def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
-    """Renormalized logs of one-neuron lanes, one ``(rows, m)`` block per reference block.
+    """Renormalized logs of one-neuron lanes, as ``(logs, periodic)`` pairs, one per reference block.
 
     With a nondecreasing transfer the companion of a reference state
     ``ref`` is always ``ref + sign*d0``: a step maps it to a separation
@@ -532,11 +575,18 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
     has another sign, the block's remaining rows evaluate both companions,
     ``ref + d0`` and ``ref - d0``, in one ``eval`` and the signs follow
     ``delta`` row by row.  The stored reference states are reused.
+
+    A block is ``periodic`` (see :func:`_log_cycle_tail`) when it was
+    replayed and every row kept its predicted sign: from there the
+    previous state, the drive and the reference repeat with period 1 or
+    2, each row's offset sign is the one two rows earlier times
+    ``sign(w)**2 = 1``, and ``eval`` is pure, so by induction every later
+    row repeats the log of the row two before it and keeps its sign.
     """
     flip = np.sign(w)
     both = np.array([1.0, -1.0])[:, None, None]
     sign = np.full(w.size, direction)  # of the next step's companion offset
-    for drive, states in _reference_blocks(w, win, u, y, transfer):
+    for drive, states, replayed in _reference_blocks(w, win, u, y, transfer):
         prev, ref = states[:-1], states[1:]
         # Row i's offset sign is sign * flip**i while every delta keeps
         # the sign it predicts, signs[i + 1].
@@ -559,7 +609,7 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
                 pos = np.where(pos, up_next[i], down_next[i])
             delta[r:] = np.where(chosen, up, down)
             sign = np.where(pos, 1.0, -1.0)
-        yield np.log(np.abs(delta) / d0)
+        yield np.log(np.abs(delta) / d0), replayed and held.all()
 
 
 def renormalized_scalar_batch(
@@ -589,15 +639,19 @@ def renormalized_scalar_batch(
     there after an exact-zero separation.  Returns (lambda, stderr) arrays.
     Elements evolve independently and elementwise, so results do not
     depend on how a grid is split into batches, nor on the engine's block
-    size.
+    size.  Once a replayed block of at least two rows ends with every
+    companion of every element having kept its predicted sign, the
+    remaining logs are copies of that block's last two rows (see
+    :func:`_log_cycle_tail`); a grid in which some element restarts
+    inside every replayed block evaluates its companions to the end.
     """
     _check_d0(d0)
     if direction not in (1.0, -1.0):
         raise ValueError("direction must be +1 or -1")
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)
-    lam, stderr, _ = _rate(_renormalized_logs(w, win, u, start, transfer, d0, direction),
-                           len(u), washout)
+    logs = _renormalized_logs(w, win, u, start, transfer, d0, direction)
+    lam, stderr, _ = _rate(_log_cycle_tail(logs, len(u)), len(u), washout)
     return lam, stderr
 
 
@@ -616,15 +670,18 @@ def derivative_product_scalar_batch(
     recurrence take one ``slope`` call over its linear responses.  Inputs
     and gains are as in :func:`renormalized_scalar_batch`; ``transfer.eval``
     must be a pure function, because the reference recurrence is replayed
-    once it closes an exact cycle.
+    once it closes an exact cycle, and so must ``transfer.slope``: from
+    the first replayed block of at least two rows on, the logs repeat
+    with the cycle's period, and the remaining ones are copies of that
+    block's last two rows (see :func:`_log_cycle_tail`).
     """
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)
     gain = np.abs(w)
 
-    blocks = (np.log(gain * transfer.slope(w * states[:-1] + drive))
-              for drive, states in _reference_blocks(w, win, u, start, transfer))
-    lam, stderr, _ = _rate(blocks, len(u), washout)
+    logs = ((np.log(gain * transfer.slope(w * states[:-1] + drive)), replayed)
+            for drive, states, replayed in _reference_blocks(w, win, u, start, transfer))
+    lam, stderr, _ = _rate(_log_cycle_tail(logs, len(u)), len(u), washout)
     return lam, stderr
 
 

@@ -528,8 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
                    default="fixed-delta", help="how the twin start states are drawn")
     p.add_argument("--d0", type=float, default=1.0,
-                   help="fixed-delta separation, finite and nonzero; a negative one starts the "
-                        "twin below; bit-scale checks it but ignores its magnitude")
+                   help="fixed-delta separation (default: %(default)s), finite and nonzero; "
+                        "bit-scale checks it but ignores its magnitude; a negative one starts "
+                        "the twin below and is written --d0=-1e-3, since argparse reads a "
+                        "separate -1e-3 as an option")
     p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
     p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
                    help="gluing between anchors")

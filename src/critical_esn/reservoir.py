@@ -302,7 +302,7 @@ def _lane_distances(pair: Reservoir, rows: np.ndarray):
     lanes = _reference_blocks(np.repeat(pair.W[0], 2), np.ones(2),
                               (rows @ pair.w_in[0])[:, None], pair.state[:, 0],
                               pair.transfers[0])
-    for _, states in lanes:
+    for _, states, _ in lanes:
         diff = states[1:, 1] - states[1:, 0]
         yield np.sqrt(diff * diff)
 

@@ -643,8 +643,8 @@ class TestCycleReplay:
         eval_calls.clear()
         blocks = list(analysis._reference_blocks(lane_w, lane_w_in, rows, start, transfer))
         evals = len(eval_calls)
-        assert np.concatenate([s[1:] for _, s in blocks]).tobytes() == states.tobytes()
-        assert np.concatenate([s[:-1] for _, s in blocks]).tobytes() == before.tobytes()
+        assert np.concatenate([s[1:] for _, s, _ in blocks]).tobytes() == states.tobytes()
+        assert np.concatenate([s[:-1] for _, s, _ in blocks]).tobytes() == before.tobytes()
 
         lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
         logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
@@ -719,7 +719,7 @@ class TestCycleReplay:
         w, w_in, start = analysis._lanes(-0.5, 1.0, 0.0)
         u = analysis._run_rows(u, w, w_in, start, self.WASHOUT)
         blocks = analysis._reference_blocks(w, w_in, u, start, TanhTransfer())
-        states = np.concatenate([s[1:] for _, s in blocks])
+        states = np.concatenate([s[1:] for _, s, _ in blocks])
         assert states.tobytes() == per_row_states(w, w_in, u, 0.0, TanhTransfer()).tobytes()
         assert np.signbit(states[900, 0])
 
@@ -752,10 +752,13 @@ class TestCycleReplay:
                 assert series.d.tobytes() == d.tobytes()
                 assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
 
+    # Three reference rows stepped before the cycle closes (30 lanes: one
+    # eval each; one lane: one float row each), then one companion eval
+    # for each of the blocks of 1, 2 and 4 rows; the log tail does the rest.
     @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
     def test_default_commands_replay(self, tmp_path, eval_calls, argv):
         assert cli_main(["--out", str(tmp_path), *argv]) == 0
-        assert len(eval_calls) <= 1000
+        assert len(eval_calls) == 6
 
     @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
     def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
@@ -798,6 +801,181 @@ class TestCycleReplay:
                 assert not eval_calls  # rejected before the first row
         with pytest.raises(ValueError, match="linear response overflows float64"):
             run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
+
+
+@pytest.fixture
+def engine_events(monkeypatch):
+    """The engine's work in call order.
+
+    ``("eval", n)`` for each ``MorphableTransfer.eval`` call and each row
+    stepped as floats, ``("slope", n)`` for each ``slope`` call,
+    ``("block", rows)`` for each reference block drawn, and ``("tail", t)``
+    when the log tail starts at row ``t``.
+    """
+    events = []
+    original = (MorphableTransfer.eval, MorphableTransfer.slope, analysis._float_rows,
+                analysis._reference_blocks, analysis._two_row_cycle)
+    transfer_eval, slope, float_rows, reference_blocks, two_row_cycle = original
+
+    def counted_eval(self, x):
+        events.append(("eval", np.size(x)))
+        return transfer_eval(self, x)
+
+    def counted_slope(self, x):
+        events.append(("slope", np.size(x)))
+        return slope(self, x)
+
+    def counted_rows(step, w, y, drive):
+        events.extend([("eval", w.size)] * len(drive))
+        return float_rows(step, w, y, drive)
+
+    def counted_blocks(*args):
+        for block in reference_blocks(*args):
+            events.append(("block", len(block[0])))
+            yield block
+
+    def counted_tail(last, t, steps):
+        events.append(("tail", t))
+        yield from two_row_cycle(last, t, steps)
+
+    monkeypatch.setattr(MorphableTransfer, "eval", counted_eval)
+    monkeypatch.setattr(MorphableTransfer, "slope", counted_slope)
+    monkeypatch.setattr(analysis, "_float_rows", counted_rows)
+    monkeypatch.setattr(analysis, "_reference_blocks", counted_blocks)
+    monkeypatch.setattr(analysis, "_two_row_cycle", counted_tail)
+    return events
+
+
+class TestLogCycleTail:
+    """Log blocks filled from two rows once the reference replays carry the per-row bytes."""
+
+    T = 1100
+    CELLS = [1, 14, analysis._BLOCK_CELLS]
+    WASHOUTS = (0, 100)
+
+    @staticmethod
+    def _tail_start(events):
+        """The row at which the log tail started, or None.
+
+        Once it starts, no ``eval``, ``slope`` or reference block follows,
+        and it starts where the reference blocks drawn end.
+        """
+        tails = [i for i, (kind, _) in enumerate(events) if kind == "tail"]
+        if not tails:
+            return None
+        assert tails == [len(events) - 1]
+        t = events[-1][1]
+        assert t == sum(rows for kind, rows in events if kind == "block")
+        return t
+
+    def _check(self, monkeypatch, events, w, w_in, u, y0, transfer, direction=1.0,
+               cells=(analysis._BLOCK_CELLS,)):
+        """Check both engines' logs and estimates by bytes at each block size in ``cells``.
+
+        Estimates are checked with each washout of ``WASHOUTS``.  Returns,
+        per block size, the rows at which the renormalized and the
+        derivative-product tails started.
+        """
+        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+        rows = analysis._run_rows(u, lane_w, lane_w_in, start)
+        steps = len(rows)
+        before = np.vstack([start, per_row_states(w, w_in, u, y0, transfer)[:-1]])
+        with np.errstate(divide="ignore"):
+            renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
+            deriv = np.log(np.abs(lane_w) * transfer.slope(lane_w * before + lane_w_in * rows))
+        engines = (
+            (renorm, lambda: analysis._renormalized_logs(lane_w, lane_w_in, rows, start, transfer,
+                                                         1e-9, direction),
+             lambda washout: renormalized_scalar_batch(w, w_in, u, transfer, washout=washout,
+                                                       y0=y0, direction=direction)),
+            (deriv, lambda: ((np.log(np.abs(lane_w) * transfer.slope(lane_w * s[:-1] + d)), rep)
+                             for d, s, rep in analysis._reference_blocks(lane_w, lane_w_in, rows,
+                                                                         start, transfer)),
+             lambda washout: derivative_product_scalar_batch(w, w_in, u, transfer,
+                                                             washout=washout, y0=y0)),
+        )
+        tails = {}
+        for size in cells:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
+            tails[size] = []
+            for logs, pairs, estimate in engines:
+                events.clear()
+                with np.errstate(divide="ignore"):
+                    blocks = list(analysis._log_cycle_tail(pairs(), steps))
+                assert np.concatenate(blocks).tobytes() == logs.tobytes()
+                tails[size].append(self._tail_start(events))
+
+                for washout in self.WASHOUTS:
+                    events.clear()
+                    lam, err = estimate(washout)
+                    assert self._tail_start(events) == tails[size][-1]
+                    ref_lam, ref_err, _ = row_fold_rate(iter(logs), steps, washout)
+                    assert lam.tobytes() == ref_lam.tobytes()
+                    assert err.tobytes() == ref_err.tobytes()
+        return tails
+
+    def _case(self, kind, m):
+        rng = rng_stream(m, 29)
+        alphas = rng.uniform(0.3, 0.8, m)
+        w, y0 = -alphas, rng.uniform(-1.0, 1.0, m)
+        u = generate(alternating(self.T, 1.0))
+        if kind == "constant":
+            u = generate(constant(self.T, 0.7))
+        elif kind == "mixed signs":
+            w = alphas * rng.choice([-1.0, 1.0], m)
+            u = generate(constant(self.T, 0.7)) if m % 2 else u
+        elif kind == "prefix":  # random, then alternating
+            u[:37] = rng.standard_normal(37)
+        elif kind == "per-lane":
+            u = u[:, None] * rng.uniform(0.5, 1.5, m)
+        return w, 1.0 - alphas * TANH1, u, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+
+    @pytest.mark.parametrize("kind", ["constant", "alternating", "mixed signs", "prefix",
+                                      "per-lane"])
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_matches_per_row_loops(self, monkeypatch, engine_events, kind, m, direction):
+        tails = self._check(monkeypatch, engine_events, *self._case(kind, m), direction,
+                            self.CELLS)
+        for cells, started in tails.items():
+            # Only blocks of at least two rows start a tail.
+            assert None not in started if cells // m >= 2 else started == [None, None]
+
+    def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
+        # Started on the expected orbit, the cycle closes after 3 rows.
+        w, w_in, u, _, transfer = self._case("alternating", 4)
+        tails = self._check(monkeypatch, engine_events, w, w_in, u, -TANH1, transfer)
+        assert tails == {analysis._BLOCK_CELLS: [7, 7]}  # within the washout of 100
+
+    @pytest.mark.parametrize("kind", ["alternating", "mixed signs", "prefix"])
+    def test_wide_batch(self, monkeypatch, engine_events, kind):
+        # 2800 lanes: the default blocks hold at most 2 rows.
+        assert analysis._BLOCK_CELLS // 2800 == 2
+        tails = self._check(monkeypatch, engine_events, *self._case(kind, 2800))
+        assert None not in tails[analysis._BLOCK_CELLS]
+
+    def test_iid_input_never_starts_a_tail(self, monkeypatch, engine_events):
+        w, w_in, _, y0, transfer = self._case("alternating", 4)
+        u = generate(iid_plus_minus(self.T, 1.0, seed=8))
+        tails = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
+        assert tails == {analysis._BLOCK_CELLS: [None, None]}
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_restarting_lanes_keep_the_grid_per_block(self, monkeypatch, engine_events,
+                                                      direction):
+        # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
+        # pieces: its separation is exactly 0 at every row, so no replayed
+        # block has every sign held and the renormalized logs stay on
+        # per-block evaluation.  Slopes have no signs: the derivative
+        # product's tail starts.
+        alphas = np.array([0.3, 0.7, 1.2])
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
+        u = generate(alternating(self.T, 1.0))
+        tails = self._check(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u, 0.0,
+                            transfer, direction, self.CELLS)
+        for cells, (renorm, deriv) in tails.items():
+            assert renorm is None
+            assert (deriv is None) == (cells // alphas.size < 2)
 
 
 class TestNonFiniteInput:

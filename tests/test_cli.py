@@ -493,6 +493,16 @@ class TestNoNanRows:
         assert err == "error: --d0 must be nonzero: the twin would start on the reference\n"
         assert not any(tmp_path.iterdir())
 
+    def test_forgetting_negative_d0_in_scientific_notation(self, tmp_path, capsys):
+        # argparse reads a separate "-1e-3" as an option and exits 2; the
+        # attached form, the one the help and README give, runs.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", tmp_path, "forgetting", "--d0", "-1e-3", "--horizon", 1000)
+        assert exc.value.code == 2
+        assert "argument --d0: expected one argument" in capsys.readouterr().err
+        assert run_cli("--out", tmp_path, "forgetting", "--d0=-1e-3", "--horizon", 1000) == 0
+        assert float(read_rows(tmp_path / "forgetting.csv")[0]["d"]) == pytest.approx(1e-3)
+
     @pytest.mark.parametrize("replicates", [0, -1])
     def test_forgetting_needs_a_replicate(self, tmp_path, capsys, replicates):
         err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,

@@ -35,8 +35,10 @@ SEEDS = (0, 3, 11)
 # The paper's two sweeps, the 3,000-point grid, every single estimate,
 # washouts and horizons that put batch edges inside engine blocks, every
 # forgetting input and init, the remaining commands, the acceptance
-# suite's determinism commands (criterion 8), and the rejected forgetting
-# --d0 values.
+# suite's determinism commands (criterion 8), the rejected forgetting
+# --d0 values, and runs on both sides of the log-cycle tail's condition:
+# the smallest and largest d0, a gain that loses the anchored orbit under
+# constant input, and a grid whose tail starts after a zero washout.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -66,6 +68,10 @@ COMMANDS = [
     ["readout-demo", "--length", "1200"],
     *[["forgetting", "--init", init, "--horizon", "1000", "--d0", d0]
       for init in ("fixed-delta", "bit-scale") for d0 in ("nan", "inf")],
+    ["sweep-alpha", "--d0", "1e-12"],
+    ["sweep-gamma", "--d0", "1e-6"],
+    ["lyapunov", "--preset", "anchored", "--gamma", "1.3", "--input", "constant"],
+    ["sweep-alpha", "--grid", "0.05:1.5:0.05", "--horizon", "20000", "--washout", "0"],
 ]
 
 
