@@ -47,11 +47,10 @@ Once the lanes close an exact 1- or 2-cycle under input that repeats
 with that period (every state equal, bit for bit, to the one p rows
 earlier), the reference recurrence is replayed from the cycle instead of
 stepped; ``eval`` is pure, so the replayed states are the stepped ones.
-The logs then repeat too: from the first replayed block of at least two
-rows (for the renormalized estimator, one in which every companion also
-kept its predicted sign), every later log row equals, bit for bit, the
-one two rows earlier, so the rest of the run's log blocks are filled
-from that block's last two rows, the log-cycle tail, without a further
+The logs then repeat too: once the logs of two replayed rows are out,
+in one block or across two, every later log row equals, bit for bit,
+the one two rows earlier, so the rest of the run's log blocks are
+filled from those two rows, the log-cycle tail, without a further
 ``eval`` or ``slope``.
 Blocks start at one row and double up to ``2**13`` cells (rows x lanes),
 so a consumer that stops early has computed at most about twice the rows
@@ -532,20 +531,31 @@ def _reference_blocks(w, win, u, y, transfer):
 
 
 def _log_cycle_tail(blocks, steps: int):
-    """The ``(rows, m)`` log blocks of ``steps`` rows, from ``(logs, periodic)`` pairs.
+    """The ``(rows, m)`` log blocks of ``steps`` rows, from ``(logs, replayed)`` pairs.
 
-    ``periodic`` vouches that from the block's first row on every log
-    equals, bit for bit, the log two rows earlier.  Blocks are passed on
-    until the first periodic one of at least two rows; the remaining rows
-    then come from its last two (:func:`_two_row_cycle`), and no further
-    pair is drawn.
+    Once the logs of two replayed rows are out, in one block or across
+    two, the rest come from those two (:func:`_two_row_cycle`), and no
+    further pair is drawn.  Proof, with R the first replayed row: a log
+    is a pure function of the row's previous state, drive and reference,
+    2-periodic from row R-1 on (constant under a 1-cycle, from R-2 under
+    a 2-cycle), and of its offset sign s, which a step maps to
+    ``s*sign(w)``, or after a 0 separation to the restart direction (if
+    w = 0, every log is -inf).  So the map of ``tau = s*sign(w)**r`` at
+    row r is the identity or a constant, the identity iff each s meeting
+    a 0 is ``direction*sign(w)``.  With A the map of row R and B that of
+    rows R+-1, BA fixes ``tau[R] = B tau[R-1]``: B is a constant, or the
+    identity and A fixes ``tau[R-1]``, being the identity too (1-cycle)
+    or by ``tau[R-1] = A tau[R-2]`` and AA = A (2-cycle).  So the logs
+    repeat every two rows from R on; one replayed row is not enough, as
+    row R+1 need not repeat row R-1.
     """
-    t = 0
-    for logs, periodic in blocks:
+    t, last = 0, []  # the last replayed log rows, at most two
+    for logs, replayed in blocks:
         yield logs
         t += len(logs)
-        if periodic and len(logs) >= 2:
-            yield from _two_row_cycle(logs[-2:], t, steps)
+        last = [*last, *logs[-2:]][-2:] if replayed else []
+        if len(last) == 2:
+            yield from _two_row_cycle(np.array(last), t, steps)
             return
 
 
@@ -553,9 +563,9 @@ def _two_row_cycle(last, t: int, steps: int):
     """Rows ``t`` to ``steps - 1`` of a 2-periodic log stream whose rows ``t-2`` and ``t-1`` are ``last``.
 
     Row ``r`` is ``last[(r - t) % 2]``.  Blocks hold at most
-    ``_BLOCK_CELLS`` cells; they are read-only views of one tile.
+    ``max(2, _BLOCK_CELLS // m)`` rows; they are read-only views of one tile.
     """
-    rows = max(1, _BLOCK_CELLS // last.shape[1])
+    rows = max(2, _BLOCK_CELLS // last.shape[1])
     tile = last[np.arange(rows + 1) % 2]  # tile[i] is row t + i
     tile.flags.writeable = False
     for r in range(t, steps, rows):
@@ -564,7 +574,7 @@ def _two_row_cycle(last, t: int, steps: int):
 
 
 def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
-    """Renormalized logs of one-neuron lanes, as ``(logs, periodic)`` pairs, one per reference block.
+    """Renormalized logs of one-neuron lanes, as ``(logs, replayed)`` pairs, one per reference block.
 
     With a nondecreasing transfer the companion of a reference state
     ``ref`` is always ``ref + sign*d0``: a step maps it to a separation
@@ -575,13 +585,6 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
     has another sign, the block's remaining rows evaluate both companions,
     ``ref + d0`` and ``ref - d0``, in one ``eval`` and the signs follow
     ``delta`` row by row.  The stored reference states are reused.
-
-    A block is ``periodic`` (see :func:`_log_cycle_tail`) when it was
-    replayed and every row kept its predicted sign: from there the
-    previous state, the drive and the reference repeat with period 1 or
-    2, each row's offset sign is the one two rows earlier times
-    ``sign(w)**2 = 1``, and ``eval`` is pure, so by induction every later
-    row repeats the log of the row two before it and keeps its sign.
     """
     flip = np.sign(w)
     both = np.array([1.0, -1.0])[:, None, None]
@@ -609,7 +612,7 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
                 pos = np.where(pos, up_next[i], down_next[i])
             delta[r:] = np.where(chosen, up, down)
             sign = np.where(pos, 1.0, -1.0)
-        yield np.log(np.abs(delta) / d0), replayed and held.all()
+        yield np.log(np.abs(delta) / d0), replayed
 
 
 def renormalized_scalar_batch(
@@ -639,11 +642,8 @@ def renormalized_scalar_batch(
     there after an exact-zero separation.  Returns (lambda, stderr) arrays.
     Elements evolve independently and elementwise, so results do not
     depend on how a grid is split into batches, nor on the engine's block
-    size.  Once a replayed block of at least two rows ends with every
-    companion of every element having kept its predicted sign, the
-    remaining logs are copies of that block's last two rows (see
-    :func:`_log_cycle_tail`); a grid in which some element restarts
-    inside every replayed block evaluates its companions to the end.
+    size.  Once the logs of two replayed rows are out, the remaining logs are
+    copies of those two rows, restarts or not (:func:`_log_cycle_tail`).
     """
     _check_d0(d0)
     if direction not in (1.0, -1.0):
@@ -671,9 +671,9 @@ def derivative_product_scalar_batch(
     and gains are as in :func:`renormalized_scalar_batch`; ``transfer.eval``
     must be a pure function, because the reference recurrence is replayed
     once it closes an exact cycle, and so must ``transfer.slope``: from
-    the first replayed block of at least two rows on, the logs repeat
-    with the cycle's period, and the remaining ones are copies of that
-    block's last two rows (see :func:`_log_cycle_tail`).
+    the first replayed row on, the logs repeat with the cycle's period,
+    and once two replayed rows are out the remaining logs are copies of
+    those two (see :func:`_log_cycle_tail`).
     """
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)

@@ -634,30 +634,34 @@ class TestCycleReplay:
             u = u[:, None] * rng.uniform(0.5, 1.5, m)
         return u
 
-    def _check_engine(self, eval_calls, w, w_in, u, y0, transfer):
-        """Check each engine output against its per-row loop; return the reference's evals."""
+    def _check_engine(self, monkeypatch, eval_calls, w, w_in, u, y0, transfer,
+                      cells=(analysis._BLOCK_CELLS,)):
+        """Check each engine output against its per-row loop at each block size in ``cells``.
+
+        Returns, per block size, the reference's evals.
+        """
         states = per_row_states(w, w_in, u, y0, transfer)
         before = np.vstack([np.broadcast_to(y0, w.shape), states[:-1]])
         lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
         rows = analysis._run_rows(u, lane_w, lane_w_in, start, self.WASHOUT)
-        eval_calls.clear()
-        blocks = list(analysis._reference_blocks(lane_w, lane_w_in, rows, start, transfer))
-        evals = len(eval_calls)
-        assert np.concatenate([s[1:] for _, s, _ in blocks]).tobytes() == states.tobytes()
-        assert np.concatenate([s[:-1] for _, s, _ in blocks]).tobytes() == before.tobytes()
-
-        lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
-        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
-        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), self.WASHOUT)
-        assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
-
-        lam, err = derivative_product_scalar_batch(w, w_in, u, transfer, washout=self.WASHOUT,
-                                                   y0=y0)
-        rows = u[:, None] if u.ndim == 1 else u
+        renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
+        inputs = u[:, None] if u.ndim == 1 else u
         with np.errstate(divide="ignore"):
-            logs = np.log(np.abs(w) * transfer.slope(w * before + w_in * rows))
-        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), self.WASHOUT)
-        assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
+            deriv = np.log(np.abs(w) * transfer.slope(w * before + w_in * inputs))
+        engines = [(engine, row_fold_rate(iter(logs), len(u), self.WASHOUT))
+                   for engine, logs in ((renormalized_scalar_batch, renorm),
+                                        (derivative_product_scalar_batch, deriv))]
+        evals = {}
+        for size in cells:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
+            eval_calls.clear()
+            blocks = list(analysis._reference_blocks(lane_w, lane_w_in, rows, start, transfer))
+            evals[size] = len(eval_calls)
+            assert np.concatenate([s[1:] for _, s, _ in blocks]).tobytes() == states.tobytes()
+            assert np.concatenate([s[:-1] for _, s, _ in blocks]).tobytes() == before.tobytes()
+            for engine, (ref_lam, ref_err, _) in engines:
+                lam, err = engine(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
+                assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
         return evals
 
     def _anchored_case(self, variant, kind, m):
@@ -673,17 +677,17 @@ class TestCycleReplay:
     @pytest.mark.parametrize("m", sorted({1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1}))
     def test_matches_per_row_loop(self, monkeypatch, eval_calls, variant, kind, m):
         case = self._anchored_case(variant, kind, m)
-        for cells in (1, 14, analysis._BLOCK_CELLS):
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-            evals = self._check_engine(eval_calls, *case)
-            assert (evals == self.T) == (kind == "iid")  # the replay fired
+        evals = self._check_engine(monkeypatch, eval_calls, *case,
+                                   cells=(1, 14, analysis._BLOCK_CELLS))
+        for n in evals.values():
+            assert (n == self.T) == (kind == "iid")  # the replay fired
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_wide_batch_matches_per_row_loop(self, eval_calls, kind):
+    def test_wide_batch_matches_per_row_loop(self, monkeypatch, eval_calls, kind):
         # 2800 lanes: the default blocks hold at most 2 rows.
         assert analysis._BLOCK_CELLS // 2800 == 2
         case = self._anchored_case(Variant.BRIDGE, kind, 2800)
-        evals = self._check_engine(eval_calls, *case)
+        evals = self._check_engine(monkeypatch, eval_calls, *case)[analysis._BLOCK_CELLS]
         assert (evals == self.T) == (kind == "iid")
 
     def test_random_anchors_match_per_row_loop(self, monkeypatch, eval_calls):
@@ -693,9 +697,8 @@ class TestCycleReplay:
             w, w_in = rng.uniform(-1.3, 1.3, 4), rng.uniform(-1.0, 1.0, 4)
             for kind in ("constant", "alternating", "prefix", "per-lane"):
                 u = self._inputs(kind, 4, rng)
-                for cells in (14, analysis._BLOCK_CELLS):
-                    monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-                    self._check_engine(eval_calls, w, w_in, u, 0.25, transfer)
+                self._check_engine(monkeypatch, eval_calls, w, w_in, u, 0.25, transfer,
+                                   cells=(14, analysis._BLOCK_CELLS))
 
     def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, eval_calls):
         # On the expected orbit the state repeats from the first rows of
@@ -706,11 +709,9 @@ class TestCycleReplay:
         transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
         states = per_row_states(-alphas, 1.0 - alphas * TANH1, u, -TANH1, transfer)
         assert np.array_equal(states[2], states[0])
-        for cells in (1, 14, analysis._BLOCK_CELLS):
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-            evals = self._check_engine(eval_calls, -alphas, 1.0 - alphas * TANH1, u, -TANH1,
-                                       transfer)
-            assert evals == self.T
+        evals = self._check_engine(monkeypatch, eval_calls, -alphas, 1.0 - alphas * TANH1, u,
+                                   -TANH1, transfer, cells=(1, 14, analysis._BLOCK_CELLS))
+        assert list(evals.values()) == [self.T] * 3
 
     def test_signed_zero_breaks_the_input_period(self):
         # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is -0.0.
@@ -937,9 +938,8 @@ class TestLogCycleTail:
     def test_matches_per_row_loops(self, monkeypatch, engine_events, kind, m, direction):
         tails = self._check(monkeypatch, engine_events, *self._case(kind, m), direction,
                             self.CELLS)
-        for cells, started in tails.items():
-            # Only blocks of at least two rows start a tail.
-            assert None not in started if cells // m >= 2 else started == [None, None]
+        for started in tails.values():
+            assert None not in started  # 1-row blocks too
 
     def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
         # Started on the expected orbit, the cycle closes after 3 rows.
@@ -949,10 +949,11 @@ class TestLogCycleTail:
 
     @pytest.mark.parametrize("kind", ["alternating", "mixed signs", "prefix"])
     def test_wide_batch(self, monkeypatch, engine_events, kind):
-        # 2800 lanes: the default blocks hold at most 2 rows.
-        assert analysis._BLOCK_CELLS // 2800 == 2
-        tails = self._check(monkeypatch, engine_events, *self._case(kind, 2800))
-        assert None not in tails[analysis._BLOCK_CELLS]
+        # The default blocks hold at most 2 rows of 2800 lanes, and 1 row of 4097.
+        for m, rows in ((2800, 2), (4097, 1)):
+            assert max(1, analysis._BLOCK_CELLS // m) == rows
+            tails = self._check(monkeypatch, engine_events, *self._case(kind, m))
+            assert None not in tails[analysis._BLOCK_CELLS]
 
     def test_iid_input_never_starts_a_tail(self, monkeypatch, engine_events):
         w, w_in, _, y0, transfer = self._case("alternating", 4)
@@ -961,21 +962,38 @@ class TestLogCycleTail:
         assert tails == {analysis._BLOCK_CELLS: [None, None]}
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_restarting_lanes_keep_the_grid_per_block(self, monkeypatch, engine_events,
-                                                      direction):
+    def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
         # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
-        # pieces: its separation is exactly 0 at every row, so no replayed
-        # block has every sign held and the renormalized logs stay on
-        # per-block evaluation.  Slopes have no signs: the derivative
-        # product's tail starts.
+        # pieces: its separation is exactly 0 at every row, and its
+        # companion restarts in every replayed block.
         alphas = np.array([0.3, 0.7, 1.2])
         transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
         u = generate(alternating(self.T, 1.0))
         tails = self._check(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u, 0.0,
                             transfer, direction, self.CELLS)
-        for cells, (renorm, deriv) in tails.items():
-            assert renorm is None
-            assert (deriv is None) == (cells // alphas.size < 2)
+        for started in tails.values():
+            assert None not in started
+
+    def test_tail_waits_for_two_replayed_rows(self, monkeypatch, engine_events):
+        # The reference sits on the plateau level from row 0, and the input
+        # is constant from row 1, so at 1-row blocks the 1-cycle closes
+        # after row 1 and row 2 is the first replayed row.  The companion
+        # leaves the plateau at rows 0 and 1 and stays on it from row 2 on:
+        # a tail after one replayed row would copy row 1's finite log into
+        # row 3.
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
+        d1, a1 = transfer.kinks[2:4]
+        level = transfer.eval(0.5 * (d1 + a1))
+        u = np.full(self.T, a1 - 2.5e-10 + 0.5 * level)
+        u[0] = d1 + 2.5e-10
+        w = np.array([-0.5])
+        assert np.all(per_row_states(w, 1.0, u, 0.0, transfer) == level)
+        with np.errstate(divide="ignore"):
+            logs = per_step_renormalized(w, 1.0, u, transfer, 1e-9, 0.0, 1.0)
+        assert np.isfinite(logs[1]).all() and np.isneginf(logs[2:]).all()
+        tails = self._check(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
+                            cells=(1, 2, analysis._BLOCK_CELLS))
+        assert tails[1] == [4, 4]  # after replayed rows 2 and 3
 
 
 class TestNonFiniteInput:

@@ -36,9 +36,10 @@ SEEDS = (0, 3, 11)
 # washouts and horizons that put batch edges inside engine blocks, every
 # forgetting input and init, the remaining commands, the acceptance
 # suite's determinism commands (criterion 8), the rejected forgetting
-# --d0 values, and runs on both sides of the log-cycle tail's condition:
+# --d0 values, and runs that start the log-cycle tail in different ways:
 # the smallest and largest d0, a gain that loses the anchored orbit under
-# constant input, and a grid whose tail starts after a zero washout.
+# constant input, a grid whose tail starts after a zero washout, and a
+# 5,000-point grid, whose blocks hold one row.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -72,6 +73,7 @@ COMMANDS = [
     ["sweep-gamma", "--d0", "1e-6"],
     ["lyapunov", "--preset", "anchored", "--gamma", "1.3", "--input", "constant"],
     ["sweep-alpha", "--grid", "0.05:1.5:0.05", "--horizon", "20000", "--washout", "0"],
+    ["sweep-alpha", "--grid", "0.0003:1.5:0.0003", "--horizon", "1000"],
 ]
 
 
