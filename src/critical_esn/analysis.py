@@ -43,18 +43,18 @@ most ``_FLOAT_LANES`` (m* = 6) lanes, such as a ``forgetting`` pair or
 one renormalized ``lyapunov`` estimate, steps its lanes as Python floats
 instead, through the same piece table and bit for bit what ``eval``
 returns, because one small ``eval`` costs more than six float steps.
-Once the lanes close an exact 1- or 2-cycle under input that repeats
-with that period (every state equal, bit for bit, to the one p rows
-earlier), the reference recurrence is replayed from the cycle instead of
-stepped; ``eval`` is pure, so the replayed states are the stepped ones.
-The logs then repeat too: once the logs of two replayed rows are out,
-in one block or across two, every later log row equals, bit for bit,
-the one two rows earlier, so the rest of the run's log blocks are
-filled from those two rows, the log-cycle tail, without a further
-``eval`` or ``slope``.
-Blocks start at one row and double up to ``2**13`` cells (rows x lanes),
-so a consumer that stops early has computed at most about twice the rows
-it read;
+One function, :func:`_lane_blocks`, owns the stepping: it hands each
+block's drives and states to a per-block consumer (the renormalized
+logs, the derivative-product logs, or a pair's distances) and yields
+what the consumer returns.  Once the lanes close an exact 2-cycle under
+2-periodic input (every state equal, bit for bit, to the one two rows
+earlier; a fixed point under constant input is such a cycle), it calls
+the consumer once more, on the next two rows taken from the cycle, and
+fills the rest of the run from those two rows, without a further
+``eval`` or ``slope``; ``eval`` is pure, so the result is what stepping
+would give.  Blocks start at one row and double up to ``2**13`` cells
+(rows x lanes), so a consumer that stops early has computed at most
+about twice the rows it read;
 :func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
 lanes of the same recurrence and stops at an exact-zero distance.  Every
 estimator is a stream of log blocks, ``(rows, m)`` from the engine or
@@ -298,9 +298,9 @@ def _rate(blocks, steps: int, washout: int):
 def _doubling_blocks(logs):
     """The scalar logs of a per-step stream, as ``(rows,)`` blocks of 1, 2, 4, ... rows.
 
-    Blocks grow up to ``_BLOCK_CELLS`` rows, as in :func:`_reference_blocks`,
-    so a reducer that stops early has drawn at most about twice the steps
-    it reads.
+    Blocks grow up to ``_BLOCK_CELLS`` rows, as the one-neuron engine's do
+    (:func:`_lane_blocks`), so a reducer that stops early has drawn at
+    most about twice the steps it reads.
     """
     rows = 1
     while len(block := np.fromiter(islice(logs, rows), dtype=float)):
@@ -366,9 +366,9 @@ def lyapunov_renormalized(
             yield np.log(dist / d0)
 
     if _one_lane(reservoir):
-        blocks = _log_cycle_tail(_renormalized_logs(
-            reservoir.W[0], np.ones(1), (u @ reservoir.w_in[0])[:, None], start,
-            reservoir.transfers[0], d0, float(direction[0])), len(u))
+        w, transfer = reservoir.W[0], reservoir.transfers[0]
+        blocks = _lane_blocks(w, np.ones(1), (u @ reservoir.w_in[0])[:, None], start, transfer,
+                              _renormalized_rows(w, transfer, d0, float(direction[0])))
     else:
         blocks = _doubling_blocks(stacked())
     lam, stderr, used = _rate(blocks, len(u), washout)
@@ -430,36 +430,27 @@ def _lanes(w, w_in, y0):
     return w, win, np.broadcast_to(np.asarray(y0, dtype=float), w.shape).astype(float)
 
 
-#: Periods of the constant and the alternating input, the ones a replay detects.
-_PERIODS = (1, 2)
-
-
-def _period_starts(u) -> list[int]:
-    """Per period p, the first row ``s`` with ``u[r+p] == u[r]``, bit for bit, for all ``r >= s``.
+def _period_start(u) -> int:
+    """The first row ``s`` with ``u[r+2] == u[r]``, bit for bit, for all ``r >= s``.
 
     Raw bits, so -0.0 and 0.0 differ.
     """
-    bits = u.view(np.uint64)
-    starts = []
-    for p in _PERIODS:
-        moved = (bits[p:] != bits[:-p]).any(axis=1)[::-1]  # newest row first
-        starts.append(len(moved) - int(moved.argmax()) if moved.any() else 0)
-    return starts
+    moved = (u.view(np.uint64)[2:] != u.view(np.uint64)[:-2]).any(axis=1)[::-1]  # newest first
+    return len(moved) - int(moved.argmax()) if moved.any() else 0
 
 
-def _closed_cycle(recent, starts, t_next: int):
-    """The closed p-cycle ``c``, with ``s[r] = c[r % p]`` for every row ``r >= t_next``, or None.
+def _closed_cycle(recent, start: int, t_next: int) -> bool:
+    """Whether the states ``recent`` close a 2-cycle, ``s[r] == s[r-2]`` for every row ``r >= t_next - 1``.
 
-    ``recent`` holds the last states, the newest ``s[t]`` (after row
-    ``t = t_next - 1``) last.  If ``s[t] == s[t-p]`` bit for bit and the
-    input repeats with period p from row ``t+1-p``, each next state is
-    the pure ``eval`` of the same bits as the state p rows before it.
+    ``recent`` holds the last three states, the newest ``s[t]`` (after row
+    ``t = t_next - 1``) last.  If ``s[t] == s[t-2]`` bit for bit and the
+    input is 2-periodic from row ``t-1`` (``start``, :func:`_period_start`),
+    each next state is the pure ``eval`` of the same bits as the state two
+    rows before it.  A fixed point is a 2-cycle, and constant input is
+    2-periodic.
     """
-    for p, start in zip(_PERIODS, starts):
-        if (len(recent) > p and start <= t_next - p
-                and np.array_equal(recent[-1].view(np.uint64), recent[-1 - p].view(np.uint64))):
-            return np.roll(recent[-p:], t_next, axis=0)  # s[t_next - p] lands at t_next % p
-    return None
+    return (len(recent) == 3 and start <= t_next - 2
+            and np.array_equal(recent[-1].view(np.uint64), recent[0].view(np.uint64)))
 
 
 #: Most lanes whose reference recurrence steps Python floats, one
@@ -480,92 +471,80 @@ def _float_rows(step, w, y, drive) -> list:
     return rows
 
 
-def _reference_blocks(w, win, u, y, transfer):
-    """The reference recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes, by blocks.
+def _lane_blocks(w, win, u, y, transfer, rows_of):
+    """``rows_of(drive, states)`` per block of the recurrence ``y <- transfer(w*y + win*u[t])`` of ``m`` lanes.
 
-    Each input row is the only sequential work of the one-neuron engine.
-    With at most ``_FLOAT_LANES`` (m*) lanes it costs one ``_eval_float``
-    per lane, the lanes stepped as Python floats through the transfer's
-    piece table, bit for bit what ``eval`` returns at a fraction of its
-    per-call cost; with more it costs one ``eval`` of the ``m`` lanes.
-    Either way rows are stepped until the lanes close an exact cycle: after each block ending at row ``t``, if every state
-    after row ``t`` equals, bit for bit, the one p = 1 or 2 rows earlier
-    and the input rows repeat with period p from row ``t+1-p``, every
-    later state is that p-cycle (``eval`` is pure), and later blocks are
-    filled from it without an ``eval``.  The first block has one row and
-    each next one twice as many, up to ``max(1, _BLOCK_CELLS // m)``, so
-    a consumer that stops early (a pair whose distance reached zero) has
-    computed at most about twice the rows it read.  Yields ``(drive,
-    states, replayed)`` per block: the drives ``win*u[t]`` of its rows,
-    the states before (``states[:-1]``) and after (``states[1:]``) each
-    row, and whether the block was filled from the closed cycle, in which
-    case the states and drives of its rows and of every later row repeat
-    with period 1 or 2.  Every row is computed alike whatever block holds
-    it.
-    """
-    starts = _period_starts(u)
-    cap = max(1, _BLOCK_CELLS // w.size)
-    rows, t0 = 1, 0
-    recent, cycle = y[None], None  # the last three states, newest last
-    while t0 < len(u):
-        drive = win * u[t0:t0 + rows]
-        t1 = t0 + len(drive)
-        states = np.empty((len(drive) + 1, w.size))
-        states[0] = y
-        replayed = cycle is not None
-        if not replayed:
-            if w.size <= _FLOAT_LANES:
-                states[1:] = _float_rows(transfer._eval_float, w, y, drive)
-                y = states[-1]
-            else:
-                for i, d in enumerate(drive, start=1):
-                    y = states[i] = transfer.eval(w * y + d)
-            recent = np.concatenate((recent[:-1], states[-3:]))[-3:]
-            cycle = _closed_cycle(recent, starts, t1)
-        else:
-            states[1:] = cycle[np.arange(t0, t1) % len(cycle)]
-            y = states[-1]
-        yield drive, states, replayed
-        t0 = t1
-        rows = min(2 * rows, cap)
+    The one owner of the engine's stepping, its cycle closure and its
+    tail.  ``rows_of`` maps a block's drives ``win*u[t]`` and its states
+    before (``states[:-1]``) and after (``states[1:]``) each row to one
+    value per row, such as the block's logs; it is called on the blocks
+    in row order, so it may carry state from block to block.
 
+    Each input row is the only sequential work of the engine.  With at
+    most ``_FLOAT_LANES`` (m*) lanes it costs one ``_eval_float`` per
+    lane, the lanes stepped as Python floats through the transfer's piece
+    table, bit for bit what ``eval`` returns at a fraction of its per-call
+    cost; with more it costs one ``eval`` of the ``m`` lanes.  The first
+    block has one row and each next one twice as many, up to
+    ``max(1, _BLOCK_CELLS // m)``, so a consumer that stops early (a pair
+    whose distance reached zero) has computed at most about twice the
+    rows it read.  Every row is computed alike whatever block holds it.
 
-def _log_cycle_tail(blocks, steps: int):
-    """The ``(rows, m)`` log blocks of ``steps`` rows, from ``(logs, replayed)`` pairs.
-
-    Once the logs of two replayed rows are out, in one block or across
-    two, the rest come from those two (:func:`_two_row_cycle`), and no
-    further pair is drawn.  Proof, with R the first replayed row: a log
-    is a pure function of the row's previous state, drive and reference,
-    2-periodic from row R-1 on (constant under a 1-cycle, from R-2 under
-    a 2-cycle), and of its offset sign s, which a step maps to
+    After each block ending at row ``R-1``, if every state equals, bit for
+    bit, the one two rows earlier and the input is 2-periodic from row
+    ``R-2`` (:func:`_closed_cycle`), ``rows_of`` is called once more, on
+    rows R and R+1 taken from the cycle, and every later row repeats
+    those two (:func:`_two_row_cycle`), without a further step.  Proof:
+    the value of row r is a pure function of its previous state, drive
+    and reference, 2-periodic from row R-2 (``eval`` is pure), and, for
+    the renormalized logs, of its offset sign s, which a step maps to
     ``s*sign(w)``, or after a 0 separation to the restart direction (if
     w = 0, every log is -inf).  So the map of ``tau = s*sign(w)**r`` at
     row r is the identity or a constant, the identity iff each s meeting
-    a 0 is ``direction*sign(w)``.  With A the map of row R and B that of
-    rows R+-1, BA fixes ``tau[R] = B tau[R-1]``: B is a constant, or the
-    identity and A fixes ``tau[R-1]``, being the identity too (1-cycle)
-    or by ``tau[R-1] = A tau[R-2]`` and AA = A (2-cycle).  So the logs
-    repeat every two rows from R on; one replayed row is not enough, as
-    row R+1 need not repeat row R-1.
+    a 0 is ``direction*sign(w)``, and it is 2-periodic from row R-2.  With
+    A the map of rows R-2 and R and B that of rows R+-1, ``tau[R+2] =
+    BA tau[R]`` and ``tau[R] = BA tau[R-2]``; BA is the identity or a
+    constant, so BA BA = BA and ``tau[R+2] = tau[R]``.  So the values
+    repeat every two rows from R on.  One cycle row is not enough: row
+    R+1 need not repeat row R-1, as ``tau[R+1] = A tau[R]`` and ``tau[R-1]
+    = A tau[R-2]`` differ when A is the identity and B a constant other
+    than ``tau[R-2]``.
     """
-    t, last = 0, []  # the last replayed log rows, at most two
-    for logs, replayed in blocks:
-        yield logs
-        t += len(logs)
-        last = [*last, *logs[-2:]][-2:] if replayed else []
-        if len(last) == 2:
-            yield from _two_row_cycle(np.array(last), t, steps)
+    start = _period_start(u)
+    cap = max(1, _BLOCK_CELLS // w.size)
+    rows, t0 = 1, 0
+    recent = y[None]  # the last three states, newest last
+    while t0 < len(u):
+        drive = win * u[t0:t0 + rows]
+        states = np.empty((len(drive) + 1, w.size))
+        states[0] = y
+        if w.size <= _FLOAT_LANES:
+            states[1:] = _float_rows(transfer._eval_float, w, y, drive)
+        else:
+            for i, d in enumerate(drive, start=1):
+                states[i] = transfer.eval(w * states[i - 1] + d)
+        y = states[-1]
+        yield rows_of(drive, states)
+        t0 += len(drive)
+        recent = np.concatenate((recent[:-1], states[-3:]))[-3:]
+        if t0 < len(u) and _closed_cycle(recent, start, t0):
+            # recent, s[R-3:R], equals s[R-1:R+2] bit for bit: the states of rows R and R+1.
+            drive = win * u[t0:t0 + 2]
+            yield (last := rows_of(drive, recent[:len(drive) + 1]))
+            if len(last) == 2:
+                yield from _two_row_cycle(last, t0 + 2, len(u))
             return
+        rows = min(2 * rows, cap)
 
 
 def _two_row_cycle(last, t: int, steps: int):
-    """Rows ``t`` to ``steps - 1`` of a 2-periodic log stream whose rows ``t-2`` and ``t-1`` are ``last``.
+    """Rows ``t`` to ``steps - 1`` of a 2-periodic stream whose rows ``t-2`` and ``t-1`` are ``last``.
 
     Row ``r`` is ``last[(r - t) % 2]``.  Blocks hold at most
-    ``max(2, _BLOCK_CELLS // m)`` rows; they are read-only views of one tile.
+    ``max(2, _BLOCK_CELLS // m)`` rows of ``m`` values; they are read-only
+    views of one tile.
     """
-    rows = max(2, _BLOCK_CELLS // last.shape[1])
+    rows = max(2, _BLOCK_CELLS // last[0].size)
     tile = last[np.arange(rows + 1) % 2]  # tile[i] is row t + i
     tile.flags.writeable = False
     for r in range(t, steps, rows):
@@ -573,8 +552,8 @@ def _two_row_cycle(last, t: int, steps: int):
         yield tile[k:k + min(rows, steps - r)]
 
 
-def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
-    """Renormalized logs of one-neuron lanes, as ``(logs, replayed)`` pairs, one per reference block.
+def _renormalized_rows(w, transfer, d0: float, direction: float):
+    """The ``rows_of`` of :func:`_lane_blocks` that gives a block's renormalized logs.
 
     With a nondecreasing transfer the companion of a reference state
     ``ref`` is always ``ref + sign*d0``: a step maps it to a separation
@@ -584,12 +563,15 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
     in one wide ``eval``.  From the first row whose ``delta`` is 0 or
     has another sign, the block's remaining rows evaluate both companions,
     ``ref + d0`` and ``ref - d0``, in one ``eval`` and the signs follow
-    ``delta`` row by row.  The stored reference states are reused.
+    ``delta`` row by row.  The stored reference states are reused, and
+    the next block's first sign is carried from call to call.
     """
     flip = np.sign(w)
     both = np.array([1.0, -1.0])[:, None, None]
     sign = np.full(w.size, direction)  # of the next step's companion offset
-    for drive, states, replayed in _reference_blocks(w, win, u, y, transfer):
+
+    def rows_of(drive, states):
+        nonlocal sign
         prev, ref = states[:-1], states[1:]
         # Row i's offset sign is sign * flip**i while every delta keeps
         # the sign it predicts, signs[i + 1].
@@ -612,7 +594,9 @@ def _renormalized_logs(w, win, u, y, transfer, d0: float, direction: float):
                 pos = np.where(pos, up_next[i], down_next[i])
             delta[r:] = np.where(chosen, up, down)
             sign = np.where(pos, 1.0, -1.0)
-        yield np.log(np.abs(delta) / d0), replayed
+        return np.log(np.abs(delta) / d0)
+
+    return rows_of
 
 
 def renormalized_scalar_batch(
@@ -634,24 +618,24 @@ def renormalized_scalar_batch(
     the run gate :func:`_run_rows`; all elements share
     ``transfer``, a :class:`~critical_esn.transfer.MorphableTransfer` or
     :class:`~critical_esn.transfer.TanhTransfer`, which must be
-    nondecreasing and whose ``eval`` must be a pure function: the reference
-    recurrence is replayed once it closes an exact cycle, and up to
-    ``_FLOAT_LANES`` lanes step it through ``_eval_float`` (see
-    :func:`_reference_blocks`).  The companion starts
-    at ``y0 + direction*d0`` with ``direction`` +1 or -1, and restarts
-    there after an exact-zero separation.  Returns (lambda, stderr) arrays.
-    Elements evolve independently and elementwise, so results do not
-    depend on how a grid is split into batches, nor on the engine's block
-    size.  Once the logs of two replayed rows are out, the remaining logs are
-    copies of those two rows, restarts or not (:func:`_log_cycle_tail`).
+    nondecreasing and whose ``eval`` must be a pure function: up to
+    ``_FLOAT_LANES`` lanes step it through ``_eval_float``, and once the
+    reference recurrence closes an exact 2-cycle, the logs of the next
+    two rows are computed from the cycle and every later log copies one
+    of them, restarts or not (see :func:`_lane_blocks`).  The companion
+    starts at ``y0 + direction*d0`` with ``direction`` +1 or -1, and
+    restarts there after an exact-zero separation.  Returns (lambda,
+    stderr) arrays.  Elements evolve independently and elementwise, so
+    results do not depend on how a grid is split into batches, nor on the
+    engine's block size.
     """
     _check_d0(d0)
     if direction not in (1.0, -1.0):
         raise ValueError("direction must be +1 or -1")
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)
-    logs = _renormalized_logs(w, win, u, start, transfer, d0, direction)
-    lam, stderr, _ = _rate(_log_cycle_tail(logs, len(u)), len(u), washout)
+    logs = _lane_blocks(w, win, u, start, transfer, _renormalized_rows(w, transfer, d0, direction))
+    lam, stderr, _ = _rate(logs, len(u), washout)
     return lam, stderr
 
 
@@ -668,20 +652,18 @@ def derivative_product_scalar_batch(
 
     The logs ``log(|w| * slope(lin))`` of a block of the reference
     recurrence take one ``slope`` call over its linear responses.  Inputs
-    and gains are as in :func:`renormalized_scalar_batch`; ``transfer.eval``
-    must be a pure function, because the reference recurrence is replayed
-    once it closes an exact cycle, and so must ``transfer.slope``: from
-    the first replayed row on, the logs repeat with the cycle's period,
-    and once two replayed rows are out the remaining logs are copies of
-    those two (see :func:`_log_cycle_tail`).
+    and gains are as in :func:`renormalized_scalar_batch`.  Both
+    ``transfer.eval`` and ``transfer.slope`` must be pure functions: once
+    the reference recurrence closes an exact 2-cycle, the logs of the
+    next two rows are computed from the cycle and every later log copies
+    one of them (see :func:`_lane_blocks`).
     """
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)
     gain = np.abs(w)
-
-    logs = ((np.log(gain * transfer.slope(w * states[:-1] + drive)), replayed)
-            for drive, states, replayed in _reference_blocks(w, win, u, start, transfer))
-    lam, stderr, _ = _rate(_log_cycle_tail(logs, len(u)), len(u), washout)
+    logs = _lane_blocks(w, win, u, start, transfer,
+                        lambda drive, states: np.log(gain * transfer.slope(w * states[:-1] + drive)))
+    lam, stderr, _ = _rate(logs, len(u), washout)
     return lam, stderr
 
 

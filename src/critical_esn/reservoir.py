@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DistanceSeries, _one_lane, _reference_blocks, _run_rows
+from .analysis import DistanceSeries, _lane_blocks, _one_lane, _run_rows
 from .signals import rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
@@ -270,6 +270,10 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     as two lanes of the blocked one-neuron engine in
     :mod:`~critical_esn.analysis`, whose blocks grow from one row, so a
     pair that reaches zero at step ``s`` computes at most ``2*s`` steps.
+    The engine takes the distance of each block's rows as its per-block
+    consumer, so once both lanes close an exact 2-cycle the distances of
+    the next two rows are taken from the cycle and the rest of the series
+    repeats them (:func:`~critical_esn.analysis._lane_blocks`).
     Each distance is ``sqrt(diff*diff)``, which is what
     ``np.linalg.norm`` computes for one element, so with one input
     (n = 1) the series is bit-identical to stepping the stack.  With
@@ -299,12 +303,12 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
 
 def _lane_distances(pair: Reservoir, rows: np.ndarray):
     """Distances of a one-lane pair, one array per block of the blocked engine."""
-    lanes = _reference_blocks(np.repeat(pair.W[0], 2), np.ones(2),
-                              (rows @ pair.w_in[0])[:, None], pair.state[:, 0],
-                              pair.transfers[0])
-    for _, states, _ in lanes:
+    def distances(drive, states):
         diff = states[1:, 1] - states[1:, 0]
-        yield np.sqrt(diff * diff)
+        return np.sqrt(diff * diff)
+
+    return _lane_blocks(np.repeat(pair.W[0], 2), np.ones(2), (rows @ pair.w_in[0])[:, None],
+                        pair.state[:, 0], pair.transfers[0], distances)
 
 
 def _stack_distances(pair: Reservoir, rows: np.ndarray):

@@ -615,11 +615,139 @@ def eval_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def engine_events(monkeypatch):
+    """The engine's work in call order.
+
+    ``("eval", n)`` for each ``MorphableTransfer.eval`` call and each row
+    stepped as floats, ``("slope", n)`` for each ``slope`` call,
+    ``("block", rows)`` for each block that :func:`analysis._lane_blocks`
+    hands to its consumer, and ``("tail", t)`` when the closed-cycle tail
+    starts at row ``t``.
+    """
+    events = []
+    transfer_eval, slope, float_rows, lane_blocks, two_row_cycle = (
+        MorphableTransfer.eval, MorphableTransfer.slope, analysis._float_rows,
+        analysis._lane_blocks, analysis._two_row_cycle)
+
+    def counted_eval(self, x):
+        events.append(("eval", np.size(x)))
+        return transfer_eval(self, x)
+
+    def counted_slope(self, x):
+        events.append(("slope", np.size(x)))
+        return slope(self, x)
+
+    def counted_rows(step, w, y, drive):
+        events.extend([("eval", w.size)] * len(drive))
+        return float_rows(step, w, y, drive)
+
+    def counted_blocks(w, win, u, y, transfer, rows_of):
+        def counted(drive, states):
+            events.append(("block", len(drive)))
+            return rows_of(drive, states)
+
+        return lane_blocks(w, win, u, y, transfer, counted)
+
+    def counted_tail(last, t, steps):
+        events.append(("tail", t))
+        yield from two_row_cycle(last, t, steps)
+
+    monkeypatch.setattr(MorphableTransfer, "eval", counted_eval)
+    monkeypatch.setattr(MorphableTransfer, "slope", counted_slope)
+    monkeypatch.setattr(analysis, "_float_rows", counted_rows)
+    monkeypatch.setattr(analysis, "_lane_blocks", counted_blocks)
+    monkeypatch.setattr(analysis, "_two_row_cycle", counted_tail)
+    return events
+
+
+def tail_start(events):
+    """The row at which the closed-cycle tail started, or None.
+
+    Once it starts, no ``eval``, ``slope`` or block follows, and it
+    starts where the blocks handed to the consumer end.
+    """
+    tails = [i for i, (kind, _) in enumerate(events) if kind == "tail"]
+    if not tails:
+        return None
+    assert tails == [len(events) - 1]
+    t = events[-1][1]
+    assert t == sum(rows for kind, rows in events if kind == "block")
+    return t
+
+
+def check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, direction=1.0,
+                      cells=(analysis._BLOCK_CELLS,), washouts=(0, 100)):
+    """Check the one-neuron engine against its per-row loops, by bytes, at each block size in ``cells``.
+
+    :func:`analysis._lane_blocks` runs with three consumers, each checked
+    row by row: a states consumer, with the states before and after each
+    row, and the log consumers of both estimators, whose blocks are the
+    ones the estimator's reducer draws.  Both estimates are checked at
+    each washout of ``washouts`` against the row fold of the per-row logs:
+    the estimator's own at the last washout, the reducer's on the drawn
+    blocks at the others.  The per-row references and their folds are
+    computed once, for ``T`` rows with ``T - washout`` a multiple of 20,
+    so the reducer draws every row.  Returns, per block size, the rows
+    stepped and the row at which the tail started (None if it never did),
+    which every consumer must share.
+    """
+    lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+    rows = analysis._run_rows(u, lane_w, lane_w_in, start)
+    steps = len(rows)
+    states = per_row_states(w, w_in, u, y0, transfer)
+    before = np.vstack([start, states[:-1]])
+    with np.errstate(divide="ignore"):
+        renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
+        deriv = np.log(np.abs(lane_w) * transfer.slope(lane_w * before + lane_w_in * rows))
+    estimators = [
+        (logs, estimate, [row_fold_rate(iter(logs), steps, washout)[:2] for washout in washouts])
+        for logs, estimate in (
+            (renorm, lambda: renormalized_scalar_batch(w, w_in, u, transfer, washout=washouts[-1],
+                                                       y0=y0, direction=direction)),
+            (deriv, lambda: derivative_product_scalar_batch(w, w_in, u, transfer,
+                                                            washout=washouts[-1], y0=y0)))
+    ]
+    rate, drawn = analysis._rate, []
+    monkeypatch.setattr(analysis, "_rate", lambda blocks, *args: rate(
+        (drawn.append(block) or block for block in blocks), *args))
+
+    def same(estimate, fold):
+        return all(a.tobytes() == b.tobytes() for a, b in zip(estimate, fold))
+
+    found = {}
+    for size in cells:
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
+        events.clear()
+        blocks = analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
+                                       lambda drive, s: np.hstack([s[:-1], s[1:]]))
+        assert np.concatenate(list(blocks)).tobytes() == np.hstack([before, states]).tobytes()
+        stepped = sum(kind == "eval" for kind, _ in events)  # the consumer evaluates nothing
+        tails = {tail_start(events)}
+        for logs, estimate, folds in estimators:
+            events.clear()
+            drawn.clear()
+            assert same(estimate(), folds[-1])
+            assert np.concatenate(drawn).tobytes() == logs.tobytes()
+            tails.add(tail_start(events))
+            for washout, fold in zip(washouts[:-1], folds):
+                assert same(rate(iter(drawn), steps, washout), fold)
+        (tail,) = tails  # one closure row for every consumer
+        found[size] = stepped, tail
+    return found
+
+
+def plateau_level_case():
+    """The plateau transfer, its upper flat piece ``[d1, a1]`` and the level ``eval`` holds there."""
+    transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
+    d1, a1 = transfer.kinks[2:4]
+    return transfer, d1, a1, transfer.eval(0.5 * (d1 + a1))
+
+
 class TestCycleReplay:
-    """A reference recurrence that closes an exact cycle is replayed with the per-row bytes."""
+    """A reference recurrence that closes an exact 2-cycle fills the rest of the run with the per-row bytes."""
 
     T = 1100
-    WASHOUT = 100
     KINDS = ["constant", "alternating", "iid", "prefix", "per-lane"]
 
     def _inputs(self, kind, m, rng):
@@ -634,36 +762,6 @@ class TestCycleReplay:
             u = u[:, None] * rng.uniform(0.5, 1.5, m)
         return u
 
-    def _check_engine(self, monkeypatch, eval_calls, w, w_in, u, y0, transfer,
-                      cells=(analysis._BLOCK_CELLS,)):
-        """Check each engine output against its per-row loop at each block size in ``cells``.
-
-        Returns, per block size, the reference's evals.
-        """
-        states = per_row_states(w, w_in, u, y0, transfer)
-        before = np.vstack([np.broadcast_to(y0, w.shape), states[:-1]])
-        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
-        rows = analysis._run_rows(u, lane_w, lane_w_in, start, self.WASHOUT)
-        renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, 1.0)
-        inputs = u[:, None] if u.ndim == 1 else u
-        with np.errstate(divide="ignore"):
-            deriv = np.log(np.abs(w) * transfer.slope(w * before + w_in * inputs))
-        engines = [(engine, row_fold_rate(iter(logs), len(u), self.WASHOUT))
-                   for engine, logs in ((renormalized_scalar_batch, renorm),
-                                        (derivative_product_scalar_batch, deriv))]
-        evals = {}
-        for size in cells:
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
-            eval_calls.clear()
-            blocks = list(analysis._reference_blocks(lane_w, lane_w_in, rows, start, transfer))
-            evals[size] = len(eval_calls)
-            assert np.concatenate([s[1:] for _, s, _ in blocks]).tobytes() == states.tobytes()
-            assert np.concatenate([s[:-1] for _, s, _ in blocks]).tobytes() == before.tobytes()
-            for engine, (ref_lam, ref_err, _) in engines:
-                lam, err = engine(w, w_in, u, transfer, washout=self.WASHOUT, y0=y0)
-                assert lam.tobytes() == ref_lam.tobytes() and err.tobytes() == ref_err.tobytes()
-        return evals
-
     def _anchored_case(self, variant, kind, m):
         rng = rng_stream(m, 23)
         alphas = rng.uniform(0.3, 0.8, m)
@@ -675,32 +773,32 @@ class TestCycleReplay:
     @pytest.mark.parametrize("kind", KINDS)
     # Both sides of the float-lane crossover m*.
     @pytest.mark.parametrize("m", sorted({1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1}))
-    def test_matches_per_row_loop(self, monkeypatch, eval_calls, variant, kind, m):
+    def test_matches_per_row_loop(self, monkeypatch, engine_events, variant, kind, m):
         case = self._anchored_case(variant, kind, m)
-        evals = self._check_engine(monkeypatch, eval_calls, *case,
-                                   cells=(1, 14, analysis._BLOCK_CELLS))
-        for n in evals.values():
-            assert (n == self.T) == (kind == "iid")  # the replay fired
+        found = check_lane_engine(monkeypatch, engine_events, *case,
+                                  cells=(1, 14, analysis._BLOCK_CELLS))
+        for stepped, tail in found.values():
+            assert (stepped == self.T) == (tail is None) == (kind == "iid")  # the cycle closed
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_wide_batch_matches_per_row_loop(self, monkeypatch, eval_calls, kind):
+    def test_wide_batch_matches_per_row_loop(self, monkeypatch, engine_events, kind):
         # 2800 lanes: the default blocks hold at most 2 rows.
         assert analysis._BLOCK_CELLS // 2800 == 2
         case = self._anchored_case(Variant.BRIDGE, kind, 2800)
-        evals = self._check_engine(monkeypatch, eval_calls, *case)[analysis._BLOCK_CELLS]
-        assert (evals == self.T) == (kind == "iid")
+        stepped, _ = check_lane_engine(monkeypatch, engine_events, *case)[analysis._BLOCK_CELLS]
+        assert (stepped == self.T) == (kind == "iid")
 
-    def test_random_anchors_match_per_row_loop(self, monkeypatch, eval_calls):
+    def test_random_anchors_match_per_row_loop(self, monkeypatch, engine_events):
         rng = rng_stream(4, 23)
         for variant in Variant:
             transfer = MorphableTransfer(random_ecp_list(rng), variant)
             w, w_in = rng.uniform(-1.3, 1.3, 4), rng.uniform(-1.0, 1.0, 4)
             for kind in ("constant", "alternating", "prefix", "per-lane"):
                 u = self._inputs(kind, 4, rng)
-                self._check_engine(monkeypatch, eval_calls, w, w_in, u, 0.25, transfer,
-                                   cells=(14, analysis._BLOCK_CELLS))
+                check_lane_engine(monkeypatch, engine_events, w, w_in, u, 0.25, transfer,
+                                  cells=(14, analysis._BLOCK_CELLS))
 
-    def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, eval_calls):
+    def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, engine_events):
         # On the expected orbit the state repeats from the first rows of
         # the alternating prefix, but the input turns iid at row 700.
         alphas = np.array([0.5, 1.0, 1.2])
@@ -709,29 +807,53 @@ class TestCycleReplay:
         transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
         states = per_row_states(-alphas, 1.0 - alphas * TANH1, u, -TANH1, transfer)
         assert np.array_equal(states[2], states[0])
-        evals = self._check_engine(monkeypatch, eval_calls, -alphas, 1.0 - alphas * TANH1, u,
-                                   -TANH1, transfer, cells=(1, 14, analysis._BLOCK_CELLS))
-        assert list(evals.values()) == [self.T] * 3
+        found = check_lane_engine(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
+                                  -TANH1, transfer, cells=(1, 14, analysis._BLOCK_CELLS))
+        assert list(found.values()) == [(self.T, None)] * 3
 
-    def test_signed_zero_breaks_the_input_period(self):
-        # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is -0.0.
+    def test_signed_zero_breaks_the_input_period(self, monkeypatch, engine_events):
+        # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is
+        # -0.0, and the input is 2-periodic only from row 901 on.  The
+        # states after rows 902 and 900 differ in their sign bit, so the
+        # cycle closes after row 903.
         u = np.zeros(self.T)
         u[900] = -0.0
-        w, w_in, start = analysis._lanes(-0.5, 1.0, 0.0)
-        u = analysis._run_rows(u, w, w_in, start, self.WASHOUT)
-        blocks = analysis._reference_blocks(w, w_in, u, start, TanhTransfer())
-        states = np.concatenate([s[1:] for _, s, _ in blocks])
-        assert states.tobytes() == per_row_states(w, w_in, u, 0.0, TanhTransfer()).tobytes()
-        assert np.signbit(states[900, 0])
+        states = per_row_states(np.array([-0.5]), 1.0, u, 0.0, TanhTransfer())
+        assert np.signbit(states[900, 0]) and not np.signbit(states[899:902:2, 0]).any()
+        found = check_lane_engine(monkeypatch, engine_events, np.array([-0.5]), 1.0, u, 0.0,
+                                  TanhTransfer(), cells=(1,))
+        assert found == {1: (904, 906)}
 
-    def test_cycle_closes_across_one_row_blocks(self, monkeypatch, eval_calls):
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 1)
+    def test_cycle_closes_across_one_row_blocks(self, monkeypatch, engine_events):
+        # s[1] == s[-1]: the 2-cycle closes after row 1.
         w, w_in, start = analysis._lanes(-1.0, 1.0 - TANH1, -TANH1)
-        u = analysis._run_rows(alternating(self.T, 1.0), w, w_in, start, self.WASHOUT)
-        for _ in analysis._reference_blocks(w, w_in, u, start,
-                                            MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)):
-            pass
-        assert len(eval_calls) == 2  # s[1] == s[-1]: the 2-cycle closes after row 1
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        found = check_lane_engine(monkeypatch, engine_events, w, w_in,
+                                  generate(alternating(self.T, 1.0)), start, transfer, cells=(1,))
+        assert found == {1: (2, 4)}
+        # Runs that end as it closes, one row later and two rows later.
+        for steps in (2, 3, 4):
+            u = analysis._run_rows(alternating(steps, 1.0), w, w_in, start)
+            blocks = analysis._lane_blocks(w, w_in, u, start, transfer, lambda d, s: s[1:])
+            expected = per_row_states(w, w_in, u, start, transfer)
+            assert np.concatenate(list(blocks)).tobytes() == expected.tobytes()
+
+    def test_fixed_point_closes_as_a_2_cycle(self, monkeypatch, engine_events):
+        # A fixed point is a 2-cycle: at 1-row blocks the cycle closes once
+        # three states are equal, the start state counting as the first.
+        transfer, d1, a1, level = plateau_level_case()
+        w = np.array([-0.5])
+        u = np.full(self.T, 0.5 * (d1 + a1 + level))
+        assert np.all(per_row_states(w, 1.0, u, level, transfer) == level)
+        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, level, transfer,
+                                  cells=(1,))
+        assert found == {1: (2, 4)}
+        # From 0, the first row lands on the level too; constant from row 1.
+        u[0] = d1 + 2.5e-10
+        assert np.all(per_row_states(w, 1.0, u, 0.0, transfer) == level)
+        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
+                                  cells=(1,))
+        assert found == {1: (3, 5)}
 
     @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
     @pytest.mark.parametrize("kind", ["constant", "alternating", "iid", "prefix"])
@@ -755,7 +877,8 @@ class TestCycleReplay:
 
     # Three reference rows stepped before the cycle closes (30 lanes: one
     # eval each; one lane: one float row each), then one companion eval
-    # for each of the blocks of 1, 2 and 4 rows; the log tail does the rest.
+    # for each of the blocks of 1 and 2 rows and one for the two rows
+    # taken from the cycle; the tail does the rest.
     @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
     def test_default_commands_replay(self, tmp_path, eval_calls, argv):
         assert cli_main(["--out", str(tmp_path), *argv]) == 0
@@ -768,9 +891,9 @@ class TestCycleReplay:
         monkeypatch.setattr(MorphableTransfer, "eval",
                             lambda self, x: sizes.append(np.size(x)) or original(self, x))
         w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
-        u = analysis._run_rows(iid_plus_minus(self.T, 1.0, seed=8), w, w_in, start,
-                               self.WASHOUT)
-        for _ in analysis._reference_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0))):
+        u = analysis._run_rows(iid_plus_minus(self.T, 1.0, seed=8), w, w_in, start)
+        for _ in analysis._lane_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0)),
+                                       lambda drive, states: states[1:]):
             pass
         assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * self.T)
 
@@ -778,17 +901,17 @@ class TestCycleReplay:
         u = generate(iid_plus_minus(self.T, 1.0, seed=8))
         alphas = np.array([0.5, 0.9])
         renormalized_scalar_batch(-alphas, 1.0 - alphas * TANH1, u,
-                                  MorphableTransfer((-1.0, 1.0)), washout=self.WASHOUT)
+                                  MorphableTransfer((-1.0, 1.0)), washout=100)
         assert len(eval_calls) >= self.T
 
     @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
                                       constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
     @pytest.mark.parametrize("alpha", [0.5, 1.2])
     def test_replayed_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
-        # The oracle steps through Reservoir.step and never replays.
+        # The oracle steps through Reservoir.step and never closes a cycle.
         res = anchored_reservoir(alpha)
         renorm = lyapunov_renormalized(res, spec, washout=1000)
-        assert len(eval_calls) < 200  # replayed
+        assert len(eval_calls) < 200  # the tail filled the run
         deriv = lyapunov_derivative_product(res, spec, washout=1000)
         assert abs(renorm.lam - deriv.lam) <= 1e-3
 
@@ -804,116 +927,11 @@ class TestCycleReplay:
             run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
 
 
-@pytest.fixture
-def engine_events(monkeypatch):
-    """The engine's work in call order.
-
-    ``("eval", n)`` for each ``MorphableTransfer.eval`` call and each row
-    stepped as floats, ``("slope", n)`` for each ``slope`` call,
-    ``("block", rows)`` for each reference block drawn, and ``("tail", t)``
-    when the log tail starts at row ``t``.
-    """
-    events = []
-    original = (MorphableTransfer.eval, MorphableTransfer.slope, analysis._float_rows,
-                analysis._reference_blocks, analysis._two_row_cycle)
-    transfer_eval, slope, float_rows, reference_blocks, two_row_cycle = original
-
-    def counted_eval(self, x):
-        events.append(("eval", np.size(x)))
-        return transfer_eval(self, x)
-
-    def counted_slope(self, x):
-        events.append(("slope", np.size(x)))
-        return slope(self, x)
-
-    def counted_rows(step, w, y, drive):
-        events.extend([("eval", w.size)] * len(drive))
-        return float_rows(step, w, y, drive)
-
-    def counted_blocks(*args):
-        for block in reference_blocks(*args):
-            events.append(("block", len(block[0])))
-            yield block
-
-    def counted_tail(last, t, steps):
-        events.append(("tail", t))
-        yield from two_row_cycle(last, t, steps)
-
-    monkeypatch.setattr(MorphableTransfer, "eval", counted_eval)
-    monkeypatch.setattr(MorphableTransfer, "slope", counted_slope)
-    monkeypatch.setattr(analysis, "_float_rows", counted_rows)
-    monkeypatch.setattr(analysis, "_reference_blocks", counted_blocks)
-    monkeypatch.setattr(analysis, "_two_row_cycle", counted_tail)
-    return events
-
-
 class TestLogCycleTail:
-    """Log blocks filled from two rows once the reference replays carry the per-row bytes."""
+    """Log blocks filled from two rows of a closed cycle carry the per-row bytes."""
 
     T = 1100
     CELLS = [1, 14, analysis._BLOCK_CELLS]
-    WASHOUTS = (0, 100)
-
-    @staticmethod
-    def _tail_start(events):
-        """The row at which the log tail started, or None.
-
-        Once it starts, no ``eval``, ``slope`` or reference block follows,
-        and it starts where the reference blocks drawn end.
-        """
-        tails = [i for i, (kind, _) in enumerate(events) if kind == "tail"]
-        if not tails:
-            return None
-        assert tails == [len(events) - 1]
-        t = events[-1][1]
-        assert t == sum(rows for kind, rows in events if kind == "block")
-        return t
-
-    def _check(self, monkeypatch, events, w, w_in, u, y0, transfer, direction=1.0,
-               cells=(analysis._BLOCK_CELLS,)):
-        """Check both engines' logs and estimates by bytes at each block size in ``cells``.
-
-        Estimates are checked with each washout of ``WASHOUTS``.  Returns,
-        per block size, the rows at which the renormalized and the
-        derivative-product tails started.
-        """
-        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
-        rows = analysis._run_rows(u, lane_w, lane_w_in, start)
-        steps = len(rows)
-        before = np.vstack([start, per_row_states(w, w_in, u, y0, transfer)[:-1]])
-        with np.errstate(divide="ignore"):
-            renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
-            deriv = np.log(np.abs(lane_w) * transfer.slope(lane_w * before + lane_w_in * rows))
-        engines = (
-            (renorm, lambda: analysis._renormalized_logs(lane_w, lane_w_in, rows, start, transfer,
-                                                         1e-9, direction),
-             lambda washout: renormalized_scalar_batch(w, w_in, u, transfer, washout=washout,
-                                                       y0=y0, direction=direction)),
-            (deriv, lambda: ((np.log(np.abs(lane_w) * transfer.slope(lane_w * s[:-1] + d)), rep)
-                             for d, s, rep in analysis._reference_blocks(lane_w, lane_w_in, rows,
-                                                                         start, transfer)),
-             lambda washout: derivative_product_scalar_batch(w, w_in, u, transfer,
-                                                             washout=washout, y0=y0)),
-        )
-        tails = {}
-        for size in cells:
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
-            tails[size] = []
-            for logs, pairs, estimate in engines:
-                events.clear()
-                with np.errstate(divide="ignore"):
-                    blocks = list(analysis._log_cycle_tail(pairs(), steps))
-                assert np.concatenate(blocks).tobytes() == logs.tobytes()
-                tails[size].append(self._tail_start(events))
-
-                for washout in self.WASHOUTS:
-                    events.clear()
-                    lam, err = estimate(washout)
-                    assert self._tail_start(events) == tails[size][-1]
-                    ref_lam, ref_err, _ = row_fold_rate(iter(logs), steps, washout)
-                    assert lam.tobytes() == ref_lam.tobytes()
-                    assert err.tobytes() == ref_err.tobytes()
-        return tails
 
     def _case(self, kind, m):
         rng = rng_stream(m, 29)
@@ -936,64 +954,72 @@ class TestLogCycleTail:
     @pytest.mark.parametrize("m", [1, 4, 7])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_matches_per_row_loops(self, monkeypatch, engine_events, kind, m, direction):
-        tails = self._check(monkeypatch, engine_events, *self._case(kind, m), direction,
-                            self.CELLS)
-        for started in tails.values():
-            assert None not in started  # 1-row blocks too
+        found = check_lane_engine(monkeypatch, engine_events, *self._case(kind, m), direction,
+                                  self.CELLS)
+        for _, tail in found.values():
+            assert tail is not None  # 1-row blocks too
 
     def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
-        # Started on the expected orbit, the cycle closes after 3 rows.
+        # Started on the expected orbit, the cycle closes after the blocks
+        # of 1 and 2 rows, and the tail starts after two more.
         w, w_in, u, _, transfer = self._case("alternating", 4)
-        tails = self._check(monkeypatch, engine_events, w, w_in, u, -TANH1, transfer)
-        assert tails == {analysis._BLOCK_CELLS: [7, 7]}  # within the washout of 100
+        found = check_lane_engine(monkeypatch, engine_events, w, w_in, u, -TANH1, transfer)
+        assert found == {analysis._BLOCK_CELLS: (3, 5)}  # within the washout of 100
 
     @pytest.mark.parametrize("kind", ["alternating", "mixed signs", "prefix"])
     def test_wide_batch(self, monkeypatch, engine_events, kind):
         # The default blocks hold at most 2 rows of 2800 lanes, and 1 row of 4097.
         for m, rows in ((2800, 2), (4097, 1)):
             assert max(1, analysis._BLOCK_CELLS // m) == rows
-            tails = self._check(monkeypatch, engine_events, *self._case(kind, m))
-            assert None not in tails[analysis._BLOCK_CELLS]
+            found = check_lane_engine(monkeypatch, engine_events, *self._case(kind, m))
+            assert found[analysis._BLOCK_CELLS][1] is not None
 
     def test_iid_input_never_starts_a_tail(self, monkeypatch, engine_events):
         w, w_in, _, y0, transfer = self._case("alternating", 4)
         u = generate(iid_plus_minus(self.T, 1.0, seed=8))
-        tails = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
-        assert tails == {analysis._BLOCK_CELLS: [None, None]}
+        found = check_lane_engine(monkeypatch, engine_events, w, w_in, u, y0, transfer)
+        assert found == {analysis._BLOCK_CELLS: (self.T, None)}
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
         # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
         # pieces: its separation is exactly 0 at every row, and its
-        # companion restarts in every replayed block.
+        # companion restarts in the tail's two rows.
         alphas = np.array([0.3, 0.7, 1.2])
         transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
         u = generate(alternating(self.T, 1.0))
-        tails = self._check(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u, 0.0,
-                            transfer, direction, self.CELLS)
-        for started in tails.values():
-            assert None not in started
+        found = check_lane_engine(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
+                                  0.0, transfer, direction, self.CELLS)
+        for _, tail in found.values():
+            assert tail is not None
 
-    def test_tail_waits_for_two_replayed_rows(self, monkeypatch, engine_events):
-        # The reference sits on the plateau level from row 0, and the input
-        # is constant from row 1, so at 1-row blocks the 1-cycle closes
-        # after row 1 and row 2 is the first replayed row.  The companion
-        # leaves the plateau at rows 0 and 1 and stays on it from row 2 on:
-        # a tail after one replayed row would copy row 1's finite log into
-        # row 3.
-        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
-        d1, a1 = transfer.kinks[2:4]
-        level = transfer.eval(0.5 * (d1 + a1))
-        u = np.full(self.T, a1 - 2.5e-10 + 0.5 * level)
-        u[0] = d1 + 2.5e-10
+    def test_tail_takes_two_rows_from_the_cycle(self, monkeypatch, engine_events):
+        # The state alternates between the plateau level (rows 0, 2, ...)
+        # and about tanh(1) (rows 1, 3, ...), and the input is 2-periodic from
+        # row 1, so the cycle closes after row 2: R = 3.  The companion's
+        # offset is + at row 2 and - at row 4, from the restart at row 2.
+        # Row 0 leaves the plateau below its left edge and rows 1 and 3 lie
+        # on a slope, so the map of rows R-2 and R is the identity; at rows
+        # R-1 and R+1 the linear response sits just inside the right edge,
+        # so the + offset stays on the level (log -inf) and restarts at +
+        # and the - offset leaves it: the map of rows R+-1 is the constant
+        # +.  So row R+1's log is finite and row R-1's is not: a tail from
+        # rows R-1 and R would copy -inf into every row R+1, R+3, ...
+        transfer, d1, a1, level = plateau_level_case()
         w = np.array([-0.5])
-        assert np.all(per_row_states(w, 1.0, u, 0.0, transfer) == level)
+        u = np.empty(self.T)
+        u[0] = d1 + 2.5e-10
+        u[1::2] = 1.0 + 0.5 * level
+        v = transfer.eval(w * level + u[1])
+        u[2::2] = a1 - 2.5e-10 + 0.5 * v
+        states = per_row_states(w, 1.0, u, 0.0, transfer)
+        assert np.all(states[0::2] == level) and np.all(states[1::2] == v)
         with np.errstate(divide="ignore"):
             logs = per_step_renormalized(w, 1.0, u, transfer, 1e-9, 0.0, 1.0)
-        assert np.isfinite(logs[1]).all() and np.isneginf(logs[2:]).all()
-        tails = self._check(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
-                            cells=(1, 2, analysis._BLOCK_CELLS))
-        assert tails[1] == [4, 4]  # after replayed rows 2 and 3
+        assert np.isneginf(logs[2]) and np.isfinite(logs[[0, 1, 3, 4]]).all()
+        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
+                                  cells=(1, 14, analysis._BLOCK_CELLS))
+        assert set(found.values()) == {(3, 5)}
 
 
 class TestNonFiniteInput:

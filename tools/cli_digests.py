@@ -36,10 +36,12 @@ SEEDS = (0, 3, 11)
 # washouts and horizons that put batch edges inside engine blocks, every
 # forgetting input and init, the remaining commands, the acceptance
 # suite's determinism commands (criterion 8), the rejected forgetting
-# --d0 values, and runs that start the log-cycle tail in different ways:
-# the smallest and largest d0, a gain that loses the anchored orbit under
-# constant input, a grid whose tail starts after a zero washout, and a
-# 5,000-point grid, whose blocks hold one row.
+# --d0 values, and runs that end in the engine's closed-cycle tail in
+# different ways: the smallest and largest d0, a gain that loses the
+# anchored orbit under constant input, a grid whose tail starts after a
+# zero washout, a 5,000-point grid, whose blocks hold one row, and a
+# forgetting pair whose trajectories close two distinct 2-cycles 1.131
+# apart, so most of its distance series comes from the tail.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -74,6 +76,7 @@ COMMANDS = [
     ["lyapunov", "--preset", "anchored", "--gamma", "1.3", "--input", "constant"],
     ["sweep-alpha", "--grid", "0.05:1.5:0.05", "--horizon", "20000", "--washout", "0"],
     ["sweep-alpha", "--grid", "0.0003:1.5:0.0003", "--horizon", "1000"],
+    ["forgetting", "--input", "alternating", "--alpha", "1.3"],
 ]
 
 
