@@ -38,23 +38,26 @@ nondecreasing transfer the renormalized companion is always
 the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
 the engine runs it for a block of rows, one ``eval`` per row, and then
 evaluates every companion of the block in one wide ``eval`` (or, for the
-derivative product, every slope in one ``slope`` call).  A block of at
-most ``_FLOAT_LANES`` (m* = 6) lanes, such as a ``forgetting`` pair or
-one renormalized ``lyapunov`` estimate, steps its lanes as Python floats
-instead, through the same piece table and bit for bit what ``eval``
-returns, because one small ``eval`` costs more than six float steps.
-One function, :func:`_lane_blocks`, owns the stepping: it hands each
-block's drives and states to a per-block consumer (the renormalized
-logs, the derivative-product logs, or a pair's distances) and yields
-what the consumer returns.  Once the lanes close an exact 2-cycle under
-2-periodic input (every state equal, bit for bit, to the one two rows
-earlier; a fixed point under constant input is such a cycle), it calls
-the consumer once more, on the next two rows taken from the cycle, and
-fills the rest of the run from those two rows, without a further
-``eval`` or ``slope``; ``eval`` is pure, so the result is what stepping
-would give.  Blocks start at one row and double up to ``2**13`` cells
-(rows x lanes), so a consumer that stops early has computed at most
-about twice the rows it read;
+derivative product, every slope in one ``slope`` call).  One function,
+:func:`_lane_blocks`, owns the stepping: it hands each block's drives and
+states to a per-block consumer (the renormalized logs, the
+derivative-product logs, or a pair's distances) and yields what the
+consumer returns.  A lane that has closed an exact 2-cycle under its own
+2-periodic input (its state equal, bit for bit, to the one two rows
+earlier; a fixed point under constant input is such a cycle) is no
+longer stepped but filled from its last two states; ``eval`` is pure, so
+the result is what stepping would give.  While at most ``_FLOAT_LANES``
+(m* = 8) lanes are open, such as a ``forgetting`` pair, whose reference
+closes at once, or one renormalized ``lyapunov`` estimate, each open
+lane steps through the block's rows as Python floats, through the same
+piece table and bit for bit what ``eval`` returns, because one small
+``eval`` costs more than eight float steps; with more open, each row
+takes one ``eval`` of every lane.  Once every lane has closed, the engine
+calls the consumer once more, on the next two rows taken from the
+cycle, and fills the rest of the run from those two rows, without a
+further ``eval`` or ``slope``.  Blocks start at one row and double up to
+``2**13`` cells (rows x lanes), so a consumer that stops early has
+computed at most about twice the rows it read;
 :func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
 lanes of the same recurrence and stops at an exact-zero distance.  Every
 estimator is a stream of log blocks, ``(rows, m)`` from the engine or
@@ -287,7 +290,8 @@ def _rate(blocks, steps: int, washout: int):
             if t1 >= end:
                 break
             t0 = t1
-    batches = np.stack(sums, axis=-1) / per
+    batches = np.stack(sums, axis=-1)
+    batches /= per  # in place: one (m, 20) array less at a wide grid's peak memory
     lam = batches.mean(axis=-1)
     # A -inf lane's spread is -inf - -inf: the documented NaN, not a warning.
     with np.errstate(invalid="ignore"):
@@ -430,45 +434,33 @@ def _lanes(w, w_in, y0):
     return w, win, np.broadcast_to(np.asarray(y0, dtype=float), w.shape).astype(float)
 
 
-def _period_start(u) -> int:
-    """The first row ``s`` with ``u[r+2] == u[r]``, bit for bit, for all ``r >= s``.
+def _period_start(u) -> np.ndarray:
+    """Per column of ``u``, the first row ``s`` with ``u[r+2] == u[r]`` for all ``r >= s``.
 
-    Raw bits, so -0.0 and 0.0 differ.
+    Bit for bit, so -0.0 and 0.0 differ.
     """
-    moved = (u.view(np.uint64)[2:] != u.view(np.uint64)[:-2]).any(axis=1)[::-1]  # newest first
-    return len(moved) - int(moved.argmax()) if moved.any() else 0
+    if len(u) < 3:
+        return np.zeros(u.shape[1], dtype=int)
+    moved = (u.view(np.uint64)[2:] != u.view(np.uint64)[:-2])[::-1]  # newest first
+    return np.where(moved.any(axis=0), len(moved) - moved.argmax(axis=0), 0)
 
 
-def _closed_cycle(recent, start: int, t_next: int) -> bool:
-    """Whether the states ``recent`` close a 2-cycle, ``s[r] == s[r-2]`` for every row ``r >= t_next - 1``.
-
-    ``recent`` holds the last three states, the newest ``s[t]`` (after row
-    ``t = t_next - 1``) last.  If ``s[t] == s[t-2]`` bit for bit and the
-    input is 2-periodic from row ``t-1`` (``start``, :func:`_period_start`),
-    each next state is the pure ``eval`` of the same bits as the state two
-    rows before it.  A fixed point is a 2-cycle, and constant input is
-    2-periodic.
-    """
-    return (len(recent) == 3 and start <= t_next - 2
-            and np.array_equal(recent[-1].view(np.uint64), recent[0].view(np.uint64)))
+#: Most open lanes that the engine steps as Python floats, each lane one
+#: ``_eval_float`` per row; with more open, a row takes one ``eval`` of
+#: every lane.  Measured crossover (CPython 3.11, numpy 2.4.6, 2 vCPUs, iid
+#: input, per row, the faster of 3 runs in each of 36 pairs): about 0.75 us
+#: per float lane against 6.5 us for one ``eval`` of 5-9 lanes on a quiet
+#: host; in three sets of pairs floats won 27-34 of 36 at 8 lanes and 3-8
+#: of 36 at 9.
+_FLOAT_LANES = 8
 
 
-#: Most lanes whose reference recurrence steps Python floats, one
-#: ``_eval_float`` per lane and row; more lanes take one ``eval`` per row.
-#: Measured crossover (CPython 3.11, numpy 2.4.6, 2 vCPUs, iid input, per
-#: row): 1.4 us per float lane plus about 1.3 us, against 10-11 us for one
-#: ``eval`` of up to 8 lanes; at 6 lanes floats won 33 of 36 paired runs,
-#: at 7 lanes 14 of 36.
-_FLOAT_LANES = 6
-
-
-def _float_rows(step, w, y, drive) -> list:
-    """States after each row of ``drive``, the lanes stepped as Python floats by ``step``."""
-    ws, ys, rows = w.tolist(), y.tolist(), []
-    for row in drive.tolist():
-        ys = [step(a * b + d) for a, b, d in zip(ws, ys, row)]
-        rows.append(ys)
-    return rows
+def _float_rows(step, w, y, drive) -> np.ndarray:
+    """States after each row of ``drive``, ``(rows, lanes)``: one float loop of ``step`` per lane."""
+    cols = []
+    for a, b, col in zip(w.tolist(), y.tolist(), drive.T.tolist()):
+        cols.append([b := step(a * b + d) for d in col])  # b: the lane's state
+    return np.array(cols).T
 
 
 def _lane_blocks(w, win, u, y, transfer, rows_of):
@@ -480,54 +472,70 @@ def _lane_blocks(w, win, u, y, transfer, rows_of):
     value per row, such as the block's logs; it is called on the blocks
     in row order, so it may carry state from block to block.
 
-    Each input row is the only sequential work of the engine.  With at
-    most ``_FLOAT_LANES`` (m*) lanes it costs one ``_eval_float`` per
-    lane, the lanes stepped as Python floats through the transfer's piece
-    table, bit for bit what ``eval`` returns at a fraction of its per-call
-    cost; with more it costs one ``eval`` of the ``m`` lanes.  The first
-    block has one row and each next one twice as many, up to
-    ``max(1, _BLOCK_CELLS // m)``, so a consumer that stops early (a pair
-    whose distance reached zero) has computed at most about twice the
-    rows it read.  Every row is computed alike whatever block holds it.
+    A lane has closed its 2-cycle after a block ending at row ``R-1`` if
+    its state equals, bit for bit, its state two rows earlier and its own
+    input column is 2-periodic from row ``R-2`` (:func:`_period_start`).
+    Each next state of that lane is then the pure ``eval`` of the same
+    bits as the state two rows before it, so from then on the lane is
+    filled from its last two states and no longer stepped.  A fixed point
+    is a 2-cycle, and constant input is 2-periodic.
 
-    After each block ending at row ``R-1``, if every state equals, bit for
-    bit, the one two rows earlier and the input is 2-periodic from row
-    ``R-2`` (:func:`_closed_cycle`), ``rows_of`` is called once more, on
-    rows R and R+1 taken from the cycle, and every later row repeats
-    those two (:func:`_two_row_cycle`), without a further step.  Proof:
-    the value of row r is a pure function of its previous state, drive
-    and reference, 2-periodic from row R-2 (``eval`` is pure), and, for
-    the renormalized logs, of its offset sign s, which a step maps to
-    ``s*sign(w)``, or after a 0 separation to the restart direction (if
-    w = 0, every log is -inf).  So the map of ``tau = s*sign(w)**r`` at
-    row r is the identity or a constant, the identity iff each s meeting
-    a 0 is ``direction*sign(w)``, and it is 2-periodic from row R-2.  With
-    A the map of rows R-2 and R and B that of rows R+-1, ``tau[R+2] =
-    BA tau[R]`` and ``tau[R] = BA tau[R-2]``; BA is the identity or a
-    constant, so BA BA = BA and ``tau[R+2] = tau[R]``.  So the values
-    repeat every two rows from R on.  One cycle row is not enough: row
-    R+1 need not repeat row R-1, as ``tau[R+1] = A tau[R]`` and ``tau[R-1]
-    = A tau[R-2]`` differ when A is the identity and B a constant other
-    than ``tau[R-2]``.
+    Each input row of the open lanes is the only sequential work of the
+    engine.  With at most ``_FLOAT_LANES`` (m*) lanes open, each open lane
+    is stepped through its rows as Python floats, one ``_eval_float`` per
+    row, through the transfer's piece table, bit for bit what ``eval``
+    returns at a fraction of its per-call cost; with more, a row costs one
+    ``eval`` of all ``m`` lanes, which gives a closed lane the bits of its
+    cycle.  The first block has one row and each next one twice as many,
+    up to ``max(1, _BLOCK_CELLS // m)``, so a consumer that stops early (a
+    pair whose distance reached zero) has computed at most about twice
+    the rows it read.  Every row is computed alike whatever block holds
+    it.
+
+    Once every lane has closed, after a block ending at row ``R-1``,
+    ``rows_of`` is called once more, on rows R and R+1 taken from the
+    cycle, and every later row repeats those two (:func:`_two_row_cycle`),
+    without a further step.  Proof: the value of row r is a pure function
+    of its previous state, drive and reference, 2-periodic from row R-2
+    (``eval`` is pure), and, for the renormalized logs, of its offset sign
+    s, which a step maps to ``s*sign(w)``, or after a 0 separation to the
+    restart direction (if w = 0, every log is -inf).  So the map of ``tau
+    = s*sign(w)**r`` at row r is the identity or a constant, the identity
+    iff each s meeting a 0 is ``direction*sign(w)``, and it is 2-periodic
+    from row R-2.  With A the map of rows R-2 and R and B that of rows
+    R+-1, ``tau[R+2] = BA tau[R]`` and ``tau[R] = BA tau[R-2]``; BA is the
+    identity or a constant, so BA BA = BA and ``tau[R+2] = tau[R]``.  So
+    the values repeat every two rows from R on.  One cycle row is not
+    enough: row R+1 need not repeat row R-1, as ``tau[R+1] = A tau[R]``
+    and ``tau[R-1] = A tau[R-2]`` differ when A is the identity and B a
+    constant other than ``tau[R-2]``.
     """
     start = _period_start(u)
     cap = max(1, _BLOCK_CELLS // w.size)
     rows, t0 = 1, 0
     recent = y[None]  # the last three states, newest last
+    closed = np.zeros(w.size, dtype=bool)
     while t0 < len(u):
         drive = win * u[t0:t0 + rows]
         states = np.empty((len(drive) + 1, w.size))
         states[0] = y
-        if w.size <= _FLOAT_LANES:
-            states[1:] = _float_rows(transfer._eval_float, w, y, drive)
-        else:
+        lanes = np.flatnonzero(~closed)
+        if len(lanes) > _FLOAT_LANES:
             for i, d in enumerate(drive, start=1):
                 states[i] = transfer.eval(w * states[i - 1] + d)
+        else:
+            if closed.any():  # a closed lane repeats its last two states
+                states[1::2, closed] = recent[-2, closed]
+                states[2::2, closed] = y[closed]
+            states[1:, lanes] = _float_rows(transfer._eval_float, w[lanes], y[lanes],
+                                            drive[:, lanes])
         y = states[-1]
         yield rows_of(drive, states)
         t0 += len(drive)
         recent = np.concatenate((recent[:-1], states[-3:]))[-3:]
-        if t0 < len(u) and _closed_cycle(recent, start, t0):
+        if len(recent) == 3:
+            closed |= (start <= t0 - 2) & (recent[-1].view(np.uint64) == recent[0].view(np.uint64))
+        if t0 < len(u) and closed.all():
             # recent, s[R-3:R], equals s[R-1:R+2] bit for bit: the states of rows R and R+1.
             drive = win * u[t0:t0 + 2]
             yield (last := rows_of(drive, recent[:len(drive) + 1]))
@@ -540,11 +548,18 @@ def _lane_blocks(w, win, u, y, transfer, rows_of):
 def _two_row_cycle(last, t: int, steps: int):
     """Rows ``t`` to ``steps - 1`` of a 2-periodic stream whose rows ``t-2`` and ``t-1`` are ``last``.
 
-    Row ``r`` is ``last[(r - t) % 2]``.  Blocks hold at most
-    ``max(2, _BLOCK_CELLS // m)`` rows of ``m`` values; they are read-only
-    views of one tile.
+    Row ``r`` is ``last[(r - t) % 2]``.  Blocks are read-only views of
+    one tile of ``rows + 1`` rows of ``m`` values.  :func:`_fold` adds a
+    block of more than ``_CUMSUM_LANES`` lanes row by row, so its cost is
+    per block: such a grid gets tiles of about ``8 * _BLOCK_CELLS`` cells
+    (512 KiB), ``max(2, 8 * _BLOCK_CELLS // m)`` rows, and a grid of
+    3,000 lanes reaches the reducer in blocks of 21 rows, not 2.  A
+    narrower block is folded by one ``cumsum`` of a copy, which costs per
+    cell and holds two more block-sized arrays, so its tile keeps the
+    engine's ``_BLOCK_CELLS // m`` rows.
     """
-    rows = max(2, _BLOCK_CELLS // last[0].size)
+    m = last[0].size
+    rows = max(2, (_BLOCK_CELLS if m <= _CUMSUM_LANES else 8 * _BLOCK_CELLS) // m)
     tile = last[np.arange(rows + 1) % 2]  # tile[i] is row t + i
     tile.flags.writeable = False
     for r in range(t, steps, rows):
@@ -618,9 +633,10 @@ def renormalized_scalar_batch(
     the run gate :func:`_run_rows`; all elements share
     ``transfer``, a :class:`~critical_esn.transfer.MorphableTransfer` or
     :class:`~critical_esn.transfer.TanhTransfer`, which must be
-    nondecreasing and whose ``eval`` must be a pure function: up to
-    ``_FLOAT_LANES`` lanes step it through ``_eval_float``, and once the
-    reference recurrence closes an exact 2-cycle, the logs of the next
+    nondecreasing and whose ``eval`` must be a pure function: while at
+    most ``_FLOAT_LANES`` lanes are open they step it through
+    ``_eval_float``, a lane whose reference closes an exact 2-cycle is
+    filled from it, and once every lane has closed, the logs of the next
     two rows are computed from the cycle and every later log copies one
     of them, restarts or not (see :func:`_lane_blocks`).  The companion
     starts at ``y0 + direction*d0`` with ``direction`` +1 or -1, and
@@ -654,9 +670,9 @@ def derivative_product_scalar_batch(
     recurrence take one ``slope`` call over its linear responses.  Inputs
     and gains are as in :func:`renormalized_scalar_batch`.  Both
     ``transfer.eval`` and ``transfer.slope`` must be pure functions: once
-    the reference recurrence closes an exact 2-cycle, the logs of the
-    next two rows are computed from the cycle and every later log copies
-    one of them (see :func:`_lane_blocks`).
+    every lane of the reference recurrence has closed an exact 2-cycle,
+    the logs of the next two rows are computed from the cycle and every
+    later log copies one of them (see :func:`_lane_blocks`).
     """
     w, win, start = _lanes(w, w_in, y0)
     u = _run_rows(u, w, win, start, washout)

@@ -271,9 +271,12 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     :mod:`~critical_esn.analysis`, whose blocks grow from one row, so a
     pair that reaches zero at step ``s`` computes at most ``2*s`` steps.
     The engine takes the distance of each block's rows as its per-block
-    consumer, so once both lanes close an exact 2-cycle the distances of
-    the next two rows are taken from the cycle and the rest of the series
-    repeats them (:func:`~critical_esn.analysis._lane_blocks`).
+    consumer.  A lane that has closed an exact 2-cycle is filled from it
+    and no longer stepped, so a pair whose reference starts on the
+    expected orbit (``forgetting``'s default) steps its twin alone; once
+    both lanes have closed, the distances of the next two rows are taken
+    from the cycle and the rest of the series repeats them
+    (:func:`~critical_esn.analysis._lane_blocks`).
     Each distance is ``sqrt(diff*diff)``, which is what
     ``np.linalg.norm`` computes for one element, so with one input
     (n = 1) the series is bit-identical to stepping the stack.  With

@@ -1022,6 +1022,161 @@ class TestLogCycleTail:
         assert set(found.values()) == {(3, 5)}
 
 
+def closure_rows(w, w_in, u, y0, transfer):
+    """Per lane, the row ``R`` at which its 2-cycle closes, or inf.
+
+    ``R`` is the first ``R >= 2`` with ``s[R] == s[R-2]`` bit for bit and
+    the lane's input 2-periodic from row ``R-2``; ``s[R]`` is the state
+    after ``R`` rows, ``s[0]`` the start.  From there on the lane repeats
+    its last two states.
+    """
+    lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+    rows = analysis._run_rows(u, lane_w, lane_w_in, start)
+    s = np.vstack([start, per_row_states(w, w_in, u, y0, transfer)]).view(np.uint64)
+    period = np.broadcast_to(analysis._period_start(rows), lane_w.shape)
+    closes = []
+    for lane in range(lane_w.size):
+        found = [r for r in range(max(2, period[lane] + 2), len(s))
+                 if s[r, lane] == s[r - 2, lane]]
+        closes.append(found[0] if found else math.inf)
+    return closes
+
+
+def stepped_lane_rows(closes, steps, cells):
+    """Lane-rows the engine steps when lane ``j`` closes at ``closes[j]`` (:func:`closure_rows`).
+
+    Blocks of 1, 2, 4, ... rows up to ``max(1, cells // m)``; after each,
+    a lane whose closure row has passed stops.  A block steps its open
+    lanes as floats, or all ``m`` lanes through ``eval`` while more than
+    ``_FLOAT_LANES`` are open, and the run ends in the tail once no lane
+    is open.
+    """
+    m = len(closes)
+    cap, rows, t0, total = max(1, cells // m), 1, 0, 0
+    while t0 < steps and (n_open := sum(c > t0 for c in closes)):
+        n = min(rows, steps - t0)
+        total += n * (m if n_open > analysis._FLOAT_LANES else n_open)
+        t0, rows = t0 + n, min(2 * rows, cap)
+    return total
+
+
+class TestPerLaneClosure:
+    """A lane that has closed its 2-cycle is filled from it while the open lanes are stepped on."""
+
+    T = 1100
+    CELLS = (1, 14, analysis._BLOCK_CELLS)
+
+    def _check(self, monkeypatch, events, w, w_in, u, y0, transfer):
+        """Check the engine against the per-row loops at each block size.
+
+        Returns the closure rows and, per block size, the lane count of
+        each stepped row, whose sum must be what the closure rows predict.
+        """
+        found = check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, cells=self.CELLS)
+        closes = closure_rows(w, w_in, u, y0, transfer)
+        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+        rows = analysis._run_rows(u, lane_w, lane_w_in, start)
+        sizes = {}
+        for cells in self.CELLS:
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+            events.clear()
+            for _ in analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
+                                           lambda drive, states: states[1:]):
+                pass
+            sizes[cells] = [n for kind, n in events if kind == "eval"]
+            assert sum(sizes[cells]) == stepped_lane_rows(closes, len(rows), cells)
+            # One lane open at least, until the tail (if any) starts.
+            assert found[cells][0] == len(sizes[cells])
+        return closes, sizes
+
+    def _forgetting_lanes(self, m):
+        """The default forgetting pair (alpha = 1, on and 1e-3 off the orbit) and ``m - 2`` others."""
+        rng = rng_stream(m, 31)
+        alphas = np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, m - 2)])
+        orbit = float(anchored_orbit_state()[0])
+        y0 = np.concatenate([[orbit, orbit + 1e-3], rng.uniform(-1.0, 1.0, m - 2)])
+        return -alphas, 1.0 - alphas * TANH1, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+
+    def test_lanes_close_at_different_rows(self, monkeypatch, engine_events):
+        # The reference of the forgetting pair closes at once, its twin
+        # decays by a power law and never closes, the others in between.
+        w, w_in, y0, transfer = self._forgetting_lanes(5)
+        u = generate(alternating(self.T, 1.0))
+        closes, _ = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
+        assert closes[:2] == [2, math.inf]
+        assert len(set(closes[2:])) == 3 and max(closes[2:]) < self.T
+
+    def test_per_lane_input_turns_periodic_at_different_rows(self, monkeypatch, engine_events):
+        rng = rng_stream(5, 31)
+        alphas = rng.uniform(0.3, 0.8, 4)
+        u = generate(alternating(self.T, 1.0))[:, None] * rng.uniform(0.5, 1.5, 4)
+        for lane, prefix in enumerate((0, 37, 200, 555)):
+            u[:prefix, lane] = rng.standard_normal(prefix)
+        assert analysis._period_start(u).tolist() == [0, 37, 200, 555]
+        closes, _ = self._check(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
+                                0.0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE))
+        assert closes == sorted(closes) and all(c > p for c, p in zip(closes, (0, 37, 200, 555)))
+        assert closes[-1] < self.T
+
+    def test_held_lane_waits_for_its_own_input_period(self, monkeypatch, engine_events):
+        # Lane 1 sits on the plateau level while its input varies inside
+        # the flat piece, so its state repeats from the start; its input
+        # turns 2-periodic only at row 300, when it leaves the plateau.
+        # Lane 0's input is 2-periodic from row 0.
+        transfer, d1, a1, level = plateau_level_case()
+        rng = rng_stream(7, 31)
+        u = np.column_stack([generate(alternating(self.T, 1.0))] * 2)
+        u[:300, 1] = rng.uniform(d1, a1, 300) + 0.5 * level
+        w = np.array([-0.5, -0.5])
+        states = per_row_states(w, 1.0, u, level, transfer)
+        assert np.all(states[:300, 1] == level) and states[300, 1] != level
+        closes, _ = self._check(monkeypatch, engine_events, w, 1.0, u, level, transfer)
+        assert closes[1] > 300
+
+    def test_float_path_starts_mid_run(self, monkeypatch, engine_events):
+        # m* + 1 lanes step through eval until the first closures leave at
+        # most m* open; those step as floats from then on.
+        m = analysis._FLOAT_LANES + 1
+        floats, float_rows = [], analysis._float_rows
+        monkeypatch.setattr(analysis, "_float_rows",
+                            lambda step, w, y, drive: floats.append(w.size) or float_rows(
+                                step, w, y, drive))
+        w, w_in, y0, transfer = self._forgetting_lanes(m)
+        u = generate(alternating(self.T, 1.0))
+        _, sizes = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
+        for evals in sizes.values():
+            wide = evals.index(next(n for n in evals if n < m))
+            assert wide > 0 and set(evals[:wide]) == {m}
+            assert all(n <= analysis._FLOAT_LANES for n in evals[wide:]) and evals[-1] == 1
+        assert floats and max(floats) <= analysis._FLOAT_LANES
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_inputs_of_fewer_than_3_rows(self, steps):
+        w, w_in, y0, transfer = self._forgetting_lanes(3)
+        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
+        for u in (generate(alternating(steps, 1.0)), np.ones((steps, 3))):
+            rows = analysis._run_rows(u, lane_w, lane_w_in, start)
+            assert not analysis._period_start(rows).any()
+            blocks = analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
+                                           lambda drive, states: states[1:])
+            expected = per_row_states(w, w_in, u, y0, transfer)
+            assert np.concatenate(list(blocks)).tobytes() == expected.tobytes()
+
+    def test_default_forgetting_pair_steps_only_its_twin(self, tmp_path, monkeypatch):
+        # The reference lane sits on the orbit: it is stepped in the blocks
+        # of 1 and 2 rows, then filled from its cycle; the twin is stepped
+        # for all 100,000 rows.
+        lane_rows, float_rows = [], analysis._float_rows
+
+        def counted_rows(step, w, y, drive):
+            lane_rows.append(drive.size)
+            return float_rows(step, w, y, drive)
+
+        monkeypatch.setattr(analysis, "_float_rows", counted_rows)
+        assert cli_main(["--out", str(tmp_path), "forgetting", "--input", "alternating"]) == 0
+        assert sum(lane_rows) == 100_000 + 3
+
+
 class TestNonFiniteInput:
     """A NaN or infinite input row fails before any estimate or series is made."""
 

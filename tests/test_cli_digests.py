@@ -19,6 +19,12 @@ def test_every_command_parses(argv):
     build_parser().parse_args(["--seed", "0", "--out", "unused", *argv])
 
 
+def test_every_command_is_listed_once():
+    # A report keys its runs by argv and seed: 53 commands, 159 runs.
+    commands = {" ".join(argv) for argv in cli_digests.COMMANDS}
+    assert len(commands) == len(cli_digests.COMMANDS) == 53
+
+
 def test_runs_repeat_and_a_moved_run_is_listed(tmp_path):
     runs = [cli_digests.digest_run(argv, 3) for argv in (["critical-b"], ["transfer-dump"])]
     again = cli_digests.digest_run(["critical-b"], 3)
