@@ -32,13 +32,13 @@ Estimators
   dominated by that attractor.)
 
 Batched variants of the one-neuron estimators evaluate whole parameter
-grids in one vectorized run on one blocked engine.  For one neuron and a
-nondecreasing transfer the renormalized companion is always
-``ref +- d0``, its sign set by the previous step's separation, so only
-the reference recurrence ``y <- transfer(w*y + w_in*u)`` is sequential:
-the engine runs it for a block of rows, one ``eval`` per row, and then
-evaluates every companion of the block in one wide ``eval`` (or, for the
-derivative product, every slope in one ``slope`` call).  One function,
+grids in one vectorized run on one blocked engine.  For one neuron the
+renormalized companion is always ``ref +- d0``, its sign set by the
+previous step's separation, so only the reference recurrence
+``y <- transfer(w*y + w_in*u)`` is sequential: the engine runs it for a
+block of rows, one ``eval`` per row, and then evaluates both companions
+of every row of the block in one wide ``eval`` (or, for the derivative
+product, every slope in one ``slope`` call).  One function,
 :func:`_lane_blocks`, owns the stepping: it hands each block's drives and
 states to a per-block consumer (the renormalized logs, the
 derivative-product logs, or a pair's distances) and yields what the
@@ -218,6 +218,14 @@ def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndar
     return rows
 
 
+def _start_rows(reservoir, inputs, washout: int):
+    """A Lyapunov estimate's ``(k,)`` start state and checked input rows, before its first step."""
+    start = np.asarray(reservoir.state, dtype=float)
+    if start.shape != (reservoir.k,):
+        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {start.shape}")
+    return start, _run_rows(inputs, reservoir.W, reservoir.w_in, start, washout)
+
+
 def _check_d0(d0: float) -> None:
     if not (1e-12 <= d0 <= 1e-6):
         raise ValueError("d0 must lie in [1e-12, 1e-6]")
@@ -347,10 +355,7 @@ def lyapunov_renormalized(
     initial direction.
     """
     _check_d0(d0)
-    start = np.asarray(reservoir.state, dtype=float)
-    if start.shape != (reservoir.k,):
-        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {start.shape}")
-    u = _run_rows(inputs, reservoir.W, reservoir.w_in, start, washout)
+    start, u = _start_rows(reservoir, inputs, washout)
 
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
@@ -396,10 +401,7 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
-    start = np.asarray(reservoir.state, dtype=float)
-    if start.shape != (reservoir.k,):
-        raise ValueError(f"reservoir state must have shape ({reservoir.k},), not {start.shape}")
-    u = _run_rows(inputs, reservoir.W, reservoir.w_in, start, washout)
+    _, u = _start_rows(reservoir, inputs, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
 
@@ -498,10 +500,11 @@ def _lane_blocks(w, win, u, y, transfer, rows_of):
     without a further step.  Proof: the value of row r is a pure function
     of its previous state, drive and reference, 2-periodic from row R-2
     (``eval`` is pure), and, for the renormalized logs, of its offset sign
-    s, which a step maps to ``s*sign(w)``, or after a 0 separation to the
-    restart direction (if w = 0, every log is -inf).  So the map of ``tau
-    = s*sign(w)**r`` at row r is the identity or a constant, the identity
-    iff each s meeting a 0 is ``direction*sign(w)``, and it is 2-periodic
+    s, which the row keeps, flips or sets (:func:`_renormalized_rows`).
+    With a nondecreasing transfer a row never flips when w > 0 and never
+    keeps when w < 0 (if w = 0, every row sets and every log is -inf).  So
+    the map of ``tau = s*sign(w)**r`` at row r is the identity (a keep for
+    w > 0, a flip for w < 0) or a constant (a set), and it is 2-periodic
     from row R-2.  With A the map of rows R-2 and R and B that of rows
     R+-1, ``tau[R+2] = BA tau[R]`` and ``tau[R] = BA tau[R-2]``; BA is the
     identity or a constant, so BA BA = BA and ``tau[R+2] = tau[R]``.  So
@@ -570,46 +573,37 @@ def _two_row_cycle(last, t: int, steps: int):
 def _renormalized_rows(w, transfer, d0: float, direction: float):
     """The ``rows_of`` of :func:`_lane_blocks` that gives a block's renormalized logs.
 
-    With a nondecreasing transfer the companion of a reference state
-    ``ref`` is always ``ref + sign*d0``: a step maps it to a separation
-    ``delta`` of sign ``sign*sign(w)``, or exactly 0, after which the
-    companion restarts at ``ref + direction*d0``.  So each block predicts
-    every row's sign from the block's first and evaluates all companions
-    in one wide ``eval``.  From the first row whose ``delta`` is 0 or
-    has another sign, the block's remaining rows evaluate both companions,
-    ``ref + d0`` and ``ref - d0``, in one ``eval`` and the signs follow
-    ``delta`` row by row.  The stored reference states are reused, and
-    the next block's first sign is carried from call to call.
+    The companion of a reference state ``ref`` is ``ref + sign*d0``, with
+    the sign of the last separation ``delta``, or after an exact 0 the
+    restart ``direction``.  One ``eval`` of ``2 * rows * m`` values gives
+    both companions of every row, ``ref +- d0``, and each row keeps the
+    sign (the up delta gives +, the down delta -), flips it (the reverse)
+    or sets it (both give one sign: a restart, or saturation).  A prefix
+    scan chains the rows, whatever the transfer's shape, and the next
+    block's first sign is carried from call to call.
     """
-    flip = np.sign(w)
-    both = np.array([1.0, -1.0])[:, None, None]
-    sign = np.full(w.size, direction)  # of the next step's companion offset
+    both = np.array([d0, -d0])[:, None, None]
+    pos = np.full(w.size, direction > 0.0)  # whether the next step's companion offset is +d0
 
     def rows_of(drive, states):
-        nonlocal sign
+        nonlocal pos
         prev, ref = states[:-1], states[1:]
-        # Row i's offset sign is sign * flip**i while every delta keeps
-        # the sign it predicts, signs[i + 1].
-        signs = np.empty_like(states)
-        signs[0::2] = sign
-        signs[1::2] = sign * flip
-        delta = transfer.eval(w * (prev + d0 * signs[:-1]) + drive) - ref
-        held = delta * signs[1:] > 0.0
-        sign = signs[-1]
-        if not held.all():
-            r = int(held.all(axis=1).argmin()) + 1  # first row that follows a miss
-            up, down = transfer.eval(w * (prev[r:] + d0 * both) + drive[r:]) - ref[r:]
-            # The next offset is + after a positive delta, - after a
-            # negative one, and the restart direction's after 0.
-            up_next, down_next, pos = ((x > 0.0) | ((direction > 0.0) & ~(x < 0.0))
-                                       for x in (up, down, delta[r - 1]))
-            chosen = np.empty(up.shape, dtype=bool)
-            for i in range(len(chosen)):
-                chosen[i] = pos
-                pos = np.where(pos, up_next[i], down_next[i])
-            delta[r:] = np.where(chosen, up, down)
-            sign = np.where(pos, 1.0, -1.0)
-        return np.log(np.abs(delta) / d0)
+        up, down = transfer.eval(w * (prev + both) + drive) - ref
+        # The next offset is + after a positive delta, - after a negative
+        # one, and the restart direction's after 0.
+        up_next, down_next = (~(x < 0.0) if direction > 0.0 else x > 0.0 for x in (up, down))
+        # Row k's sign (k = rows: the next block's first) is the one the last
+        # set row before it chose, or pos, flipped once per flip row since,
+        # so sign ^ parity[k] changes only at a set.  Keyed 2k + that bit at
+        # row 0 and after each set row, and 0 elsewhere, a running maximum
+        # keeps the last one.
+        none = np.zeros((1, w.size), dtype=bool)
+        parity = np.vstack((none, np.logical_xor.accumulate(down_next & ~up_next)))
+        keys = np.arange(0, 2 * len(states), 2)[:, None] + (np.vstack((pos, up_next)) ^ parity)
+        keys *= np.vstack((~none, up_next == down_next))
+        signs = (np.maximum.accumulate(keys) & 1).astype(bool) ^ parity
+        pos = signs[-1]
+        return np.log(np.abs(np.where(signs[:-1], up, down)) / d0)
 
     return rows_of
 
@@ -632,13 +626,13 @@ def renormalized_scalar_batch(
     or the per-element input (T, m), checked with the gains and ``y0`` by
     the run gate :func:`_run_rows`; all elements share
     ``transfer``, a :class:`~critical_esn.transfer.MorphableTransfer` or
-    :class:`~critical_esn.transfer.TanhTransfer`, which must be
-    nondecreasing and whose ``eval`` must be a pure function: while at
-    most ``_FLOAT_LANES`` lanes are open they step it through
-    ``_eval_float``, a lane whose reference closes an exact 2-cycle is
-    filled from it, and once every lane has closed, the logs of the next
-    two rows are computed from the cycle and every later log copies one
-    of them, restarts or not (see :func:`_lane_blocks`).  The companion
+    :class:`~critical_esn.transfer.TanhTransfer`, whose ``eval`` must be
+    a pure function: while at most ``_FLOAT_LANES`` lanes are open they
+    step it through ``_eval_float``, a lane whose reference closes an
+    exact 2-cycle is filled from it, and once every lane has closed, the
+    logs of the next two rows are computed from the cycle and every later
+    log copies one of them, restarts or not, which alone needs a
+    nondecreasing transfer (see :func:`_lane_blocks`).  The companion
     starts at ``y0 + direction*d0`` with ``direction`` +1 or -1, and
     restarts there after an exact-zero separation.  Returns (lambda,
     stderr) arrays.  Elements evolve independently and elementwise, so

@@ -238,13 +238,11 @@ def cmd_transfer_dump(args) -> None:
           f"ecps {','.join(format(p, 'g') for p in transfer.ecps)}")
 
 
-def _check_lengths(args, min_horizon=None) -> None:
-    """Cap ``--horizon``, ``--washout`` and ``--length`` at 1e6, and check ``min_horizon``.
+def _check_lengths(args) -> None:
+    """Cap ``--horizon``, ``--washout`` and ``--length`` at 1e6.
 
     Every command that generates an input calls this before ``generate``.
     """
-    if min_horizon is not None and args.horizon < min_horizon:
-        raise ValueError(f"horizon too short: need at least {min_horizon} steps")
     for name in ("horizon", "washout", "length"):
         if getattr(args, name, 0) > _MAX_HORIZON:
             raise ValueError(f"{name} above the 1e6 cap")
@@ -252,7 +250,7 @@ def _check_lengths(args, min_horizon=None) -> None:
 
 def _sweep_setup(args):
     """Length checks, base input, transfer and companion sign of both sweeps."""
-    _check_lengths(args, min_horizon=1000)
+    _check_lengths(args)
     base = generate(alternating(args.washout + args.horizon, 1.0))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
@@ -387,7 +385,7 @@ def cmd_critical_b(args) -> None:
 
 
 def cmd_lyapunov(args) -> None:
-    _check_lengths(args, min_horizon=1000)
+    _check_lengths(args)
     total = args.washout + args.horizon
 
     if args.preset == "anchored":

@@ -510,12 +510,17 @@ class TestBlockedEngine:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(Variant)),
            kind=st.sampled_from(["alternating", "iid", "iid washout"]),
-           rows=st.integers(1, 400), direction=st.sampled_from([1.0, -1.0]))
-    def test_matches_per_step_loop(self, seed, variant, kind, rows, direction):
+           rows=st.integers(1, 400), direction=st.sampled_from([1.0, -1.0]),
+           gain=st.sampled_from([1.3, 40.0]), zero=st.booleans())
+    def test_matches_per_step_loop(self, seed, variant, kind, rows, direction, gain, zero):
         rng = rng_stream(seed, 17)
         transfer = MorphableTransfer(random_ecp_list(rng), variant)
         m = 5
-        w = rng.uniform(-1.3, 1.3, m)  # mixed signs
+        # Mixed signs; gains up to 40 saturate, so on most rows both
+        # companions give one next sign, as a zero gain's restarts do.
+        w = rng.uniform(-gain, gain, m)
+        if zero:
+            w[0] = 0.0
         w_in = rng.uniform(-1.0, 1.0, m)
         y0 = float(rng.uniform(-1.0, 1.0))
         u = generate(alternating(1300, 1.0))
@@ -535,6 +540,49 @@ class TestBlockedEngine:
         exact = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction, exact=True)
         exact_lam, _, _ = row_fold_rate(iter(exact), len(u), 300)
         np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
+
+    class NegTanh:
+        """``-tanh``: a decreasing transfer, so with w > 0 every nonzero separation flips sign."""
+
+        def eval(self, x):
+            return -np.tanh(x)
+
+        def _eval_float(self, x):
+            return -float(np.tanh(x))
+
+    @pytest.mark.parametrize("m", [5, analysis._FLOAT_LANES + 4])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_decreasing_transfer_matches_per_step_loop(self, engine_events, m, direction):
+        # Only the closed-cycle tail needs a nondecreasing transfer, and iid
+        # input never closes a cycle, so the engine steps every row.
+        w, w_in, u = np.linspace(0.3, 1.2, m), 0.7, generate(iid_plus_minus(1300, 1.0, seed=4))
+        transfer = self.NegTanh()
+        lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=0.2,
+                                             direction=direction)
+        assert tail_start(engine_events) is None
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, 0.2, direction)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert err.tobytes() == ref_err.tobytes()
+
+    @pytest.mark.parametrize("case", ["plateau", "wide"])
+    def test_one_companion_eval_per_block(self, engine_events, case):
+        if case == "plateau":
+            w, w_in, u, transfer = self._plateau_case()  # restarts on iid input
+        else:
+            alphas = np.linspace(0.2, 1.4, analysis._FLOAT_LANES + 4)
+            w, w_in, transfer = -alphas, 1.0 - alphas * TANH1, MorphableTransfer((-1.0, 1.0))
+            u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=5)),
+                                generate(alternating(1200, 1.0))])
+        renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
+        # Stepping evaluates at most m values at a time; the consumer
+        # evaluates both companions of every row of its block, in one call
+        # right after the block is handed over.
+        m = w.size
+        blocks = [i for i, (kind, _) in enumerate(engine_events) if kind == "block"]
+        assert [engine_events[i + 1] for i in blocks] == [
+            ("eval", 2 * engine_events[i][1] * m) for i in blocks]
+        assert sum(kind == "eval" and n > m for kind, n in engine_events) == len(blocks)
 
     def test_restarts_in_the_washout_leave_a_finite_estimate(self, monkeypatch):
         # Random input lands the plateau lanes on flat pieces during the

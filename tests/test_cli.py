@@ -472,6 +472,16 @@ class TestNoNanRows:
         assert "washout must be nonnegative" in err
         assert not (tmp_path / "lyapunov.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--grid", "1.0"], ["sweep-gamma", "--grid", "1.0"],
+        ["lyapunov", "--preset", "anchored"],
+    ], ids=lambda argv: argv[0])
+    def test_horizon_below_1000(self, tmp_path, capsys, argv):
+        # The estimators' run gate: washout + horizon rows, at least washout + 1000.
+        err = self.fails_cleanly(tmp_path, capsys, *argv, "--horizon", 999)
+        assert err == "error: input too short: need at least washout + 1000 steps\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("d0", ["nan", "inf"])
     def test_forgetting_non_finite_d0(self, tmp_path, capsys, d0):
         err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000,

@@ -44,7 +44,8 @@ SEEDS = (0, 3, 11)
 # apart, so most of its distance series comes from the tail, and a
 # forgetting pair whose reference lane closes its cycle at row 1 and
 # whose twin closes hundreds of rows later, so the engine steps the twin
-# alone in between.
+# alone in between; and two estimates whose companion restarts or
+# saturates on most rows.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -81,6 +82,8 @@ COMMANDS = [
     ["sweep-alpha", "--grid", "0.0003:1.5:0.0003", "--horizon", "1000"],
     ["forgetting", "--input", "alternating", "--alpha", "1.3"],
     ["forgetting", "--input", "alternating", "--alpha", "0.9", "--horizon", "5000"],
+    ["lyapunov", "--preset", "anchored", "--alpha", "40", "--input", "iid"],
+    ["lyapunov", "--preset", "baseline", "--b", "30", "--input", "iid"],
 ]
 
 
