@@ -80,6 +80,7 @@ from typing import Optional
 import numpy as np
 
 from .signals import input_rows, rng_stream, STREAM_DIRECTION
+from .transfer import _bisect_root
 
 __all__ = [
     "LyapunovEstimate",
@@ -698,15 +699,7 @@ def solve_critical_b(amplitude: float) -> CriticalPoint:
     lo, hi = 1e-9, 1.0 - 1e-12
     if not (residual(lo) < 0.0 < residual(hi)):
         raise ValueError(f"no critical orbit bracket for amplitude {amplitude:g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
+    s_star = _bisect_root(residual, lo, hi)
     b_star = 1.0 / (1.0 - s_star * s_star)
     res_orbit = abs(math.tanh(b_star * s_star - amplitude) - s_star)
     res_tangent = abs(b_star * (1.0 - s_star * s_star) - 1.0)

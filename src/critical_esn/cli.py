@@ -129,14 +129,25 @@ def _render_lyapunov(est) -> str:
 
 
 def read_config(path: str) -> dict:
+    """The ``key=value`` lines of a config file; blank and ``#`` lines are skipped.
+
+    A line without ``=``, a key given twice and a ``config`` key (a
+    config file cannot name another) are errors.
+    """
     cfg = {}
     with open(path, "r") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+            if "=" not in line:
+                raise ValueError(f"config line {number} is not key=value: {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in cfg:
+                raise ValueError(f"config key {key} given twice (line {number})")
+            if key == "config":
+                raise ValueError("config key config: a config file cannot name another")
+            cfg[key] = value
     return cfg
 
 

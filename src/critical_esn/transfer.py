@@ -43,6 +43,10 @@ bridge line     0    segment midpoint  level     bridge slope
 plateau         0    segment midpoint  level     0
 ==============  ===  ================  ========  ============
 
+Every value of a transfer comes from ``np.tanh`` through that formula
+(``MorphableTransfer._value``); ``math.tanh`` only finds the scalar
+junction roots at build time, whose residuals are checked through ``_value``.
+
 Instances are immutable after construction and safe for concurrent reads.
 """
 
@@ -76,15 +80,6 @@ _RESIDUAL_TOL = 1e-14
 _TAIL_CLAMP = 40.0
 
 
-def _tanh(x: float) -> float:
-    """Scalar tanh through numpy, bit-consistent with the array eval path.
-
-    math.tanh and np.tanh can disagree by one ulp; mixing them in the
-    builder would misclassify segments whose branch gap is exactly zero.
-    """
-    return float(np.tanh(x))
-
-
 class Variant(str, Enum):
     """Gluing rule used between adjacent anchors."""
 
@@ -93,30 +88,21 @@ class Variant(str, Enum):
 
 
 def _bisect_root(f, lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ in sign.
+    """Root of f on [lo, hi] by bisection; the caller ensures f(lo) < 0 <= f(hi).
 
-    Iterates until the bracket collapses to adjacent floats, so the
-    returned abscissa is accurate to 1 ulp and the residual is far below
-    the 1e-14 contract for the smooth junction equations solved here.
+    A midpoint with ``f(mid) < 0`` becomes ``lo`` and any other becomes
+    ``hi``, until the bracket closes to adjacent floats; the result is its
+    midpoint, accurate to 1 ulp.  There is no early exit on an exact-zero
+    residual, so the result depends only on the sign of ``f``.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError("root bracket does not change sign")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        if f(mid) < 0.0:
+            lo = mid
         else:
-            hi, fhi = mid, fm
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -201,7 +187,8 @@ class MorphableTransfer:
     -----
     At a kink abscissa :meth:`slope` returns the right-sided value, so
     validators see a deterministic answer.  Junction positions are solved
-    at build time to residuals below 1e-14.  Evaluation is one
+    at build time, by bisection on ``math.tanh``, to residuals below 1e-14
+    measured through ``_value``.  Evaluation is one
     ``searchsorted`` on the kinks, a gather from each array of the piece
     table (``a``, ``s``, ``b``, ``c``; see the module docstring) and one
     formula, ``_value``, so a call costs a fixed handful of numpy operations
@@ -243,7 +230,7 @@ class MorphableTransfer:
                 slope = dh / (2.0 * width)
 
                 def junction(s, _m=slope, _w=width, _dh=dh):
-                    return _tanh(s) + _m * (0.5 * _w - s) - 0.5 * _dh
+                    return math.tanh(s) + _m * (0.5 * _w - s) - 0.5 * _dh
 
                 # junction(0) = -dh/4 < 0 and junction(w/2) > 0, so the
                 # offset is strictly inside (0, w/2) and the branch piece

@@ -81,6 +81,39 @@ class TestSolveCriticalB:
         with pytest.raises(ValueError):
             solve_critical_b(bad)
 
+    def test_quarter_pi_bytes(self):
+        critical = solve_critical_b(QPI)
+        assert critical.b_star.hex() == "0x1.2c0e48cfe233ep+1"
+        assert critical.s_star.hex() == "0x1.83b4fbd2c216ap-1"
+
+    @staticmethod
+    def sign_bisection(amplitude: float) -> float:
+        """``s*`` by the sign-only bisection the solver is pinned to.
+
+        No early exit on an exact-zero residual: one moved ``s*`` at pi/4
+        by 2 ulp, and ``s*`` on about one amplitude in seven.
+        """
+        def residual(s):
+            b = 1.0 / (1.0 - s * s)
+            return math.tanh(b * s - amplitude) - s
+
+        lo, hi = 1e-9, 1.0 - 1e-12
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if residual(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def test_matches_sign_bisection_bit_for_bit(self):
+        amplitudes = np.random.default_rng(20).uniform(0.05, 3.0, 1000).tolist() + [0.05, QPI, 3.0]
+        for amplitude in amplitudes:
+            s_star = solve_critical_b(amplitude).s_star
+            assert s_star.hex() == self.sign_bisection(amplitude).hex(), amplitude
+
 
 class TestExpectedOrbitRate:
     def test_zero_at_expected_amplitude(self):

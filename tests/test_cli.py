@@ -310,6 +310,28 @@ class TestConfigFile:
                        "--preset", "anchored") == 0
         assert "steps used = 2000" in (tmp_path / "lyapunov.txt").read_text()
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a note\n\n  horizon = 2000  \n   # indented note\n")
+        assert run_cli("--out", tmp_path, "--config", cfg, "lyapunov",
+                       "--preset", "anchored") == 0
+        assert "steps used = 2000" in (tmp_path / "lyapunov.txt").read_text()
+
+    @pytest.mark.parametrize("config, message", [
+        # Once skipped, so the run used the default horizon of 100,000.
+        ("horizon 5000\n", "config line 1 is not key=value: 'horizon 5000'"),
+        ("# note\nhorizon=2000\nhorizon=3000\n", "config key horizon given twice (line 3)"),
+        # Once accepted and ignored.
+        ("config=other.cfg\n", "config key config: a config file cannot name another"),
+    ])
+    def test_malformed_file_rejected_before_any_output(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "--config", cfg, "lyapunov", "--preset", "anchored") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_missing_config_is_an_error(self, tmp_path):
         assert run_cli("--out", tmp_path, "--config", tmp_path / "nope.cfg",
                        "critical-b") == 1

@@ -14,6 +14,7 @@ from critical_esn.transfer import (
     ValidationIssue,
     Variant,
     _nearest_distance,
+    _normalize_ecps,
 )
 
 TANH1 = float(np.tanh(1.0))
@@ -180,6 +181,104 @@ class TestBuild:
     def test_deep_but_separable_anchors_build(self, variant):
         f = MorphableTransfer([15.0, 16.0], variant)
         assert f.eval(16.0) == np.tanh(16.0)
+
+
+def early_exit_bisect(f, lo, hi):
+    """The bisection the bridge build once used: it returns at once on an exact-zero residual."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise ValueError("root bracket does not change sign")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def early_exit_bridge(ecps):
+    """Kinks and ``(a, s, b, c)`` table of the bridge build as it once was.
+
+    Its junctions come from ``early_exit_bisect`` on ``np.tanh``; it raises
+    ``ValueError`` for every list that build rejected.
+    """
+    pts = _normalize_ecps(ecps)
+    anchors = np.tanh(pts)
+    breaks, pieces = [], [(1.0, float(pts[0]), float(anchors[0]), 0.0)]
+    for left, right, h_lo, h_hi in zip(pts[:-1].tolist(), pts[1:].tolist(),
+                                       anchors[:-1].tolist(), anchors[1:].tolist()):
+        width, dh = right - left, h_hi - h_lo
+        slope = dh / (2.0 * width)
+        off = early_exit_bisect(
+            lambda s: float(np.tanh(s)) + slope * (0.5 * width - s) - 0.5 * dh, 0.0, 0.5 * width)
+        if not (left < left + off < right - off < right):
+            raise ValueError("saturated anchors cannot be glued")
+        breaks += [left + off, right - off]
+        pieces += [(0.0, left + 0.5 * width, 0.5 * (h_lo + h_hi), slope), (1.0, right, h_hi, 0.0)]
+    return np.array(breaks), np.array(pieces).T
+
+
+#: Largest move of a bridge kink against ``early_exit_bridge``, in ulp.
+#: A junction's slope at its root stays near or above 1/2, so a residual
+#: that differs by a few ulp (math.tanh against np.tanh, or where an exact
+#: zero stopped the old bisection) moves the root by about twice that.
+#: Measured: at most 8 with numpy's SIMD kernels, 9 without, on 70,000 lists.
+KINK_ULPS = 16
+
+
+class TestBuildParity:
+    """The bridge build against ``early_exit_bridge``: the same lists accepted,
+    the same piece table bit for bit, kinks within ``KINK_ULPS``."""
+
+    @staticmethod
+    def lists():
+        rng = rng_stream(2026, 10)
+        random_lists = [random_ecp_list(rng) for _ in range(1000)]
+        # Anchors deep in tanh's saturation, where adjacent pairs are rejected.
+        saturated = [(sign * rng.uniform(8.0, 25.0, int(rng.integers(1, 5)))).tolist()
+                     for sign in (1.0, -1.0) for _ in range(250)]
+        # Anchors at the spacing floor, some of them just below it once rounded.
+        tight = [(rng.uniform(-3.0, 3.0) + MIN_ECP_SPACING * np.arange(int(rng.integers(2, 6))))
+                 .tolist() for _ in range(250)]
+        return {"random": random_lists, "saturated": saturated, "tight": tight}
+
+    def test_matches_early_exit_build(self):
+        outcomes = {}
+        for family, lists in self.lists().items():
+            for ecps in lists:
+                try:
+                    want = early_exit_bridge(ecps)
+                except ValueError:
+                    want = None
+                try:
+                    f = MorphableTransfer(ecps, Variant.BRIDGE)
+                except ValueError:
+                    f = None
+                assert (f is None) == (want is None), ecps
+                outcomes.setdefault(family, set()).add(f is None)
+                if f is None:
+                    continue
+                breaks, table = want
+                assert np.array_equal(np.array([f._a, f._s, f._b, f._c]), table), ecps
+                # A kink and its reference lie strictly between the same two
+                # anchors, one of which may be 0, so they share a sign and
+                # their bit patterns differ by their distance in ulp.
+                ulps = np.abs(np.array(f.kinks).view(np.int64) - breaks.view(np.int64))
+                assert ulps.max(initial=0) <= KINK_ULPS, ecps
+                assert f._junction_gaps().max(initial=0.0) <= 1e-14, ecps
+        # Every family both builds and rejects, except random lists, which always build.
+        assert outcomes == {"random": {False}, "saturated": {False, True},
+                            "tight": {False, True}}
 
 
 class TestEval:
