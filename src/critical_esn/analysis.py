@@ -54,20 +54,26 @@ piece table and bit for bit what ``eval`` returns, because one small
 ``eval`` costs more than eight float steps; with more open, each row
 takes one ``eval`` of every lane.  Once every lane has closed, the engine
 calls the consumer once more, on the next two rows taken from the
-cycle, and fills the rest of the run from those two rows, without a
+cycle, and hands on the rest of the run as one value, those two rows and
+the row where their repetition starts (:class:`_CycleTail`), without a
 further ``eval`` or ``slope``.  Blocks start at one row and double up to
 ``2**13`` cells (rows x lanes), so a consumer that stops early has
 computed at most about twice the rows it read;
 :func:`~critical_esn.reservoir.run_pair` runs a one-neuron pair as two
-lanes of the same recurrence and stops at an exact-zero distance.  Every
-estimator is a stream of log blocks, ``(rows, m)`` from the engine or
-``(rows,)`` from a per-step estimator, read by one reducer, :func:`_rate`.
-It keeps 20 running batch sums per lane and folds each block into them
-in row order, by one carry-in ``cumsum`` or, for a block wider than
-``_CUMSUM_LANES``, row by row, so the sums are bit for bit those of
-adding the rows one at a time.  Beyond its input an estimate's memory
-does not grow with the horizon, and a lane's result is identical whether
-it runs alone or in any split of a grid, whatever the block size.
+lanes of the same recurrence, expands a tail into its distances and
+stops at an exact-zero distance.  Every estimator is a stream of log
+blocks, ``(rows, m)`` from the engine or ``(rows,)`` from a per-step
+estimator, read by one reducer, :func:`_rate`.  It keeps 20 running
+batch sums per lane and folds each block into them in row order, by one
+carry-in ``cumsum`` or, for a block wider than ``_CUMSUM_LANES``, row by
+row, so the sums are bit for bit those of adding the rows one at a
+time.  Two whole batches of a tail that start at the same phase of its
+two rows therefore have the same sum: the reducer folds one whole batch
+per phase and reuses its sum for every later one, so a closed run's
+reduction costs about two batches, whatever the horizon.  Beyond its
+input an estimate's memory does not grow with the horizon, and a lane's
+result is identical whether it runs alone or in any split of a grid,
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -268,30 +274,42 @@ def _rate(blocks, steps: int, washout: int):
 
     ``blocks`` yields the per-step logs of ``steps`` consecutive steps as
     blocks of rows: a ``(rows,)`` array of scalar logs, or a ``(rows, m)``
-    array with one value per lane.  The first ``washout`` rows are skipped
+    array with one value per lane; the last may be a :class:`_CycleTail`
+    that holds every later row.  The first ``washout`` rows are skipped
     and the next ``used`` (the largest multiple of 20 within ``steps -
     washout``) are summed into 20 batch sums as they arrive; the blocks
     are split at the washout and batch edges, and each segment is folded
     into its batch's running sum in row order (:func:`_fold`), so each sum
     is bit for bit that of adding its rows one at a time, whatever the
-    blocks.  No block is drawn after the one that holds the last used
-    row.  Each lane's batch means form one contiguous row, so a lane's
-    result depends only on its own logs.  A lane with a log of 0
-    (``-inf``) gets ``lam = -inf`` and ``stderr = nan``, without a warning.
+    blocks.  So the whole batches of a tail that start at one phase
+    ``(r - t) % 2`` have the same sum: the first of each phase is folded,
+    and every later one reuses its sum.  No block is drawn after the one
+    that holds the last used row.  Each lane's batch means form one
+    contiguous row, so a lane's result depends only on its own logs.  A
+    lane with a log of 0 (``-inf``) gets ``lam = -inf`` and ``stderr =
+    nan``, without a warning.
 
     Returns ``(lam, stderr, used)``.
     """
     per = (steps - washout) // _BATCHES
     end = washout + per * _BATCHES
-    sums, acc = [], None
+    sums, acc, whole = [], None, {}  # whole: a tail's batch sums by phase
     t0, edge = 0, washout + per  # the first row of the block, the end of the open batch
     with np.errstate(divide="ignore"):  # the stream's log 0 = -inf is a result
         for block in blocks:
-            t1 = t0 + len(block)
+            tail = isinstance(block, _CycleTail)
+            t1 = end if tail else t0 + len(block)
             lo = max(t0, washout)
             while lo < min(t1, end):
                 hi = min(t1, edge)
-                acc = _fold(acc, block[lo - t0:hi - t0])
+                if not tail:
+                    acc = _fold(acc, block[lo - t0:hi - t0])
+                elif acc is not None:  # the open batch
+                    acc = block.fold(acc, lo, hi)
+                elif (phase := (lo - block.t) % 2) in whole:
+                    acc = whole[phase]
+                else:
+                    acc = whole[phase] = block.fold(None, lo, hi)
                 if hi == edge:
                     sums.append(acc.copy())  # not a view that keeps its block alive
                     acc, edge = None, edge + per
@@ -497,11 +515,13 @@ def _lane_blocks(w, win, u, y, transfer, rows_of):
 
     Once every lane has closed, after a block ending at row ``R-1``,
     ``rows_of`` is called once more, on rows R and R+1 taken from the
-    cycle, and every later row repeats those two (:func:`_two_row_cycle`),
-    without a further step.  Proof: the value of row r is a pure function
-    of its previous state, drive and reference, 2-periodic from row R-2
-    (``eval`` is pure), and, for the renormalized logs, of its offset sign
-    s, which the row keeps, flips or sets (:func:`_renormalized_rows`).
+    cycle, and every later row repeats those two, without a further step:
+    the last item is one :class:`_CycleTail` of those two rows from row
+    ``R+2`` on, not a stream of rows.  Proof: the value of row r is a
+    pure function of its previous state, drive and reference, 2-periodic
+    from row R-2 (``eval`` is pure), and, for the renormalized logs, of
+    its offset sign s, which the row keeps, flips or sets
+    (:func:`_renormalized_rows`).
     With a nondecreasing transfer a row never flips when w > 0 and never
     keeps when w < 0 (if w = 0, every row sets and every log is -inf).  So
     the map of ``tau = s*sign(w)**r`` at row r is the identity (a keep for
@@ -544,31 +564,42 @@ def _lane_blocks(w, win, u, y, transfer, rows_of):
             drive = win * u[t0:t0 + 2]
             yield (last := rows_of(drive, recent[:len(drive) + 1]))
             if len(last) == 2:
-                yield from _two_row_cycle(last, t0 + 2, len(u))
+                yield _CycleTail(last, t0 + 2)
             return
         rows = min(2 * rows, cap)
 
 
-def _two_row_cycle(last, t: int, steps: int):
-    """Rows ``t`` to ``steps - 1`` of a 2-periodic stream whose rows ``t-2`` and ``t-1`` are ``last``.
+class _CycleTail:
+    """Rows ``t`` on of a run whose values repeat two rows: row ``r`` is ``last[(r - t) % 2]``.
 
-    Row ``r`` is ``last[(r - t) % 2]``.  Blocks are read-only views of
-    one tile of ``rows + 1`` rows of ``m`` values.  :func:`_fold` adds a
-    block of more than ``_CUMSUM_LANES`` lanes row by row, so its cost is
-    per block: such a grid gets tiles of about ``8 * _BLOCK_CELLS`` cells
-    (512 KiB), ``max(2, 8 * _BLOCK_CELLS // m)`` rows, and a grid of
-    3,000 lanes reaches the reducer in blocks of 21 rows, not 2.  A
-    narrower block is folded by one ``cumsum`` of a copy, which costs per
-    cell and holds two more block-sized arrays, so its tile keeps the
-    engine's ``_BLOCK_CELLS // m`` rows.
+    The last item of :func:`_lane_blocks` once every lane has closed:
+    ``last`` holds the consumer's values of rows ``t-2`` and ``t-1``.
+    :func:`_rate` folds it in place; any other reader expands the rows it
+    needs.  A plain class: a dataclass would add 1 ms to every import.
     """
-    m = last[0].size
-    rows = max(2, (_BLOCK_CELLS if m <= _CUMSUM_LANES else 8 * _BLOCK_CELLS) // m)
-    tile = last[np.arange(rows + 1) % 2]  # tile[i] is row t + i
-    tile.flags.writeable = False
-    for r in range(t, steps, rows):
-        k = (r - t) % 2
-        yield tile[k:k + min(rows, steps - r)]
+
+    def __init__(self, last: np.ndarray, t: int):
+        self.last, self.t = last, t
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo`` to ``hi - 1`` (``t <= lo``) as one array."""
+        return self.last[np.arange(lo - self.t, hi - self.t) % 2]
+
+    def fold(self, acc, lo: int, hi: int):
+        """:func:`_fold` of rows ``lo`` to ``hi - 1``, expanded one chunk at a time.
+
+        A chunk holds about ``_BLOCK_CELLS`` cells.  :func:`_fold` adds
+        more than ``_CUMSUM_LANES`` lanes row by row, at a cost per chunk,
+        so such a chunk holds about ``8 * _BLOCK_CELLS`` (512 KiB): 21 rows
+        of a 3,000-lane grid, not 2, which cut the grid's whole estimate
+        (horizon 10,000) from 7.4 to 5.8 ms (CPython 3.11, numpy 2.4.6,
+        2 vCPUs).
+        """
+        m = self.last[0].size
+        size = max(1, (_BLOCK_CELLS if m <= _CUMSUM_LANES else 8 * _BLOCK_CELLS) // m)
+        for r in range(lo, hi, size):
+            acc = _fold(acc, self.rows(r, min(r + size, hi)))
+        return acc
 
 
 def _renormalized_rows(w, transfer, d0: float, direction: float):
@@ -803,6 +834,15 @@ def classify_decay(series: DistanceSeries) -> DecayFit:
     return DecayFit("inconclusive", None, None, r2_ll, r2_sl, window, series.truncated_at)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a nondecreasing array, in order: ``np.unique`` of it.
+
+    ``np.unique`` would import ``numpy.ma`` on its first call, which costs
+    a one-shot ``forgetting`` run 14-25 ms.
+    """
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def loglog_bend(series: DistanceSeries) -> float:
     """Mean second difference of log d versus log t.
 
@@ -815,10 +855,10 @@ def loglog_bend(series: DistanceSeries) -> float:
     d = series.d[valid]
     if t.size < 3:
         raise ValueError("need at least three valid points for a bend estimate")
-    targets = np.unique(
+    targets = _distinct(
         np.rint(10 ** np.linspace(math.log10(t[0]), math.log10(t[-1]), _BEND_POINTS))
     )
-    idx = np.unique(np.searchsorted(t, targets).clip(0, t.size - 1))
+    idx = _distinct(np.searchsorted(t, targets).clip(0, t.size - 1))
     x = np.log(t[idx])
     y = np.log(d[idx])
     if x.size < 3:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DistanceSeries, _lane_blocks, _one_lane, _run_rows
+from .analysis import DistanceSeries, _CycleTail, _lane_blocks, _one_lane, _run_rows
 from .signals import rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
@@ -305,13 +305,17 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
 
 
 def _lane_distances(pair: Reservoir, rows: np.ndarray):
-    """Distances of a one-lane pair, one array per block of the blocked engine."""
+    """Distances of a one-lane pair, one array per block of the blocked engine.
+
+    A closed cycle's tail comes as one array of every later distance.
+    """
     def distances(drive, states):
         diff = states[1:, 1] - states[1:, 0]
         return np.sqrt(diff * diff)
 
-    return _lane_blocks(np.repeat(pair.W[0], 2), np.ones(2), (rows @ pair.w_in[0])[:, None],
-                        pair.state[:, 0], pair.transfers[0], distances)
+    for block in _lane_blocks(np.repeat(pair.W[0], 2), np.ones(2), (rows @ pair.w_in[0])[:, None],
+                              pair.state[:, 0], pair.transfers[0], distances):
+        yield block.rows(block.t, len(rows)) if isinstance(block, _CycleTail) else block
 
 
 def _stack_distances(pair: Reservoir, rows: np.ndarray):

@@ -704,12 +704,12 @@ def engine_events(monkeypatch):
     stepped as floats, ``("slope", n)`` for each ``slope`` call,
     ``("block", rows)`` for each block that :func:`analysis._lane_blocks`
     hands to its consumer, and ``("tail", t)`` when the closed-cycle tail
-    starts at row ``t``.
+    that starts at row ``t`` is drawn.
     """
     events = []
-    transfer_eval, slope, float_rows, lane_blocks, two_row_cycle = (
+    transfer_eval, slope, float_rows, lane_blocks = (
         MorphableTransfer.eval, MorphableTransfer.slope, analysis._float_rows,
-        analysis._lane_blocks, analysis._two_row_cycle)
+        analysis._lane_blocks)
 
     def counted_eval(self, x):
         events.append(("eval", np.size(x)))
@@ -728,18 +728,22 @@ def engine_events(monkeypatch):
             events.append(("block", len(drive)))
             return rows_of(drive, states)
 
-        return lane_blocks(w, win, u, y, transfer, counted)
-
-    def counted_tail(last, t, steps):
-        events.append(("tail", t))
-        yield from two_row_cycle(last, t, steps)
+        for block in lane_blocks(w, win, u, y, transfer, counted):
+            if isinstance(block, analysis._CycleTail):
+                events.append(("tail", block.t))
+            yield block
 
     monkeypatch.setattr(MorphableTransfer, "eval", counted_eval)
     monkeypatch.setattr(MorphableTransfer, "slope", counted_slope)
     monkeypatch.setattr(analysis, "_float_rows", counted_rows)
     monkeypatch.setattr(analysis, "_lane_blocks", counted_blocks)
-    monkeypatch.setattr(analysis, "_two_row_cycle", counted_tail)
     return events
+
+
+def expanded(blocks, steps: int):
+    """The rows of a block stream of ``steps`` rows as one array, a closed-cycle tail expanded."""
+    return np.concatenate([block.rows(block.t, steps) if isinstance(block, analysis._CycleTail)
+                           else block for block in blocks])
 
 
 def tail_start(events):
@@ -802,14 +806,14 @@ def check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, direction=1
         events.clear()
         blocks = analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
                                        lambda drive, s: np.hstack([s[:-1], s[1:]]))
-        assert np.concatenate(list(blocks)).tobytes() == np.hstack([before, states]).tobytes()
+        assert expanded(blocks, steps).tobytes() == np.hstack([before, states]).tobytes()
         stepped = sum(kind == "eval" for kind, _ in events)  # the consumer evaluates nothing
         tails = {tail_start(events)}
         for logs, estimate, folds in estimators:
             events.clear()
             drawn.clear()
             assert same(estimate(), folds[-1])
-            assert np.concatenate(drawn).tobytes() == logs.tobytes()
+            assert expanded(drawn, steps).tobytes() == logs.tobytes()
             tails.add(tail_start(events))
             for washout, fold in zip(washouts[:-1], folds):
                 assert same(rate(iter(drawn), steps, washout), fold)
@@ -917,7 +921,7 @@ class TestCycleReplay:
             u = analysis._run_rows(alternating(steps, 1.0), w, w_in, start)
             blocks = analysis._lane_blocks(w, w_in, u, start, transfer, lambda d, s: s[1:])
             expected = per_row_states(w, w_in, u, start, transfer)
-            assert np.concatenate(list(blocks)).tobytes() == expected.tobytes()
+            assert expanded(blocks, steps).tobytes() == expected.tobytes()
 
     def test_fixed_point_closes_as_a_2_cycle(self, monkeypatch, engine_events):
         # A fixed point is a 2-cycle: at 1-row blocks the cycle closes once
@@ -1241,7 +1245,7 @@ class TestPerLaneClosure:
             blocks = analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
                                            lambda drive, states: states[1:])
             expected = per_row_states(w, w_in, u, y0, transfer)
-            assert np.concatenate(list(blocks)).tobytes() == expected.tobytes()
+            assert expanded(blocks, steps).tobytes() == expected.tobytes()
 
     def test_default_forgetting_pair_steps_only_its_twin(self, tmp_path, monkeypatch):
         # The reference lane sits on the orbit: it is stepped in the blocks
@@ -1449,6 +1453,48 @@ class TestRate:
         assert logs.tobytes() == before.tobytes()  # the blocks are read, not written
 
 
+class TestCycleTailReduction:
+    """``_rate`` reduces a closed-cycle tail bit for bit as the row fold of its expanded rows."""
+
+    WASHOUT, EXTRA = 30, 13
+
+    # (per, t): per even and odd; the tail starts inside the washout of
+    # 30, at its end, in the middle of a batch, or at a later batch edge;
+    # batches of one row; a tail from row 0 with no washout.
+    CASES = [(per, t) for per in (6, 7) for t in (7, 30, 30 + 2 * per + 3, 30 + 3 * per)]
+    CASES += [(1, 38), (7, 0)]
+
+    @pytest.mark.parametrize("per,t", CASES)
+    @pytest.mark.parametrize("lanes", [3, analysis._CUMSUM_LANES + 72])
+    @pytest.mark.parametrize("chunk", [1, 5, None])  # rows per chunk; None: the default
+    def test_matches_the_row_fold(self, monkeypatch, per, t, lanes, chunk):
+        washout = 0 if t == 0 else self.WASHOUT
+        steps = washout + 20 * per + self.EXTRA
+        if chunk is not None:  # tail chunks of chunk rows, 8 * chunk on the wide grid
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", chunk * lanes)
+        rng = rng_stream(per * 1000 + t, 17)
+        prefix, last = (rng.standard_normal((n, lanes)) * 10.0 ** rng.integers(-3, 4, (n, lanes))
+                        for n in (t, 2))
+        last[1, 0] = -math.inf  # lane 0's tail logs: every other one is log 0
+        tail = analysis._CycleTail(last, t)
+        rows = np.concatenate([prefix, tail.rows(t, steps)])
+        ref = row_fold_rate(iter(rows), steps, washout)
+
+        folded, fold = [], analysis._fold
+        monkeypatch.setattr(analysis, "_fold", lambda acc, seg: folded.append(len(seg)) or fold(
+            acc, seg))
+        blocks = np.split(prefix, sorted(set(rng.integers(1, max(t, 2), 3).tolist()) - {t}))
+        lam, stderr, used = _rate(iter([*blocks, tail]), steps, washout)
+        assert lam.tobytes() == ref[0].tobytes() and stderr.tobytes() == ref[1].tobytes()
+        assert used == ref[2] == 20 * per
+        assert lam[0] == -math.inf and math.isnan(stderr[0])
+        assert np.isfinite(lam[1:]).all() and np.isfinite(stderr[1:]).all()
+        # The tail's rows folded: the open batch's rest, then one whole
+        # batch per phase; every later batch reuses a sum.
+        open_rest = (washout - t) % per if t > washout else 0
+        assert sum(folded) - max(0, t - washout) == open_rest + per * (1 + per % 2)
+
+
 class TestOracleEquivalence:
     def test_matches_fixed_point_jacobian_spectrum_k2(self):
         # Independent multi-dimensional oracle: under constant input the
@@ -1600,6 +1646,25 @@ class TestLoglogBend:
     def test_power_law_is_straight(self):
         t = np.arange(1, 3000)
         assert abs(loglog_bend(DistanceSeries(t=t, d=t**-0.5))) < 1e-6
+
+    def test_matches_the_unique_resampling(self):
+        # The resampling is deduplicated without np.unique, to the same values.
+        def unique_bend(series):
+            valid = (series.t >= 1) & (series.d > 1e-13)
+            t, d = series.t[valid].astype(float), series.d[valid]
+            targets = np.unique(np.rint(10 ** np.linspace(math.log10(t[0]), math.log10(t[-1]),
+                                                          25)))
+            idx = np.unique(np.searchsorted(t, targets).clip(0, t.size - 1))
+            x, y = np.log(t[idx]), np.log(d[idx])
+            left = (y[1:-1] - y[:-2]) / (x[1:-1] - x[:-2])
+            right = (y[2:] - y[1:-1]) / (x[2:] - x[1:-1])
+            return float((2.0 * (right - left) / (x[2:] - x[:-2])).mean())
+
+        rng = rng_stream(5, 17)
+        for n in (3, 4, 9, 30, 200, 5000):
+            t = np.cumsum(rng.integers(1, 4, n))  # gaps, so targets fall between steps
+            series = DistanceSeries(t=t, d=rng.uniform(0.1, 1.0, n) * t**-0.5)
+            assert loglog_bend(series) == unique_bend(series)
 
 
 class TestForgettingProtocols:

@@ -1,6 +1,10 @@
 import csv
 import filecmp
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,6 +213,17 @@ class TestForgetting:
 
     def test_horizon_cap(self, tmp_path):
         assert run_cli("--out", tmp_path, "forgetting", "--horizon", 2_000_000) == 1
+
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, 14-25 ms of a one-shot run.
+        code = ("import sys; from critical_esn.cli import main; "
+                f"code = main(['--out', {str(tmp_path)!r}, 'forgetting', '--horizon', '2000']); "
+                "sys.exit(code or 'numpy.ma' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "log-log bend" in (tmp_path / "forgetting_report.txt").read_text()
 
 
 class TestCriticalB:

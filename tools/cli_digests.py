@@ -39,9 +39,12 @@ SEEDS = (0, 3, 11)
 # --d0 values, and runs that end in the engine's closed-cycle tail in
 # different ways: the smallest and largest d0, a gain that loses the
 # anchored orbit under constant input, a grid whose tail starts after a
-# zero washout, a 5,000-point grid, whose blocks hold one row, a
-# forgetting pair whose trajectories close two distinct 2-cycles 1.131
-# apart, so most of its distance series comes from the tail, and a
+# zero washout, a sweep-gamma grid whose tail starts in the middle of a
+# batch after a zero washout, with batches of 75 rows, an odd length
+# that puts whole batches of both phases in the tail, a 5,000-point
+# grid, whose blocks hold one row, a forgetting pair whose trajectories
+# close two distinct 2-cycles 1.131 apart, so most of its distance
+# series comes from the tail, and a
 # forgetting pair whose reference lane closes its cycle at row 1 and
 # whose twin closes hundreds of rows later, so the engine steps the twin
 # alone in between; and two estimates whose companion restarts or
@@ -81,6 +84,7 @@ COMMANDS = [
     ["sweep-gamma", "--d0", "1e-6"],
     ["lyapunov", "--preset", "anchored", "--gamma", "1.3", "--input", "constant"],
     ["sweep-alpha", "--grid", "0.05:1.5:0.05", "--horizon", "20000", "--washout", "0"],
+    ["sweep-gamma", "--washout", "0", "--horizon", "1500"],
     ["sweep-alpha", "--grid", "0.0003:1.5:0.0003", "--horizon", "1000"],
     ["forgetting", "--input", "alternating", "--alpha", "1.3"],
     ["forgetting", "--input", "alternating", "--alpha", "0.9", "--horizon", "5000"],
