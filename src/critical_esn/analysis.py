@@ -21,8 +21,11 @@ Estimators
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.  It steps
-  the reservoir through ``Reservoir.step``, so it shares no code with the
-  blocked engine and honours a predictor hook's transfer at every step.
+  the reservoir through ``Reservoir.step``, one step per input row, so it
+  shares no code with the blocked engine and honours a predictor hook's
+  transfer at every step.  Slopes and logs are read per block of rows:
+  one ``slope`` call for each run of rows that used one transfer, and
+  one ``log`` per block.
 - :func:`expected_orbit_rate`: tangent growth rate of the tanh baseline
   when the state is held on the expected critical orbit while the input
   amplitude is scaled; this is the quantity that turns positive the
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -326,16 +329,17 @@ def _rate(blocks, steps: int, washout: int):
     return lam, stderr, per * _BATCHES
 
 
-def _doubling_blocks(logs):
-    """The scalar logs of a per-step stream, as ``(rows,)`` blocks of 1, 2, 4, ... rows.
+def _doubling_blocks(u, logs_of):
+    """``logs_of(rows)``, the ``(rows,)`` logs of each block of the input rows ``u``, in order.
 
-    Blocks grow up to ``_BLOCK_CELLS`` rows, as the one-neuron engine's do
-    (:func:`_lane_blocks`), so a reducer that stops early has drawn at
-    most about twice the steps it reads.
+    The blocks hold 1, 2, 4, ... rows, up to ``_BLOCK_CELLS``, as the
+    one-neuron engine's do (:func:`_lane_blocks`), so a reducer that stops
+    early has stepped at most about twice the rows it reads.
     """
-    rows = 1
-    while len(block := np.fromiter(islice(logs, rows), dtype=float)):
-        yield block
+    t0, rows = 0, 1
+    while t0 < len(u):
+        yield logs_of(u[t0:t0 + rows])
+        t0 += rows
         rows = min(2 * rows, _BLOCK_CELLS)
 
 
@@ -379,26 +383,29 @@ def lyapunov_renormalized(
     direction = rng_stream(seed, STREAM_DIRECTION).standard_normal(reservoir.k)
     direction /= np.linalg.norm(direction)
 
-    def stacked():
-        # Row 0 is the reference trajectory, row 1 the companion.
-        pair = reservoir.copy(state=np.stack([start, start + d0 * direction]))
-        for row in u:
-            pair._advance(row)
-            state = pair.state
-            delta = state[1] - state[0]
-            dist = float(np.linalg.norm(delta))
-            if dist > 0.0:
-                state[1] = state[0] + delta * (d0 / dist)
-            else:
-                state[1] = state[0] + d0 * direction
-            yield np.log(dist / d0)
-
     if _one_lane(reservoir):
         w, transfer = reservoir.W[0], reservoir.transfers[0]
         blocks = _lane_blocks(w, np.ones(1), (u @ reservoir.w_in[0])[:, None], start, transfer,
                               _renormalized_rows(w, transfer, d0, float(direction[0])))
     else:
-        blocks = _doubling_blocks(stacked())
+        # Row 0 is the reference trajectory, row 1 the companion.
+        pair = reservoir.copy(state=np.stack([start, start + d0 * direction]))
+
+        def stacked(rows):
+            logs = np.empty(len(rows))
+            for i, row in enumerate(rows):
+                pair._advance(row)
+                state = pair.state
+                delta = state[1] - state[0]
+                dist = float(np.linalg.norm(delta))
+                if dist > 0.0:
+                    state[1] = state[0] + delta * (d0 / dist)
+                else:
+                    state[1] = state[0] + d0 * direction
+                logs[i] = np.log(dist / d0)
+            return logs
+
+        blocks = _doubling_blocks(u, stacked)
     lam, stderr, used = _rate(blocks, len(u), washout)
     return LyapunovEstimate(lam=lam.item(), method="renormalized", steps_used=used,
                             washout=washout, d0=d0, stderr=stderr.item())
@@ -410,13 +417,20 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     Runs the single trajectory and averages the log tangent factor; for
     one-neuron systems this is the exponent without any finite-separation
     approximation, which makes it the oracle the renormalized estimator
-    is checked against.  Each step's slope is taken from the transfer
-    that step used, so a predictor hook's choice is honoured.  Inputs and
-    the start state are checked as in :func:`lyapunov_renormalized`.
+    is checked against.  Inputs and the start state are checked as in
+    :func:`lyapunov_renormalized`.
+
+    The trajectory takes one :meth:`Reservoir.step` per input row, in
+    the blocks of :func:`_doubling_blocks`.  Each step's ``y_lin`` and
+    the transfer the step used are kept; at the end of a block, each run
+    of rows that used one transfer takes one ``slope`` call, and the
+    block one ``log``.  So a predictor hook's choice is honoured at every
+    step, and a log is the one a per-row ``slope`` and ``log`` would
+    give (both are elementwise).
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
-    transfer), that step's log is ``-inf``: the estimate is
-    ``lam = -inf`` with ``stderr = nan``.
+    transfer, or saturation), that step's log is ``-inf``: the estimate
+    is ``lam = -inf`` with ``stderr = nan``.
     """
     if reservoir.k != 1:
         raise ValueError("derivative-product estimation requires a one-neuron reservoir")
@@ -424,12 +438,19 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
 
-    def logs():
-        for row in u:
-            rec = work.step(row)
-            yield np.log(gain * float(work.transfers[0].slope(rec.y_lin)[0]))
+    def logs_of(rows):
+        lin, used = np.empty(len(rows)), []
+        for i, row in enumerate(rows):
+            lin[i] = work.step(row).y_lin[0]
+            used.append(work.transfers[0])
+        slopes, lo = np.empty(len(rows)), 0
+        for transfer, run in groupby(used):
+            hi = lo + len(list(run))
+            slopes[lo:hi] = transfer.slope(lin[lo:hi])
+            lo = hi
+        return np.log(gain * slopes)
 
-    lam, stderr, used = _rate(_doubling_blocks(logs()), len(u), washout)
+    lam, stderr, used = _rate(_doubling_blocks(u, logs_of), len(u), washout)
     return LyapunovEstimate(lam=float(lam), method="derivative_product", steps_used=used,
                             washout=washout, d0=None, stderr=float(stderr))
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import readout, signals
 from .analysis import (
+    _check_d0,
     classify_decay,
     expected_orbit_rate,
     loglog_bend,
@@ -416,6 +417,7 @@ def cmd_lyapunov(args) -> None:
 
     res.state = state
     spec = scaled(_input_spec(args.input, total, amplitude, args.seed), args.gamma)
+    _check_d0(args.d0)  # whatever the method, so a bad value is never silently ignored
     if args.method == "derivative_product":
         est = lyapunov_derivative_product(res, spec, washout=args.washout)
     else:
@@ -563,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="renormalized", help="estimator")
     p.add_argument("--horizon", type=int, default=100_000, help="steps after the washout")
     p.add_argument("--washout", type=int, default=1000, help="steps left out of the mean")
-    p.add_argument("--d0", type=float, default=1e-9, help="companion separation (renormalized)")
+    p.add_argument("--d0", type=float, default=1e-9,
+                   help="companion separation (renormalized); checked with either method")
 
     p = command("readout-demo", cmd_readout_demo, "train a delayed-recall linear readout")
     p.add_argument("--k", type=int, default=8, help="reservoir size")

@@ -363,6 +363,133 @@ class TestDerivativeProduct:
             lyapunov_derivative_product(res, alternating(3000, 1.0))
 
 
+def per_step_derivative_product(reservoir, u, washout: int):
+    """Per-row reference loop of :func:`lyapunov_derivative_product`.
+
+    Each input row takes one ``Reservoir.step``, one 1-element ``slope``
+    of the transfer that step used and one scalar ``log``; the logs are
+    reduced by :func:`row_fold_rate`.  Returns ``(lam, stderr)``.
+    """
+    work = reservoir.copy()
+    gain = abs(float(work.W[0, 0]))
+
+    def logs():
+        for row in u:
+            rec = work.step(row)
+            yield np.log(gain * float(work.transfers[0].slope(rec.y_lin)[0]))
+
+    lam, stderr, _ = row_fold_rate(logs(), len(u), washout)
+    return float(lam), float(stderr)
+
+
+class TestDerivativeProductBlocks:
+    """The derivative product's per-block slopes and logs against its per-row loop, by bits."""
+
+    CRITICAL = solve_critical_b(QPI)
+    INPUTS = {
+        "alternating": alternating,
+        "iid": lambda n, amplitude: iid_plus_minus(n, amplitude, seed=4),
+        "constant": constant,
+    }
+
+    @staticmethod
+    def _check(res, spec, washout=1000):
+        u = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lyapunov_derivative_product(res, u, washout=washout)
+        lam, stderr = per_step_derivative_product(res, u, washout)
+        assert (est.lam.hex(), est.stderr.hex()) == (lam.hex(), stderr.hex())
+        return est
+
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_baseline_matches_per_row_loop(self, kind):
+        res = baseline_reservoir(self.CRITICAL.b_star)
+        res.state = baseline_orbit_state(self.CRITICAL.s_star)
+        self._check(res, self.INPUTS[kind](3000, QPI))
+
+    @pytest.mark.parametrize("variant", ["bridge", "plateau"])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    def test_anchored_matches_per_row_loop(self, kind, variant):
+        res = anchored_reservoir(0.8, variant=variant)
+        res.state = anchored_orbit_state()
+        self._check(res, self.INPUTS[kind](3000, 1.0))
+
+    @pytest.mark.parametrize("every", [1, 100])
+    def test_hook_swapping_inside_a_block(self, monkeypatch, every):
+        # Blocks of 1, 2, 4, ... rows: rows 63-126 form one block, so a swap
+        # every 100 rows falls inside it; a swap every row makes each row a run.
+        slopes = []
+        slope = MorphableTransfer.slope
+        monkeypatch.setattr(MorphableTransfer, "slope",
+                            lambda self, x: slopes.append(np.size(x)) or slope(self, x))
+        sets = ((-1.0, 1.0), (-0.5, 0.7))
+        res = anchored_reservoir(0.8, predictor=lambda i, t, state: sets[(t // every) % 2])
+        self._check(res, iid_plus_minus(1500, 1.0, seed=3), washout=200)
+        if every == 1:
+            assert set(slopes) == {1}
+        else:  # the estimator's calls come first: block 63-126 is split at row 100
+            assert slopes[:14] == [1, 2, 4, 8, 16, 32, 37, 27, 73, 55, 45, 100, 100, 11]
+
+    def test_blocks_reach_the_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 7)
+        res = baseline_reservoir(1.5)
+        self._check(res, iid_plus_minus(1100, QPI, seed=5), washout=50)
+
+    @pytest.mark.parametrize("preset", ["baseline", "anchored"])
+    def test_saturated_logs_are_minus_inf(self, preset):
+        res = baseline_reservoir(30.0) if preset == "baseline" else anchored_reservoir(40.0)
+        est = self._check(res, iid_plus_minus(3000, QPI if preset == "baseline" else 1.0,
+                                              seed=1))
+        assert est.lam == -math.inf and math.isnan(est.stderr)
+
+    def test_one_slope_call_per_block(self, monkeypatch):
+        calls = []
+        slope = TanhTransfer.slope
+        monkeypatch.setattr(TanhTransfer, "slope",
+                            lambda self, x: calls.append(np.size(x)) or slope(self, x))
+        res = baseline_reservoir(self.CRITICAL.b_star)
+        lyapunov_derivative_product(res, alternating(3000, QPI), washout=1000)
+        assert calls == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 953]
+
+
+class TestAnticipation:
+    """A hook that anchors each step's transfer at a predicted linear response (ROADMAP item 1).
+
+    The anchors are ``{0, p}`` with ``p = w*y + w_in*e[t]`` for the
+    expected input ``e``.  A ``p`` within 1e-6 of 0 has no stated rule
+    yet (the build rejects it), so each run asserts that none came.
+    """
+
+    ACTUAL = generate(iid_plus_minus(3000, 1.0, seed=1))
+
+    @staticmethod
+    def _run(alpha, expected, u):
+        nearest = []
+
+        def hook(i, t, state):
+            p = float(res.W[0, 0]) * float(state[0]) + float(res.w_in[0, 0]) * float(expected[t])
+            nearest.append(abs(p))
+            return (p,)
+
+        res = anchored_reservoir(alpha, predictor=hook)
+        est = lyapunov_derivative_product(res, u, washout=1000)
+        assert len(nearest) == len(u) and min(nearest) >= 1e-6
+        return est
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3])
+    def test_anticipated_rate_is_log_alpha(self, alpha):
+        # Each step's linear response lands on an anchor, where the slope is exactly 1.
+        est = self._run(alpha, self.ACTUAL, self.ACTUAL)
+        assert abs(est.lam - math.log(alpha)) <= 1e-12
+        if alpha == 1.0:
+            assert est.lam == 0.0
+
+    def test_mismatched_prediction_contracts(self):
+        other = generate(iid_plus_minus(3000, 1.0, seed=2))
+        assert self._run(1.0, other, self.ACTUAL).lam < 0.0
+
+
 class TestNeverExpanding:
     @pytest.mark.parametrize("kind", ["alternating", "constant", "iid", "loud"])
     def test_anchored_network_never_expands(self, kind):

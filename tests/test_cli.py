@@ -509,6 +509,15 @@ class TestNoNanRows:
         assert "washout must be nonnegative" in err
         assert not (tmp_path / "lyapunov.txt").exists()
 
+    @pytest.mark.parametrize("d0", ["nan", "0", "1e-3"])
+    @pytest.mark.parametrize("method", ["renormalized", "derivative_product"])
+    def test_lyapunov_d0_domain(self, tmp_path, capsys, method, d0):
+        # The derivative product takes no d0, but it used to take nan with exit 0.
+        err = self.fails_cleanly(tmp_path, capsys, "lyapunov", "--preset", "baseline",
+                                 "--method", method, "--horizon", 1000, "--d0", d0)
+        assert err == "error: d0 must lie in [1e-12, 1e-6]\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["sweep-alpha", "--grid", "1.0"], ["sweep-gamma", "--grid", "1.0"],
         ["lyapunov", "--preset", "anchored"],

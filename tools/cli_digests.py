@@ -48,9 +48,10 @@ SEEDS = (0, 3, 11)
 # forgetting pair whose reference lane closes its cycle at row 1 and
 # whose twin closes hundreds of rows later, so the engine steps the twin
 # alone in between; and two estimates whose companion restarts or
-# saturates on most rows; and the critical gain at both ends of the
-# amplitude range and a six-anchor transfer in each variant, whose roots
-# (s* and the bridge kinks) come from one bisection.
+# saturates on most rows, each also by the derivative product, whose
+# saturated slopes give logs of -inf; and the critical gain at both
+# ends of the amplitude range and a six-anchor transfer in each variant,
+# whose roots (s* and the bridge kinks) come from one bisection.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -90,6 +91,10 @@ COMMANDS = [
     ["forgetting", "--input", "alternating", "--alpha", "0.9", "--horizon", "5000"],
     ["lyapunov", "--preset", "anchored", "--alpha", "40", "--input", "iid"],
     ["lyapunov", "--preset", "baseline", "--b", "30", "--input", "iid"],
+    ["lyapunov", "--preset", "anchored", "--alpha", "40", "--input", "iid",
+     "--method", "derivative_product"],
+    ["lyapunov", "--preset", "baseline", "--b", "30", "--input", "iid",
+     "--method", "derivative_product"],
     *[["critical-b", "--amplitude", amplitude] for amplitude in ("0.05", "3")],
     *[["transfer-dump", "--ecps=-2.5,-1,-0.3,0.4,1,2", "--n", "2001", "--variant", variant]
       for variant in ("plateau", "bridge")],
