@@ -190,10 +190,17 @@ def parse_grid(text: str) -> np.ndarray:
 
     A range's last point is snapped back onto ``stop`` when rounding in
     ``start + i * step`` overshoots it by less than 1e-9 of a step; no
-    other point moves.  Non-finite values are rejected.
+    other point moves.  Non-finite values are rejected, and so is any
+    other text, with a message that names both forms.
     """
     sep = ":" if ":" in text else ","
-    values = [float(p) for p in text.split(sep)]
+    try:
+        values = [float(p) for p in text.split(sep)]
+        if sep == ":" and len(values) != 3:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"--grid {text!r} is neither start:stop:step nor a comma-separated "
+                         "list of numbers") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"grid values must be finite, got {text!r}")
     if sep == ",":

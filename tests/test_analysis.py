@@ -1,8 +1,10 @@
 import math
 import operator
 import warnings
-from functools import reduce
-from itertools import islice
+from functools import cache, reduce
+from itertools import combinations, islice, product
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -254,7 +256,6 @@ class TestStackedRenormalized:
         assert calls == list(range(1500))  # once per step, for both rows
         assert hooked.lam == plain.lam
 
-
     def test_estimators_reject_a_stacked_state(self):
         # A (2, 1) stack would otherwise be estimated silently from row 0.
         res = anchored_reservoir(0.9)
@@ -262,6 +263,61 @@ class TestStackedRenormalized:
         for estimator in (lyapunov_renormalized, lyapunov_derivative_product):
             with pytest.raises(ValueError, match=r"state must have shape \(1,\), not \(2, 1\)"):
                 estimator(res, alternating(1500, 1.0), washout=500)
+
+    @staticmethod
+    def _recorded_advance(monkeypatch):
+        calls, advance = [], Reservoir._advance
+
+        def recording(self, u):
+            calls.append(self.state.shape)
+            return advance(self, u)
+
+        monkeypatch.setattr(Reservoir, "_advance", recording)
+        return calls
+
+    def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
+        calls = self._recorded_advance(monkeypatch)
+        spec = iid_plus_minus(1500, 1.0, seed=3)
+        shared = anchored_reservoir(0.9)
+        lyapunov_renormalized(shared, spec, washout=500)
+        assert calls == []
+
+        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, s: None), spec,
+                              washout=500)
+        lyapunov_renormalized(_per_neuron_twin(shared), spec, washout=500)
+        res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
+        lyapunov_renormalized(res2, spec, washout=500)
+        assert calls == [(2, 1)] * 3000 + [(2, 2)] * 1500  # one call per step
+
+    def test_two_inputs_run_on_the_engine(self, monkeypatch):
+        # One neuron, n = 2: the engine's drive u @ w_in[0] may round
+        # differently from the stacked route's per-row product, depending
+        # on the host's numpy kernels.  So lam agrees within 1e-6, and the
+        # pair's distances within an absolute 1e-12 or a relative 1e-9.
+        calls = self._recorded_advance(monkeypatch)
+        rng = rng_stream(34, 17)
+        for _ in range(3):
+            ecps, alpha = random_ecp_list(rng), float(rng.uniform(0.5, 1.2))
+            w_in = rng.uniform(0.2, 1.0, (1, 2))
+            for variant in Variant:
+                for kind in ("alternating", "iid"):
+                    second = (rng.integers(0, 2, 1500) * 2.0 - 1.0 if kind == "iid"
+                              else np.tile([-1.0, 1.0], 750))
+                    u = np.column_stack([np.tile([1.0, -1.0], 750), second]) * rng.uniform(
+                        0.5, 1.5, 2)
+                    res = Reservoir([[-alpha]], w_in, MorphableTransfer(ecps, variant),
+                                    state=[float(rng.uniform(-1.0, 1.0))])
+                    start = res.state
+                    calls.clear()
+                    lam = lyapunov_renormalized(res, u, washout=500, seed=3).lam
+                    pair = run_pair(res, start, start + 1e-3, u)
+                    assert calls == []
+                    twin = _per_neuron_twin(res)
+                    stacked = lyapunov_renormalized(twin, u, washout=500, seed=3).lam
+                    assert lam == stacked or abs(lam - stacked) <= 1e-6
+                    stacked_pair = run_pair(twin, start, start + 1e-3, u)
+                    np.testing.assert_allclose(pair.d, stacked_pair.d, rtol=1e-9, atol=1e-12)
+                    assert pair.truncated_at == stacked_pair.truncated_at
 
 
 class TestHookSeesState:
@@ -612,183 +668,6 @@ def per_step_renormalized(w, w_in, u, transfer, d0, y0, direction, *, exact=Fals
     return logs
 
 
-class TestBlockedEngine:
-    """The blocked one-neuron engine against the per-step loop it replaces."""
-
-    def _plateau_case(self):
-        alphas = np.array([0.3, 0.7, 1.0, 1.2])
-        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
-        u = generate(iid_plus_minus(1500, 1.0, seed=9))
-        return -alphas, 1.0 - alphas * TANH1, u, transfer
-
-    def _both(self, w, w_in, u, transfer):
-        renorm = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1,
-                                           direction=-1.0)
-        deriv = derivative_product_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
-        return renorm + deriv
-
-    def test_block_size_does_not_change_results(self, monkeypatch):
-        bridge = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-        alphas = np.array([0.2, 0.9, 1.0, 1.1, 1.4])
-        cases = [
-            (-alphas, 1.0 - alphas * TANH1, generate(alternating(1500, 1.0)), bridge),
-            (alphas, 0.5, generate(iid_plus_minus(1500, 1.0, seed=2)), bridge),
-            self._plateau_case(),
-        ]
-        # The plateau case restarts its companion at a row that ends a
-        # 7-row block, so the next block starts from a restart.
-        w, w_in, u, transfer = self._plateau_case()
-        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, -1.0)
-        restarts = np.flatnonzero(np.isneginf(logs).any(axis=1))
-        assert np.any(restarts % 7 == 6)
-
-        default = analysis._BLOCK_CELLS
-        for w, w_in, u, transfer in cases:
-            results = []
-            for cells in (1, 7 * w.size, default):
-                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-                results.append(self._both(w, w_in, u, transfer))
-            for other in results[1:]:
-                for a, b in zip(results[0], other):
-                    assert np.array_equal(a, b, equal_nan=True)
-
-        # A one-neuron pair runs as two lanes of the same engine.
-        pairs = [(anchored_reservoir(alpha, variant=variant), spec)
-                 for alpha in (0.5, 1.0, 1.2) for variant in Variant
-                 for spec in (alternating(1500, 1.0), iid_plus_minus(1500, 1.0, seed=2))]
-        start = anchored_orbit_state()
-        for res, spec in pairs:
-            series = []
-            for cells in (1, 14, default):
-                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-                series.append(run_pair(res, start, start + 1.0, spec))
-            for other in series[1:]:
-                assert np.array_equal(series[0].t, other.t)
-                assert series[0].d.tobytes() == other.d.tobytes()
-                assert series[0].truncated_at == other.truncated_at
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(Variant)),
-           kind=st.sampled_from(["alternating", "iid", "iid washout"]),
-           rows=st.integers(1, 400), direction=st.sampled_from([1.0, -1.0]),
-           gain=st.sampled_from([1.3, 40.0]), zero=st.booleans())
-    def test_matches_per_step_loop(self, seed, variant, kind, rows, direction, gain, zero):
-        rng = rng_stream(seed, 17)
-        transfer = MorphableTransfer(random_ecp_list(rng), variant)
-        m = 5
-        # Mixed signs; gains up to 40 saturate, so on most rows both
-        # companions give one next sign, as a zero gain's restarts do.
-        w = rng.uniform(-gain, gain, m)
-        if zero:
-            w[0] = 0.0
-        w_in = rng.uniform(-1.0, 1.0, m)
-        y0 = float(rng.uniform(-1.0, 1.0))
-        u = generate(alternating(1300, 1.0))
-        if kind != "alternating":
-            end = 300 if kind == "iid washout" else 1300
-            u[:end] = generate(iid_plus_minus(end, 1.0, seed=seed))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_BLOCK_CELLS", rows * m)
-            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=y0,
-                                                 direction=direction)
-        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
-        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
-        assert np.array_equal(lam, ref_lam)
-        assert np.array_equal(err, ref_err, equal_nan=True)
-
-        exact = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction, exact=True)
-        exact_lam, _, _ = row_fold_rate(iter(exact), len(u), 300)
-        np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
-
-    class NegTanh:
-        """``-tanh``: a decreasing transfer, so with w > 0 every nonzero separation flips sign."""
-
-        def eval(self, x):
-            return -np.tanh(x)
-
-        def _eval_float(self, x):
-            return -float(np.tanh(x))
-
-    @pytest.mark.parametrize("m", [5, analysis._FLOAT_LANES + 4])
-    @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_decreasing_transfer_matches_per_step_loop(self, engine_events, m, direction):
-        # Only the closed-cycle tail needs a nondecreasing transfer, and iid
-        # input never closes a cycle, so the engine steps every row.
-        w, w_in, u = np.linspace(0.3, 1.2, m), 0.7, generate(iid_plus_minus(1300, 1.0, seed=4))
-        transfer = self.NegTanh()
-        lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=0.2,
-                                             direction=direction)
-        assert tail_start(engine_events) is None
-        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, 0.2, direction)
-        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
-        assert lam.tobytes() == ref_lam.tobytes()
-        assert err.tobytes() == ref_err.tobytes()
-
-    @pytest.mark.parametrize("case", ["plateau", "wide"])
-    def test_one_companion_eval_per_block(self, engine_events, case):
-        if case == "plateau":
-            w, w_in, u, transfer = self._plateau_case()  # restarts on iid input
-        else:
-            alphas = np.linspace(0.2, 1.4, analysis._FLOAT_LANES + 4)
-            w, w_in, transfer = -alphas, 1.0 - alphas * TANH1, MorphableTransfer((-1.0, 1.0))
-            u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=5)),
-                                generate(alternating(1200, 1.0))])
-        renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
-        # Stepping evaluates at most m values at a time; the consumer
-        # evaluates both companions of every row of its block, in one call
-        # right after the block is handed over.
-        m = w.size
-        blocks = [i for i, (kind, _) in enumerate(engine_events) if kind == "block"]
-        assert [engine_events[i + 1] for i in blocks] == [
-            ("eval", 2 * engine_events[i][1] * m) for i in blocks]
-        assert sum(kind == "eval" and n > m for kind, n in engine_events) == len(blocks)
-
-    def test_restarts_in_the_washout_leave_a_finite_estimate(self, monkeypatch):
-        # Random input lands the plateau lanes on flat pieces during the
-        # washout; the expected alternating input after it never does, so
-        # the estimate is finite and every restart's follow-up counts.
-        w, w_in, _, transfer = self._plateau_case()
-        w, w_in = w[:3], w_in[:3]  # at alpha = 1.2 the plateau keeps catching the orbit
-        u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=9)),
-                            generate(alternating(1200, 1.0))])
-        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, 1.0)
-        assert np.isneginf(logs[:300]).any(axis=0).all()
-        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
-        assert np.all(np.isfinite(ref_lam))
-        for rows in (1, 7, 250, 400):
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * w.size)
-            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
-            assert np.array_equal(lam, ref_lam)
-            assert np.array_equal(err, ref_err)
-
-    def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
-        calls = []
-        advance = Reservoir._advance
-
-        def recording(self, u):
-            calls.append(self.state.shape)
-            return advance(self, u)
-
-        monkeypatch.setattr(Reservoir, "_advance", recording)
-        spec = iid_plus_minus(1500, 1.0, seed=3)
-        shared = anchored_reservoir(0.9)
-        lyapunov_renormalized(shared, spec, washout=500)
-        assert calls == []
-
-        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, s: None), spec,
-                              washout=500)
-        lyapunov_renormalized(_per_neuron_twin(shared), spec, washout=500)
-        res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
-        lyapunov_renormalized(res2, spec, washout=500)
-        assert calls == [(2, 1)] * 3000 + [(2, 2)] * 1500  # one call per step
-
-    def test_direction_must_be_a_unit_sign(self):
-        w, w_in, u, transfer = self._plateau_case()
-        with pytest.raises(ValueError, match=r"direction must be \+1 or -1"):
-            renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
-
-
 def per_row_states(w, w_in, u, y0, transfer):
     """States after each input row of ``y <- transfer(w*y + w_in*u[t])``, one ``eval`` per row."""
     rows = u[:, None] if u.ndim == 1 else u
@@ -888,38 +767,111 @@ def tail_start(events):
     return t
 
 
-def check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, direction=1.0,
-                      cells=(analysis._BLOCK_CELLS,), washouts=(0, 100)):
-    """Check the one-neuron engine against its per-row loops, by bytes, at each block size in ``cells``.
+def closure_rows(start, rows, states):
+    """Per lane, the row ``R`` at which its 2-cycle closes, or inf.
 
-    :func:`analysis._lane_blocks` runs with three consumers, each checked
-    row by row: a states consumer, with the states before and after each
-    row, and the log consumers of both estimators, whose blocks are the
-    ones the estimator's reducer draws.  Both estimates are checked at
-    each washout of ``washouts`` against the row fold of the per-row logs:
-    the estimator's own at the last washout, the reducer's on the drawn
-    blocks at the others.  The per-row references and their folds are
-    computed once, for ``T`` rows with ``T - washout`` a multiple of 20,
-    so the reducer draws every row.  Returns, per block size, the rows
-    stepped and the row at which the tail started (None if it never did),
-    which every consumer must share.
+    ``R`` is the first ``R >= 2`` with ``s[R] == s[R-2]`` bit for bit and
+    the lane's input 2-periodic from row ``R-2``; ``s[R]`` is the state
+    after ``R`` rows, ``s[0]`` the start.  From there on the lane repeats
+    its last two states.
+    """
+    s = np.vstack([start, states]).view(np.uint64)
+    r = np.arange(2, len(s))[:, None]
+    repeats = (s[2:] == s[:-2]) & (r >= analysis._period_start(rows) + 2)
+    return [int(first) + 2 if repeats[:, lane].any() else math.inf
+            for lane, first in enumerate(repeats.argmax(axis=0))]
+
+
+def stepped_lanes(closes, steps, cells):
+    """The lane count of each row the engine steps when lane ``j`` closes at ``closes[j]``.
+
+    ``closes`` is as :func:`closure_rows` gives it.  Blocks of 1, 2, 4,
+    ... rows up to ``max(1, cells // m)``; after each, a lane whose
+    closure row has passed stops.  A block steps its open lanes as
+    floats, or all ``m`` lanes through ``eval`` while more than
+    ``_FLOAT_LANES`` are open, and the run ends in the tail once no lane
+    is open.
+    """
+    closes, m = np.asarray(closes), len(closes)
+    cap, rows, t0, lanes = max(1, cells // m), 1, 0, []
+    while t0 < steps and (n_open := np.count_nonzero(closes > t0)):
+        n = min(rows, steps - t0)
+        lanes += [m if n_open > analysis._FLOAT_LANES else n_open] * n
+        t0, rows = t0 + n, min(2 * rows, cap)
+    return lanes
+
+
+#: Input rows of every engine case; ``T - washout`` is a multiple of 20 at both washouts.
+T = 1100
+#: An odd block cap: blocks of 1, 2, 4, 7, 7, ... rows.
+ODD_ROWS = 7
+#: The narrowest grid that ``_fold`` and ``_CycleTail.fold`` add row by row.
+WIDE = analysis._CUMSUM_LANES + 72
+INPUT_KINDS = ("constant", "alternating", "iid", "prefix", "per-lane")
+#: Both sides of the float-lane crossover m*.
+WIDTHS = (1, 4, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1)
+
+
+def block_sizes(m: int):
+    """The ``_BLOCK_CELLS`` values an engine case of ``m`` lanes runs at, one per block boundary.
+
+    Blocks of 1 row, of at most ``ODD_ROWS`` rows, and the default cap.
+    A wide grid runs at blocks of 1 and 2 rows, as the default cap gives
+    4,097 and 2,800 lanes (``TestCycleTail.test_tail_starts_on_one_row_blocks``).
+    """
+    if m > analysis._CUMSUM_LANES:
+        return m, 2 * m
+    return 1, ODD_ROWS * m, analysis._BLOCK_CELLS
+
+
+def lane_references(w, w_in, u, y0, transfer, direction=1.0, washouts=(0, 100)):
+    """The per-row references of one engine case, computed once.
+
+    The states after (``states``) and before (``before``) each row, the
+    per-row logs of both estimators (renormalized first), their row folds
+    at each washout of ``washouts``, the row at which each lane closes its
+    2-cycle (:func:`closure_rows`), and the case itself.  The arrays are
+    read-only, so a case can be shared by every test that reads it.
     """
     lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
     rows = analysis._run_rows(u, lane_w, lane_w_in, start)
-    steps = len(rows)
     states = per_row_states(w, w_in, u, y0, transfer)
     before = np.vstack([start, states[:-1]])
     with np.errstate(divide="ignore"):
-        renorm = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
-        deriv = np.log(np.abs(lane_w) * transfer.slope(lane_w * before + lane_w_in * rows))
-    estimators = [
-        (logs, estimate, [row_fold_rate(iter(logs), steps, washout)[:2] for washout in washouts])
-        for logs, estimate in (
-            (renorm, lambda: renormalized_scalar_batch(w, w_in, u, transfer, washout=washouts[-1],
-                                                       y0=y0, direction=direction)),
-            (deriv, lambda: derivative_product_scalar_batch(w, w_in, u, transfer,
-                                                            washout=washouts[-1], y0=y0)))
-    ]
+        logs = (per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction),
+                np.log(np.abs(lane_w) * transfer.slope(lane_w * before + lane_w_in * rows)))
+    for array in (u, w, states, before, *logs):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    return SimpleNamespace(
+        case=(w, w_in, u, y0, transfer, direction), lane_w=lane_w, lane_w_in=lane_w_in,
+        start=start, rows=rows, steps=len(rows), states=states, before=before, logs=logs,
+        washouts=washouts, closes=closure_rows(start, rows, states),
+        folds=[[row_fold_rate(iter(x), len(rows), washout)[:2] for washout in washouts]
+               for x in logs])
+
+
+def check_lane_engine(monkeypatch, events, ref, cells=None):
+    """Check the one-neuron engine against the per-row references ``ref`` (:func:`lane_references`).
+
+    At each block size in ``cells`` (default :func:`block_sizes`),
+    :func:`analysis._lane_blocks` runs with three consumers, each checked
+    row by row and by bytes: a states consumer, with the states before
+    and after each row, whose stepped rows must have the lanes that the
+    closure rows predict (:func:`stepped_lanes`), and the log consumers
+    of both estimators, whose blocks are the ones the estimator's reducer
+    draws.  Both estimates are checked at each washout against the row fold of
+    the per-row logs: the estimator's own at the last washout, the
+    reducer's on the drawn blocks at the others.  Returns, per block
+    size, the rows stepped and the row at which the tail started (None if
+    it never did), which every consumer must share.
+    """
+    w, w_in, u, y0, transfer, direction = ref.case
+    washout = ref.washouts[-1]
+    estimates = (
+        lambda: renormalized_scalar_batch(w, w_in, u, transfer, washout=washout, y0=y0,
+                                          direction=direction),
+        lambda: derivative_product_scalar_batch(w, w_in, u, transfer, washout=washout, y0=y0))
     rate, drawn = analysis._rate, []
     monkeypatch.setattr(analysis, "_rate", lambda blocks, *args: rate(
         (drawn.append(block) or block for block in blocks), *args))
@@ -928,25 +880,88 @@ def check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, direction=1
         return all(a.tobytes() == b.tobytes() for a, b in zip(estimate, fold))
 
     found = {}
-    for size in cells:
+    for size in cells or block_sizes(ref.lane_w.size):
         monkeypatch.setattr(analysis, "_BLOCK_CELLS", size)
         events.clear()
-        blocks = analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
+        blocks = analysis._lane_blocks(ref.lane_w, ref.lane_w_in, ref.rows, ref.start, transfer,
                                        lambda drive, s: np.hstack([s[:-1], s[1:]]))
-        assert expanded(blocks, steps).tobytes() == np.hstack([before, states]).tobytes()
-        stepped = sum(kind == "eval" for kind, _ in events)  # the consumer evaluates nothing
+        assert (expanded(blocks, ref.steps).tobytes()
+                == np.hstack([ref.before, ref.states]).tobytes())
+        lanes = [n for kind, n in events if kind == "eval"]  # the consumer evaluates nothing
+        assert lanes == stepped_lanes(ref.closes, ref.steps, size)
         tails = {tail_start(events)}
-        for logs, estimate, folds in estimators:
+        for logs, folds, estimate in zip(ref.logs, ref.folds, estimates):
             events.clear()
             drawn.clear()
             assert same(estimate(), folds[-1])
-            assert expanded(drawn, steps).tobytes() == logs.tobytes()
+            assert expanded(drawn, ref.steps).tobytes() == logs.tobytes()
             tails.add(tail_start(events))
-            for washout, fold in zip(washouts[:-1], folds):
-                assert same(rate(iter(drawn), steps, washout), fold)
+            for other, fold in zip(ref.washouts[:-1], folds):
+                assert same(rate(iter(drawn), ref.steps, other), fold)
         (tail,) = tails  # one closure row for every consumer
-        found[size] = stepped, tail
+        found[size] = len(lanes), tail
     return found
+
+
+class EngineCase(NamedTuple):
+    """One row of the engine table: input kind, gain signs, lanes, transfer variant and direction.
+
+    The gains are ``w = -alpha`` (``"negative"``) or ``+alpha`` on every
+    other lane from lane 0 (``"mixed"``), with ``alpha`` in [0.3, 0.8]
+    and ``w_in = 1 - alpha*tanh(1)``; the transfer is the (-1, 1) anchor
+    pair.  ``direction`` is the renormalized companion's restart sign.
+    """
+
+    kind: str
+    signs: str
+    m: int
+    variant: Variant
+    direction: float
+
+    def __str__(self):
+        return "-".join([self.kind, self.signs, str(self.m), self.variant.value,
+                         "up" if self.direction > 0 else "down"])
+
+    def args(self):
+        """``(w, w_in, u, y0, transfer, direction)`` of :func:`lane_references`."""
+        rng = rng_stream(1000 * INPUT_KINDS.index(self.kind) + self.m, 23)
+        alphas = rng.uniform(0.3, 0.8, self.m)
+        w = -alphas if self.signs == "negative" else alphas * (-1.0) ** np.arange(self.m)
+        y0 = -TANH1 if self.kind == "iid" else rng.uniform(-1.0, 1.0, self.m)
+        return (w, 1.0 - alphas * TANH1, engine_input(self.kind, self.m, rng), y0,
+                MorphableTransfer((-1.0, 1.0), self.variant), self.direction)
+
+
+def engine_input(kind: str, m: int, rng):
+    """``T`` input rows of a kind of :data:`INPUT_KINDS`, one column per lane for ``"per-lane"``."""
+    u = generate(alternating(T, 1.0))
+    if kind == "constant":
+        u = generate(constant(T, 0.7))
+    elif kind == "iid":
+        u = generate(iid_plus_minus(T, 1.0, seed=int(rng.integers(2**31))))
+    elif kind == "prefix":  # random, then alternating
+        u[:37] = rng.standard_normal(37)
+    elif kind == "per-lane":
+        u = u[:, None] * rng.uniform(0.5, 1.5, m)
+    return u
+
+
+#: Every pair of axis values at least once (``test_table_covers_every_pair``), not their product.
+NARROW_CASES = [
+    EngineCase(kind, ("negative", "mixed")[(a + b) % 2], m, list(Variant)[(a + b // 2) % 2],
+               (1.0, -1.0)[(a // 2 + b) % 2])
+    for a, kind in enumerate(INPUT_KINDS) for b, m in enumerate(WIDTHS)]
+#: Each input kind and the mixed signs on a grid that steps its rows through ``eval``.
+WIDE_CASES = [EngineCase(kind, signs, WIDE, list(Variant)[i % 2], (1.0, -1.0)[i // 2 % 2])
+              for i, (kind, signs) in enumerate([(kind, "negative") for kind in INPUT_KINDS]
+                                                + [("alternating", "mixed")])]
+ENGINE_CASES = NARROW_CASES + WIDE_CASES
+
+
+@cache
+def case_references(case: EngineCase):
+    """:func:`lane_references` of a table case, computed once per session."""
+    return lane_references(*case.args())
 
 
 def plateau_level_case():
@@ -956,49 +971,34 @@ def plateau_level_case():
     return transfer, d1, a1, transfer.eval(0.5 * (d1 + a1))
 
 
-class TestCycleReplay:
-    """A reference recurrence that closes an exact 2-cycle fills the rest of the run with the per-row bytes."""
+def forgetting_lanes(m):
+    """The default forgetting pair (alpha = 1, on and 1e-3 off the orbit) and ``m - 2`` others."""
+    rng = rng_stream(m, 31)
+    alphas = np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, m - 2)])
+    orbit = float(anchored_orbit_state()[0])
+    y0 = np.concatenate([[orbit, orbit + 1e-3], rng.uniform(-1.0, 1.0, m - 2)])
+    return -alphas, 1.0 - alphas * TANH1, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
 
-    T = 1100
-    KINDS = ["constant", "alternating", "iid", "prefix", "per-lane"]
 
-    def _inputs(self, kind, m, rng):
-        u = generate(alternating(self.T, 1.0))
-        if kind == "constant":
-            u = generate(constant(self.T, 0.7))
-        elif kind == "iid":
-            u = generate(iid_plus_minus(self.T, 1.0, seed=int(rng.integers(2**31))))
-        elif kind == "prefix":  # random, then alternating
-            u[:37] = rng.standard_normal(37)
-        elif kind == "per-lane":
-            u = u[:, None] * rng.uniform(0.5, 1.5, m)
-        return u
+class TestPerLaneClosure:
+    """A lane that has closed its 2-cycle is filled from it while the open lanes are stepped on.
 
-    def _anchored_case(self, variant, kind, m):
-        rng = rng_stream(m, 23)
-        alphas = rng.uniform(0.3, 0.8, m)
-        y0 = -TANH1 if kind == "iid" else rng.uniform(-1.0, 1.0, m)
-        return (-alphas, 1.0 - alphas * TANH1, self._inputs(kind, m, rng), y0,
-                MorphableTransfer((-1.0, 1.0), variant))
+    ``check_lane_engine`` pins every block size to the per-row loops, and
+    the lane-rows stepped to the rows at which the lanes close.
+    """
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    @pytest.mark.parametrize("kind", KINDS)
-    # Both sides of the float-lane crossover m*.
-    @pytest.mark.parametrize("m", sorted({1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1}))
-    def test_matches_per_row_loop(self, monkeypatch, engine_events, variant, kind, m):
-        case = self._anchored_case(variant, kind, m)
-        found = check_lane_engine(monkeypatch, engine_events, *case,
-                                  cells=(1, 14, analysis._BLOCK_CELLS))
+    def test_table_covers_every_pair(self):
+        axes = list(zip(*NARROW_CASES))
+        for i, j in combinations(range(len(axes)), 2):
+            assert set(zip(axes[i], axes[j])) == set(product(axes[i], axes[j]))
+        assert {case.kind for case in WIDE_CASES} == set(INPUT_KINDS)
+        assert {case.signs for case in WIDE_CASES} == {"negative", "mixed"}
+
+    @pytest.mark.parametrize("case", ENGINE_CASES, ids=str)
+    def test_matches_per_row_loops(self, monkeypatch, engine_events, case):
+        found = check_lane_engine(monkeypatch, engine_events, case_references(case))
         for stepped, tail in found.values():
-            assert (stepped == self.T) == (tail is None) == (kind == "iid")  # the cycle closed
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_wide_batch_matches_per_row_loop(self, monkeypatch, engine_events, kind):
-        # 2800 lanes: the default blocks hold at most 2 rows.
-        assert analysis._BLOCK_CELLS // 2800 == 2
-        case = self._anchored_case(Variant.BRIDGE, kind, 2800)
-        stepped, _ = check_lane_engine(monkeypatch, engine_events, *case)[analysis._BLOCK_CELLS]
-        assert (stepped == self.T) == (kind == "iid")
+            assert (stepped == T) == (tail is None) == (case.kind == "iid")  # the cycle closed
 
     def test_random_anchors_match_per_row_loop(self, monkeypatch, engine_events):
         rng = rng_stream(4, 23)
@@ -1006,43 +1006,63 @@ class TestCycleReplay:
             transfer = MorphableTransfer(random_ecp_list(rng), variant)
             w, w_in = rng.uniform(-1.3, 1.3, 4), rng.uniform(-1.0, 1.0, 4)
             for kind in ("constant", "alternating", "prefix", "per-lane"):
-                u = self._inputs(kind, 4, rng)
-                check_lane_engine(monkeypatch, engine_events, w, w_in, u, 0.25, transfer,
-                                  cells=(14, analysis._BLOCK_CELLS))
+                u = engine_input(kind, 4, rng)
+                check_lane_engine(monkeypatch, engine_events,
+                                  lane_references(w, w_in, u, 0.25, transfer),
+                                  cells=(ODD_ROWS * 4, analysis._BLOCK_CELLS))
 
-    def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, engine_events):
+    PAIR_KINDS = ["constant", "alternating", "iid", "prefix"]
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_run_pair_matches_per_row_loop(self, monkeypatch, kind, start):
+        u = engine_input(kind, 1, rng_stream(6, 23))
+        for i, alpha in enumerate((0.5, 1.0, 1.2)):
+            # The variant alternates with gain and kind: each kind, start and gain meets both.
+            variant = list(Variant)[(i + self.PAIR_KINDS.index(kind)) % 2]
+            res = anchored_reservoir(alpha, variant=variant)
+            states = per_row_states(np.repeat(res.W[0], 2), np.ones(2), u * res.w_in[0, 0],
+                                    np.array(start), res.transfers[0])
+            diff = np.concatenate([[start[1] - start[0]], states[:, 1] - states[:, 0]])
+            d = np.sqrt(diff * diff)
+            zeros = np.flatnonzero(d == 0.0)
+            if zeros.size:
+                d = d[:zeros[0] + 1]
+            for cells in block_sizes(2):
+                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                series = run_pair(res, start[0], start[1], u)
+                assert series.d.tobytes() == d.tobytes()
+                assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
+
+    def test_no_closure_once_the_input_stops_repeating(self, monkeypatch, engine_events):
         # On the expected orbit the state repeats from the first rows of
         # the alternating prefix, but the input turns iid at row 700.
         alphas = np.array([0.5, 1.0, 1.2])
-        u = generate(alternating(self.T, 1.0))
-        u[700:] = generate(iid_plus_minus(self.T - 700, 1.0, seed=4))
-        transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-        states = per_row_states(-alphas, 1.0 - alphas * TANH1, u, -TANH1, transfer)
-        assert np.array_equal(states[2], states[0])
-        found = check_lane_engine(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
-                                  -TANH1, transfer, cells=(1, 14, analysis._BLOCK_CELLS))
-        assert list(found.values()) == [(self.T, None)] * 3
+        u = generate(alternating(T, 1.0))
+        u[700:] = generate(iid_plus_minus(T - 700, 1.0, seed=4))
+        ref = lane_references(-alphas, 1.0 - alphas * TANH1, u, -TANH1,
+                              MorphableTransfer((-1.0, 1.0), Variant.BRIDGE))
+        assert np.array_equal(ref.states[2], ref.states[0])
+        found = check_lane_engine(monkeypatch, engine_events, ref)
+        assert list(found.values()) == [(T, None)] * 3
 
     def test_signed_zero_breaks_the_input_period(self, monkeypatch, engine_events):
         # 0.0 == -0.0, but tanh keeps the sign: the state after row 900 is
         # -0.0, and the input is 2-periodic only from row 901 on.  The
         # states after rows 902 and 900 differ in their sign bit, so the
         # cycle closes after row 903.
-        u = np.zeros(self.T)
+        u = np.zeros(T)
         u[900] = -0.0
-        states = per_row_states(np.array([-0.5]), 1.0, u, 0.0, TanhTransfer())
-        assert np.signbit(states[900, 0]) and not np.signbit(states[899:902:2, 0]).any()
-        found = check_lane_engine(monkeypatch, engine_events, np.array([-0.5]), 1.0, u, 0.0,
-                                  TanhTransfer(), cells=(1,))
-        assert found == {1: (904, 906)}
+        ref = lane_references(np.array([-0.5]), 1.0, u, 0.0, TanhTransfer())
+        assert np.signbit(ref.states[900, 0]) and not np.signbit(ref.states[899:902:2, 0]).any()
+        assert check_lane_engine(monkeypatch, engine_events, ref, cells=(1,)) == {1: (904, 906)}
 
     def test_cycle_closes_across_one_row_blocks(self, monkeypatch, engine_events):
         # s[1] == s[-1]: the 2-cycle closes after row 1.
         w, w_in, start = analysis._lanes(-1.0, 1.0 - TANH1, -TANH1)
         transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-        found = check_lane_engine(monkeypatch, engine_events, w, w_in,
-                                  generate(alternating(self.T, 1.0)), start, transfer, cells=(1,))
-        assert found == {1: (2, 4)}
+        ref = lane_references(w, w_in, generate(alternating(T, 1.0)), start, transfer)
+        assert check_lane_engine(monkeypatch, engine_events, ref, cells=(1,)) == {1: (2, 4)}
         # Runs that end as it closes, one row later and two rows later.
         for steps in (2, 3, 4):
             u = analysis._run_rows(alternating(steps, 1.0), w, w_in, start)
@@ -1055,280 +1075,39 @@ class TestCycleReplay:
         # three states are equal, the start state counting as the first.
         transfer, d1, a1, level = plateau_level_case()
         w = np.array([-0.5])
-        u = np.full(self.T, 0.5 * (d1 + a1 + level))
-        assert np.all(per_row_states(w, 1.0, u, level, transfer) == level)
-        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, level, transfer,
-                                  cells=(1,))
-        assert found == {1: (2, 4)}
+        u = np.full(T, 0.5 * (d1 + a1 + level))
+        ref = lane_references(w, 1.0, u, level, transfer)
+        assert np.all(ref.states == level)
+        assert check_lane_engine(monkeypatch, engine_events, ref, cells=(1,)) == {1: (2, 4)}
         # From 0, the first row lands on the level too; constant from row 1.
+        u = u.copy()
         u[0] = d1 + 2.5e-10
-        assert np.all(per_row_states(w, 1.0, u, 0.0, transfer) == level)
-        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
-                                  cells=(1,))
-        assert found == {1: (3, 5)}
-
-    @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
-    @pytest.mark.parametrize("kind", ["constant", "alternating", "iid", "prefix"])
-    def test_run_pair_matches_per_row_loop(self, monkeypatch, kind, start):
-        rng = rng_stream(6, 23)
-        u = self._inputs(kind, 1, rng)
-        for alpha in (0.5, 1.0, 1.2):
-            res = anchored_reservoir(alpha)
-            states = per_row_states(np.repeat(res.W[0], 2), np.ones(2), u * res.w_in[0, 0],
-                                    np.array(start), res.transfers[0])
-            diff = np.concatenate([[start[1] - start[0]], states[:, 1] - states[:, 0]])
-            d = np.sqrt(diff * diff)
-            zeros = np.flatnonzero(d == 0.0)
-            if zeros.size:
-                d = d[:zeros[0] + 1]
-            for cells in (1, 14, analysis._BLOCK_CELLS):
-                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-                series = run_pair(res, start[0], start[1], u)
-                assert series.d.tobytes() == d.tobytes()
-                assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
-
-    # Three reference rows stepped before the cycle closes (30 lanes: one
-    # eval each; one lane: one float row each), then one companion eval
-    # for each of the blocks of 1 and 2 rows and one for the two rows
-    # taken from the cycle; the tail does the rest.
-    @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
-    def test_default_commands_replay(self, tmp_path, eval_calls, argv):
-        assert cli_main(["--out", str(tmp_path), *argv]) == 0
-        assert len(eval_calls) == 6
-
-    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
-    def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
-        sizes = []
-        original = MorphableTransfer.eval
-        monkeypatch.setattr(MorphableTransfer, "eval",
-                            lambda self, x: sizes.append(np.size(x)) or original(self, x))
-        w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
-        u = analysis._run_rows(iid_plus_minus(self.T, 1.0, seed=8), w, w_in, start)
-        for _ in analysis._lane_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0)),
-                                       lambda drive, states: states[1:]):
-            pass
-        assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * self.T)
-
-    def test_iid_input_steps_every_row(self, eval_calls):
-        u = generate(iid_plus_minus(self.T, 1.0, seed=8))
-        alphas = np.array([0.5, 0.9])
-        renormalized_scalar_batch(-alphas, 1.0 - alphas * TANH1, u,
-                                  MorphableTransfer((-1.0, 1.0)), washout=100)
-        assert len(eval_calls) >= self.T
-
-    @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
-                                      constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
-    @pytest.mark.parametrize("alpha", [0.5, 1.2])
-    def test_replayed_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
-        # The oracle steps through Reservoir.step and never closes a cycle.
-        res = anchored_reservoir(alpha)
-        renorm = lyapunov_renormalized(res, spec, washout=1000)
-        assert len(eval_calls) < 200  # the tail filled the run
-        deriv = lyapunov_derivative_product(res, spec, washout=1000)
-        assert abs(renorm.lam - deriv.lam) <= 1e-3
-
-    def test_overflowing_linear_response_is_rejected(self, eval_calls):
-        transfer = MorphableTransfer((-1.0, 1.0))
-        u = generate(alternating(1200, 2.0))
-        for w, w_in, y0 in [(1e308, 0.5, 0.0), (0.5, 1e308, 0.0), (-10.0, 0.5, 1e308)]:
-            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
-                with pytest.raises(ValueError, match="linear response overflows float64"):
-                    engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
-                assert not eval_calls  # rejected before the first row
-        with pytest.raises(ValueError, match="linear response overflows float64"):
-            run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
-
-
-class TestLogCycleTail:
-    """Log blocks filled from two rows of a closed cycle carry the per-row bytes."""
-
-    T = 1100
-    CELLS = [1, 14, analysis._BLOCK_CELLS]
-
-    def _case(self, kind, m):
-        rng = rng_stream(m, 29)
-        alphas = rng.uniform(0.3, 0.8, m)
-        w, y0 = -alphas, rng.uniform(-1.0, 1.0, m)
-        u = generate(alternating(self.T, 1.0))
-        if kind == "constant":
-            u = generate(constant(self.T, 0.7))
-        elif kind == "mixed signs":
-            w = alphas * rng.choice([-1.0, 1.0], m)
-            u = generate(constant(self.T, 0.7)) if m % 2 else u
-        elif kind == "prefix":  # random, then alternating
-            u[:37] = rng.standard_normal(37)
-        elif kind == "per-lane":
-            u = u[:, None] * rng.uniform(0.5, 1.5, m)
-        return w, 1.0 - alphas * TANH1, u, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
-
-    @pytest.mark.parametrize("kind", ["constant", "alternating", "mixed signs", "prefix",
-                                      "per-lane"])
-    @pytest.mark.parametrize("m", [1, 4, 7])
-    @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_matches_per_row_loops(self, monkeypatch, engine_events, kind, m, direction):
-        found = check_lane_engine(monkeypatch, engine_events, *self._case(kind, m), direction,
-                                  self.CELLS)
-        for _, tail in found.values():
-            assert tail is not None  # 1-row blocks too
-
-    def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
-        # Started on the expected orbit, the cycle closes after the blocks
-        # of 1 and 2 rows, and the tail starts after two more.
-        w, w_in, u, _, transfer = self._case("alternating", 4)
-        found = check_lane_engine(monkeypatch, engine_events, w, w_in, u, -TANH1, transfer)
-        assert found == {analysis._BLOCK_CELLS: (3, 5)}  # within the washout of 100
-
-    @pytest.mark.parametrize("kind", ["alternating", "mixed signs", "prefix"])
-    def test_wide_batch(self, monkeypatch, engine_events, kind):
-        # The default blocks hold at most 2 rows of 2800 lanes, and 1 row of 4097.
-        for m, rows in ((2800, 2), (4097, 1)):
-            assert max(1, analysis._BLOCK_CELLS // m) == rows
-            found = check_lane_engine(monkeypatch, engine_events, *self._case(kind, m))
-            assert found[analysis._BLOCK_CELLS][1] is not None
-
-    def test_iid_input_never_starts_a_tail(self, monkeypatch, engine_events):
-        w, w_in, _, y0, transfer = self._case("alternating", 4)
-        u = generate(iid_plus_minus(self.T, 1.0, seed=8))
-        found = check_lane_engine(monkeypatch, engine_events, w, w_in, u, y0, transfer)
-        assert found == {analysis._BLOCK_CELLS: (self.T, None)}
-
-    @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
-        # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
-        # pieces: its separation is exactly 0 at every row, and its
-        # companion restarts in the tail's two rows.
-        alphas = np.array([0.3, 0.7, 1.2])
-        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
-        u = generate(alternating(self.T, 1.0))
-        found = check_lane_engine(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
-                                  0.0, transfer, direction, self.CELLS)
-        for _, tail in found.values():
-            assert tail is not None
-
-    def test_tail_takes_two_rows_from_the_cycle(self, monkeypatch, engine_events):
-        # The state alternates between the plateau level (rows 0, 2, ...)
-        # and about tanh(1) (rows 1, 3, ...), and the input is 2-periodic from
-        # row 1, so the cycle closes after row 2: R = 3.  The companion's
-        # offset is + at row 2 and - at row 4, from the restart at row 2.
-        # Row 0 leaves the plateau below its left edge and rows 1 and 3 lie
-        # on a slope, so the map of rows R-2 and R is the identity; at rows
-        # R-1 and R+1 the linear response sits just inside the right edge,
-        # so the + offset stays on the level (log -inf) and restarts at +
-        # and the - offset leaves it: the map of rows R+-1 is the constant
-        # +.  So row R+1's log is finite and row R-1's is not: a tail from
-        # rows R-1 and R would copy -inf into every row R+1, R+3, ...
-        transfer, d1, a1, level = plateau_level_case()
-        w = np.array([-0.5])
-        u = np.empty(self.T)
-        u[0] = d1 + 2.5e-10
-        u[1::2] = 1.0 + 0.5 * level
-        v = transfer.eval(w * level + u[1])
-        u[2::2] = a1 - 2.5e-10 + 0.5 * v
-        states = per_row_states(w, 1.0, u, 0.0, transfer)
-        assert np.all(states[0::2] == level) and np.all(states[1::2] == v)
-        with np.errstate(divide="ignore"):
-            logs = per_step_renormalized(w, 1.0, u, transfer, 1e-9, 0.0, 1.0)
-        assert np.isneginf(logs[2]) and np.isfinite(logs[[0, 1, 3, 4]]).all()
-        found = check_lane_engine(monkeypatch, engine_events, w, 1.0, u, 0.0, transfer,
-                                  cells=(1, 14, analysis._BLOCK_CELLS))
-        assert set(found.values()) == {(3, 5)}
-
-
-def closure_rows(w, w_in, u, y0, transfer):
-    """Per lane, the row ``R`` at which its 2-cycle closes, or inf.
-
-    ``R`` is the first ``R >= 2`` with ``s[R] == s[R-2]`` bit for bit and
-    the lane's input 2-periodic from row ``R-2``; ``s[R]`` is the state
-    after ``R`` rows, ``s[0]`` the start.  From there on the lane repeats
-    its last two states.
-    """
-    lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
-    rows = analysis._run_rows(u, lane_w, lane_w_in, start)
-    s = np.vstack([start, per_row_states(w, w_in, u, y0, transfer)]).view(np.uint64)
-    period = np.broadcast_to(analysis._period_start(rows), lane_w.shape)
-    closes = []
-    for lane in range(lane_w.size):
-        found = [r for r in range(max(2, period[lane] + 2), len(s))
-                 if s[r, lane] == s[r - 2, lane]]
-        closes.append(found[0] if found else math.inf)
-    return closes
-
-
-def stepped_lane_rows(closes, steps, cells):
-    """Lane-rows the engine steps when lane ``j`` closes at ``closes[j]`` (:func:`closure_rows`).
-
-    Blocks of 1, 2, 4, ... rows up to ``max(1, cells // m)``; after each,
-    a lane whose closure row has passed stops.  A block steps its open
-    lanes as floats, or all ``m`` lanes through ``eval`` while more than
-    ``_FLOAT_LANES`` are open, and the run ends in the tail once no lane
-    is open.
-    """
-    m = len(closes)
-    cap, rows, t0, total = max(1, cells // m), 1, 0, 0
-    while t0 < steps and (n_open := sum(c > t0 for c in closes)):
-        n = min(rows, steps - t0)
-        total += n * (m if n_open > analysis._FLOAT_LANES else n_open)
-        t0, rows = t0 + n, min(2 * rows, cap)
-    return total
-
-
-class TestPerLaneClosure:
-    """A lane that has closed its 2-cycle is filled from it while the open lanes are stepped on."""
-
-    T = 1100
-    CELLS = (1, 14, analysis._BLOCK_CELLS)
-
-    def _check(self, monkeypatch, events, w, w_in, u, y0, transfer):
-        """Check the engine against the per-row loops at each block size.
-
-        Returns the closure rows and, per block size, the lane count of
-        each stepped row, whose sum must be what the closure rows predict.
-        """
-        found = check_lane_engine(monkeypatch, events, w, w_in, u, y0, transfer, cells=self.CELLS)
-        closes = closure_rows(w, w_in, u, y0, transfer)
-        lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
-        rows = analysis._run_rows(u, lane_w, lane_w_in, start)
-        sizes = {}
-        for cells in self.CELLS:
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-            events.clear()
-            for _ in analysis._lane_blocks(lane_w, lane_w_in, rows, start, transfer,
-                                           lambda drive, states: states[1:]):
-                pass
-            sizes[cells] = [n for kind, n in events if kind == "eval"]
-            assert sum(sizes[cells]) == stepped_lane_rows(closes, len(rows), cells)
-            # One lane open at least, until the tail (if any) starts.
-            assert found[cells][0] == len(sizes[cells])
-        return closes, sizes
-
-    def _forgetting_lanes(self, m):
-        """The default forgetting pair (alpha = 1, on and 1e-3 off the orbit) and ``m - 2`` others."""
-        rng = rng_stream(m, 31)
-        alphas = np.concatenate([[1.0, 1.0], rng.uniform(0.3, 0.8, m - 2)])
-        orbit = float(anchored_orbit_state()[0])
-        y0 = np.concatenate([[orbit, orbit + 1e-3], rng.uniform(-1.0, 1.0, m - 2)])
-        return -alphas, 1.0 - alphas * TANH1, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
+        ref = lane_references(w, 1.0, u, 0.0, transfer)
+        assert np.all(ref.states == level)
+        assert check_lane_engine(monkeypatch, engine_events, ref, cells=(1,)) == {1: (3, 5)}
 
     def test_lanes_close_at_different_rows(self, monkeypatch, engine_events):
         # The reference of the forgetting pair closes at once, its twin
         # decays by a power law and never closes, the others in between.
-        w, w_in, y0, transfer = self._forgetting_lanes(5)
-        u = generate(alternating(self.T, 1.0))
-        closes, _ = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
-        assert closes[:2] == [2, math.inf]
-        assert len(set(closes[2:])) == 3 and max(closes[2:]) < self.T
+        w, w_in, y0, transfer = forgetting_lanes(5)
+        ref = lane_references(w, w_in, generate(alternating(T, 1.0)), y0, transfer)
+        check_lane_engine(monkeypatch, engine_events, ref)
+        assert ref.closes[:2] == [2, math.inf]
+        assert len(set(ref.closes[2:])) == 3 and max(ref.closes[2:]) < T
 
     def test_per_lane_input_turns_periodic_at_different_rows(self, monkeypatch, engine_events):
         rng = rng_stream(5, 31)
         alphas = rng.uniform(0.3, 0.8, 4)
-        u = generate(alternating(self.T, 1.0))[:, None] * rng.uniform(0.5, 1.5, 4)
+        u = generate(alternating(T, 1.0))[:, None] * rng.uniform(0.5, 1.5, 4)
         for lane, prefix in enumerate((0, 37, 200, 555)):
             u[:prefix, lane] = rng.standard_normal(prefix)
         assert analysis._period_start(u).tolist() == [0, 37, 200, 555]
-        closes, _ = self._check(monkeypatch, engine_events, -alphas, 1.0 - alphas * TANH1, u,
-                                0.0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE))
+        ref = lane_references(-alphas, 1.0 - alphas * TANH1, u, 0.0,
+                              MorphableTransfer((-1.0, 1.0), Variant.BRIDGE))
+        check_lane_engine(monkeypatch, engine_events, ref)
+        closes = ref.closes
         assert closes == sorted(closes) and all(c > p for c, p in zip(closes, (0, 37, 200, 555)))
-        assert closes[-1] < self.T
+        assert closes[-1] < T
 
     def test_held_lane_waits_for_its_own_input_period(self, monkeypatch, engine_events):
         # Lane 1 sits on the plateau level while its input varies inside
@@ -1337,34 +1116,16 @@ class TestPerLaneClosure:
         # Lane 0's input is 2-periodic from row 0.
         transfer, d1, a1, level = plateau_level_case()
         rng = rng_stream(7, 31)
-        u = np.column_stack([generate(alternating(self.T, 1.0))] * 2)
+        u = np.column_stack([generate(alternating(T, 1.0))] * 2)
         u[:300, 1] = rng.uniform(d1, a1, 300) + 0.5 * level
-        w = np.array([-0.5, -0.5])
-        states = per_row_states(w, 1.0, u, level, transfer)
-        assert np.all(states[:300, 1] == level) and states[300, 1] != level
-        closes, _ = self._check(monkeypatch, engine_events, w, 1.0, u, level, transfer)
-        assert closes[1] > 300
-
-    def test_float_path_starts_mid_run(self, monkeypatch, engine_events):
-        # m* + 1 lanes step through eval until the first closures leave at
-        # most m* open; those step as floats from then on.
-        m = analysis._FLOAT_LANES + 1
-        floats, float_rows = [], analysis._float_rows
-        monkeypatch.setattr(analysis, "_float_rows",
-                            lambda step, w, y, drive: floats.append(w.size) or float_rows(
-                                step, w, y, drive))
-        w, w_in, y0, transfer = self._forgetting_lanes(m)
-        u = generate(alternating(self.T, 1.0))
-        _, sizes = self._check(monkeypatch, engine_events, w, w_in, u, y0, transfer)
-        for evals in sizes.values():
-            wide = evals.index(next(n for n in evals if n < m))
-            assert wide > 0 and set(evals[:wide]) == {m}
-            assert all(n <= analysis._FLOAT_LANES for n in evals[wide:]) and evals[-1] == 1
-        assert floats and max(floats) <= analysis._FLOAT_LANES
+        ref = lane_references(np.array([-0.5, -0.5]), 1.0, u, level, transfer)
+        assert np.all(ref.states[:300, 1] == level) and ref.states[300, 1] != level
+        check_lane_engine(monkeypatch, engine_events, ref)
+        assert ref.closes[1] > 300
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_inputs_of_fewer_than_3_rows(self, steps):
-        w, w_in, y0, transfer = self._forgetting_lanes(3)
+        w, w_in, y0, transfer = forgetting_lanes(3)
         lane_w, lane_w_in, start = analysis._lanes(w, w_in, y0)
         for u in (generate(alternating(steps, 1.0)), np.ones((steps, 3))):
             rows = analysis._run_rows(u, lane_w, lane_w_in, start)
@@ -1387,6 +1148,239 @@ class TestPerLaneClosure:
         monkeypatch.setattr(analysis, "_float_rows", counted_rows)
         assert cli_main(["--out", str(tmp_path), "forgetting", "--input", "alternating"]) == 0
         assert sum(lane_rows) == 100_000 + 3
+
+
+class TestCycleTail:
+    """Once every lane has closed, rows R and R+1 from the cycle fill the rest of the run."""
+
+    def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
+        # Started on the expected orbit, the cycle closes after the blocks
+        # of 1 and 2 rows, and the tail starts after two more.
+        w, w_in, u, _, transfer, _ = EngineCase("alternating", "negative", 4, Variant.BRIDGE,
+                                                1.0).args()
+        ref = lane_references(w, w_in, u, -TANH1, transfer)
+        found = check_lane_engine(monkeypatch, engine_events, ref, cells=(analysis._BLOCK_CELLS,))
+        assert found == {analysis._BLOCK_CELLS: (3, 5)}  # within the washout of 100
+
+    def test_tail_starts_on_one_row_blocks(self, monkeypatch, engine_events):
+        # The default blocks hold 2 rows of 2,800 lanes and 1 row of 4,097;
+        # the wide table cases run both at 200 lanes.  At 4,097 lanes the
+        # default blocks once never started a tail.
+        assert analysis._BLOCK_CELLS // 2800 == 2 and analysis._BLOCK_CELLS // 4097 == 1
+        case = EngineCase("alternating", "negative", 4097, Variant.BRIDGE, 1.0)
+        found = check_lane_engine(monkeypatch, engine_events, lane_references(*case.args()),
+                                  cells=(analysis._BLOCK_CELLS,))
+        assert found[analysis._BLOCK_CELLS][1] is not None
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
+        # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
+        # pieces: its separation is exactly 0 at every row, and its
+        # companion restarts in the tail's two rows.
+        alphas = np.array([0.3, 0.7, 1.2])
+        ref = lane_references(-alphas, 1.0 - alphas * TANH1, generate(alternating(T, 1.0)), 0.0,
+                              MorphableTransfer((-1.0, 1.0), Variant.PLATEAU), direction)
+        for _, tail in check_lane_engine(monkeypatch, engine_events, ref).values():
+            assert tail is not None
+
+    def test_tail_takes_two_rows_from_the_cycle(self, monkeypatch, engine_events):
+        # The state alternates between the plateau level (rows 0, 2, ...)
+        # and about tanh(1) (rows 1, 3, ...), and the input is 2-periodic from
+        # row 1, so the cycle closes after row 2: R = 3.  The companion's
+        # offset is + at row 2 and - at row 4, from the restart at row 2.
+        # Row 0 leaves the plateau below its left edge and rows 1 and 3 lie
+        # on a slope, so the map of rows R-2 and R is the identity; at rows
+        # R-1 and R+1 the linear response sits just inside the right edge,
+        # so the + offset stays on the level (log -inf) and restarts at +
+        # and the - offset leaves it: the map of rows R+-1 is the constant
+        # +.  So row R+1's log is finite and row R-1's is not: a tail from
+        # rows R-1 and R would copy -inf into every row R+1, R+3, ...
+        transfer, d1, a1, level = plateau_level_case()
+        w = np.array([-0.5])
+        u = np.empty(T)
+        u[0] = d1 + 2.5e-10
+        u[1::2] = 1.0 + 0.5 * level
+        v = transfer.eval(w * level + u[1])
+        u[2::2] = a1 - 2.5e-10 + 0.5 * v
+        ref = lane_references(w, 1.0, u, 0.0, transfer)
+        assert np.all(ref.states[0::2] == level) and np.all(ref.states[1::2] == v)
+        logs = ref.logs[0]
+        assert np.isneginf(logs[2]) and np.isfinite(logs[[0, 1, 3, 4]]).all()
+        assert set(check_lane_engine(monkeypatch, engine_events, ref).values()) == {(3, 5)}
+
+    # Three reference rows stepped before the cycle closes (30 lanes: one
+    # eval each; one lane: one float row each), then one companion eval
+    # for each of the blocks of 1 and 2 rows and one for the two rows
+    # taken from the cycle; the tail does the rest.
+    @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
+    def test_default_commands_end_in_the_tail(self, tmp_path, eval_calls, argv):
+        assert cli_main(["--out", str(tmp_path), *argv]) == 0
+        assert len(eval_calls) == 6
+
+    @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
+                                      constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_tail_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
+        # The oracle steps through Reservoir.step and never closes a cycle.
+        res = anchored_reservoir(alpha)
+        renorm = lyapunov_renormalized(res, spec, washout=1000)
+        assert len(eval_calls) < 200  # the tail filled the run
+        deriv = lyapunov_derivative_product(res, spec, washout=1000)
+        assert abs(renorm.lam - deriv.lam) <= 1e-3
+
+
+class TestSignRule:
+    """The keep/flip/set sign scan of ``_renormalized_rows`` against the per-step loop."""
+
+    def _plateau_case(self):
+        alphas = np.array([0.3, 0.7, 1.0, 1.2])
+        transfer = MorphableTransfer((-1.0, 1.0), Variant.PLATEAU)
+        u = generate(iid_plus_minus(1500, 1.0, seed=9))
+        return -alphas, 1.0 - alphas * TANH1, u, transfer
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(list(Variant)),
+           kind=st.sampled_from(["alternating", "iid", "iid washout"]),
+           rows=st.integers(1, 400), direction=st.sampled_from([1.0, -1.0]),
+           gain=st.sampled_from([1.3, 40.0]), zero=st.booleans())
+    def test_matches_per_step_loop(self, seed, variant, kind, rows, direction, gain, zero):
+        rng = rng_stream(seed, 17)
+        transfer = MorphableTransfer(random_ecp_list(rng), variant)
+        m = 5
+        # Mixed signs; gains up to 40 saturate, so on most rows both
+        # companions give one next sign, as a zero gain's restarts do.
+        w = rng.uniform(-gain, gain, m)
+        if zero:
+            w[0] = 0.0
+        w_in = rng.uniform(-1.0, 1.0, m)
+        y0 = float(rng.uniform(-1.0, 1.0))
+        u = generate(alternating(1300, 1.0))
+        if kind != "alternating":
+            end = 300 if kind == "iid washout" else 1300
+            u[:end] = generate(iid_plus_minus(end, 1.0, seed=seed))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BLOCK_CELLS", rows * m)
+            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=y0,
+                                                 direction=direction)
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(err, ref_err, equal_nan=True)
+
+        exact = per_step_renormalized(w, w_in, u, transfer, 1e-9, y0, direction, exact=True)
+        exact_lam, _, _ = row_fold_rate(iter(exact), len(u), 300)
+        np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
+
+    def test_a_restart_ends_an_odd_block(self):
+        # A plateau case of the table restarts its companion at a row that
+        # ends a block of ODD_ROWS rows, so the next block starts from a
+        # restart.  The table also runs mixed-sign gains under iid input.
+        restarts = [np.flatnonzero(np.isneginf(case_references(case).logs[0]).any(axis=1))
+                    for case in NARROW_CASES
+                    if case.variant is Variant.PLATEAU and case.kind == "iid"]
+        assert any(np.any(rows % ODD_ROWS == ODD_ROWS - 1) for rows in restarts)
+
+    class NegTanh:
+        """``-tanh``: a decreasing transfer, so with w > 0 every nonzero separation flips sign."""
+
+        def eval(self, x):
+            return -np.tanh(x)
+
+        def _eval_float(self, x):
+            return -float(np.tanh(x))
+
+    @pytest.mark.parametrize("m", [5, analysis._FLOAT_LANES + 4])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_decreasing_transfer_matches_per_step_loop(self, engine_events, m, direction):
+        # Only the closed-cycle tail needs a nondecreasing transfer, and iid
+        # input never closes a cycle, so the engine steps every row.
+        w, w_in, u = np.linspace(0.3, 1.2, m), 0.7, generate(iid_plus_minus(1300, 1.0, seed=4))
+        transfer = self.NegTanh()
+        lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=0.2,
+                                             direction=direction)
+        assert tail_start(engine_events) is None
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, 0.2, direction)
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
+        assert lam.tobytes() == ref_lam.tobytes()
+        assert err.tobytes() == ref_err.tobytes()
+
+    @pytest.mark.parametrize("case", ["plateau", "wide"])
+    def test_one_companion_eval_per_block(self, engine_events, case):
+        if case == "plateau":
+            w, w_in, u, transfer = self._plateau_case()  # restarts on iid input
+        else:
+            alphas = np.linspace(0.2, 1.4, analysis._FLOAT_LANES + 4)
+            w, w_in, transfer = -alphas, 1.0 - alphas * TANH1, MorphableTransfer((-1.0, 1.0))
+            u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=5)),
+                                generate(alternating(1200, 1.0))])
+        renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
+        # Stepping evaluates at most m values at a time; the consumer
+        # evaluates both companions of every row of its block, in one call
+        # right after the block is handed over.
+        m = w.size
+        blocks = [i for i, (kind, _) in enumerate(engine_events) if kind == "block"]
+        assert [engine_events[i + 1] for i in blocks] == [
+            ("eval", 2 * engine_events[i][1] * m) for i in blocks]
+        assert sum(kind == "eval" and n > m for kind, n in engine_events) == len(blocks)
+
+    def test_restarts_in_the_washout_leave_a_finite_estimate(self, monkeypatch):
+        # Random input lands the plateau lanes on flat pieces during the
+        # washout; the expected alternating input after it never does, so
+        # the estimate is finite and every restart's follow-up counts.
+        w, w_in, _, transfer = self._plateau_case()
+        w, w_in = w[:3], w_in[:3]  # at alpha = 1.2 the plateau keeps catching the orbit
+        u = np.concatenate([generate(iid_plus_minus(300, 1.0, seed=9)),
+                            generate(alternating(1200, 1.0))])
+        logs = per_step_renormalized(w, w_in, u, transfer, 1e-9, -TANH1, 1.0)
+        assert np.isneginf(logs[:300]).any(axis=0).all()
+        ref_lam, ref_err, _ = row_fold_rate(iter(logs), len(u), 300)
+        assert np.all(np.isfinite(ref_lam))
+        for rows in (1, 7, 250, 400):
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", rows * w.size)
+            lam, err = renormalized_scalar_batch(w, w_in, u, transfer, washout=300, y0=-TANH1)
+            assert np.array_equal(lam, ref_lam)
+            assert np.array_equal(err, ref_err)
+
+    def test_direction_must_be_a_unit_sign(self):
+        w, w_in, u, transfer = self._plateau_case()
+        with pytest.raises(ValueError, match=r"direction must be \+1 or -1"):
+            renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
+
+
+class TestFloatLanes:
+    """Up to ``_FLOAT_LANES`` open lanes step as Python floats; more take one ``eval`` per row."""
+
+    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
+    def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
+        sizes = []
+        original = MorphableTransfer.eval
+        monkeypatch.setattr(MorphableTransfer, "eval",
+                            lambda self, x: sizes.append(np.size(x)) or original(self, x))
+        w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
+        u = analysis._run_rows(iid_plus_minus(T, 1.0, seed=8), w, w_in, start)
+        for _ in analysis._lane_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0)),
+                                       lambda drive, states: states[1:]):
+            pass
+        assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * T)
+
+    def test_float_path_starts_mid_run(self, monkeypatch, engine_events):
+        # m* + 1 lanes step through eval until the first closures leave at
+        # most m* open; those step as floats from then on.
+        m = analysis._FLOAT_LANES + 1
+        floats, float_rows = [], analysis._float_rows
+        monkeypatch.setattr(analysis, "_float_rows",
+                            lambda step, w, y, drive: floats.append(w.size) or float_rows(
+                                step, w, y, drive))
+        w, w_in, y0, transfer = forgetting_lanes(m)
+        ref = lane_references(w, w_in, generate(alternating(T, 1.0)), y0, transfer)
+        check_lane_engine(monkeypatch, engine_events, ref)  # pins each row's lanes
+        for cells in block_sizes(m):
+            lanes = stepped_lanes(ref.closes, ref.steps, cells)
+            wide = lanes.index(next(n for n in lanes if n < m))
+            assert wide > 0 and set(lanes[:wide]) == {m}
+            assert all(n <= analysis._FLOAT_LANES for n in lanes[wide:]) and lanes[-1] == 1
+        assert floats and max(floats) <= analysis._FLOAT_LANES
 
 
 class TestNonFiniteInput:
@@ -1447,10 +1441,7 @@ class TestNonFiniteInput:
 
 
 class TestReachGate:
-    """Every reservoir run rejects a linear response that can overflow, before its first step.
-
-    The batched engines' cases are in ``TestCycleReplay``.
-    """
+    """Every run and batched engine rejects a linear response that can overflow, before a step."""
 
     # (w, w_in, start): a gain, an input gain or a start state of 1e308.
     CASES = {"gain": (1e308, 0.5, 0.0), "input-gain": (0.5, 1e308, 0.0),
@@ -1494,6 +1485,17 @@ class TestReachGate:
             lam, _ = engine(np.array([0.5, 1e307]), 0.5, u, MorphableTransfer((-1.0, 1.0)),
                             washout=100)
             assert np.isfinite(lam[0])
+
+    def test_overflowing_linear_response_is_rejected(self, eval_calls):
+        transfer = MorphableTransfer((-1.0, 1.0))
+        u = generate(alternating(1200, 2.0))
+        for w, w_in, y0 in self.CASES.values():
+            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+                with pytest.raises(ValueError, match="linear response overflows float64"):
+                    engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
+                assert not eval_calls  # rejected before the first row
+        with pytest.raises(ValueError, match="linear response overflows float64"):
+            run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
 
 
 class TestRate:
@@ -1544,8 +1546,8 @@ class TestRate:
             assert lane[2] == used
 
     # None is a scalar stream of (rows,) blocks; 1, 2 and 30 lanes fold by
-    # cumsum, 3000 row by row.
-    @pytest.mark.parametrize("lanes", [None, 1, 2, 30, 3000])
+    # cumsum, WIDE row by row.
+    @pytest.mark.parametrize("lanes", [None, 1, 2, 30, WIDE])
     @pytest.mark.parametrize("split", ["1", "2", "whole", "random"])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), per=st.integers(1, 5), washout=st.integers(0, 30),
@@ -1592,7 +1594,7 @@ class TestCycleTailReduction:
     CASES += [(1, 38), (7, 0)]
 
     @pytest.mark.parametrize("per,t", CASES)
-    @pytest.mark.parametrize("lanes", [3, analysis._CUMSUM_LANES + 72])
+    @pytest.mark.parametrize("lanes", [3, WIDE])
     @pytest.mark.parametrize("chunk", [1, 5, None])  # rows per chunk; None: the default
     def test_matches_the_row_fold(self, monkeypatch, per, t, lanes, chunk):
         washout = 0 if t == 0 else self.WASHOUT

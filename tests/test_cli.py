@@ -152,6 +152,14 @@ class TestSweepAlpha:
         alphas = [float(r["alpha"]) for r in read_rows(tmp_path / "sweep_alpha.csv")]
         assert len(alphas) == 30 and alphas[-1] == 1.5
 
+    @pytest.mark.parametrize("grid", ["0.1:0.2", "0.1:0.2:0.05:1", "0.5,,0.6", ":"])
+    def test_malformed_grid_rejected(self, tmp_path, capsys, grid):
+        assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", grid, "--horizon", 2000) == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid {grid!r} is neither start:stop:step nor a comma-separated list of "
+            "numbers\n")
+        assert not (tmp_path / "sweep_alpha.csv").exists()
+
     def test_nan_grid_rejected(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "nan,1.0",
                        "--horizon", 2000) == 1
