@@ -2,7 +2,7 @@ import math
 import operator
 import warnings
 from functools import cache, reduce
-from itertools import combinations, islice, product
+from itertools import islice
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -214,6 +214,18 @@ def _per_neuron_twin(res: Reservoir) -> Reservoir:
     return twin
 
 
+def recorded_advance(monkeypatch):
+    """A list that records the state shape of every ``Reservoir._advance`` call."""
+    calls, advance = [], Reservoir._advance
+
+    def recording(self, u):
+        calls.append(self.state.shape)
+        return advance(self, u)
+
+    monkeypatch.setattr(Reservoir, "_advance", recording)
+    return calls
+
+
 class TestStackedRenormalized:
     def test_one_neuron_matches_two_copy_path_exactly(self):
         rng = rng_stream(31, 17)
@@ -264,37 +276,12 @@ class TestStackedRenormalized:
             with pytest.raises(ValueError, match=r"state must have shape \(1,\), not \(2, 1\)"):
                 estimator(res, alternating(1500, 1.0), washout=500)
 
-    @staticmethod
-    def _recorded_advance(monkeypatch):
-        calls, advance = [], Reservoir._advance
-
-        def recording(self, u):
-            calls.append(self.state.shape)
-            return advance(self, u)
-
-        monkeypatch.setattr(Reservoir, "_advance", recording)
-        return calls
-
-    def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
-        calls = self._recorded_advance(monkeypatch)
-        spec = iid_plus_minus(1500, 1.0, seed=3)
-        shared = anchored_reservoir(0.9)
-        lyapunov_renormalized(shared, spec, washout=500)
-        assert calls == []
-
-        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, s: None), spec,
-                              washout=500)
-        lyapunov_renormalized(_per_neuron_twin(shared), spec, washout=500)
-        res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
-        lyapunov_renormalized(res2, spec, washout=500)
-        assert calls == [(2, 1)] * 3000 + [(2, 2)] * 1500  # one call per step
-
     def test_two_inputs_run_on_the_engine(self, monkeypatch):
         # One neuron, n = 2: the engine's drive u @ w_in[0] may round
         # differently from the stacked route's per-row product, depending
         # on the host's numpy kernels.  So lam agrees within 1e-6, and the
         # pair's distances within an absolute 1e-12 or a relative 1e-9.
-        calls = self._recorded_advance(monkeypatch)
+        calls = recorded_advance(monkeypatch)
         rng = rng_stream(34, 17)
         for _ in range(3):
             ecps, alpha = random_ecp_list(rng), float(rng.uniform(0.5, 1.2))
@@ -808,8 +795,6 @@ ODD_ROWS = 7
 #: The narrowest grid that ``_fold`` and ``_CycleTail.fold`` add row by row.
 WIDE = analysis._CUMSUM_LANES + 72
 INPUT_KINDS = ("constant", "alternating", "iid", "prefix", "per-lane")
-#: Both sides of the float-lane crossover m*.
-WIDTHS = (1, 4, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1)
 
 
 def block_sizes(m: int):
@@ -817,7 +802,7 @@ def block_sizes(m: int):
 
     Blocks of 1 row, of at most ``ODD_ROWS`` rows, and the default cap.
     A wide grid runs at blocks of 1 and 2 rows, as the default cap gives
-    4,097 and 2,800 lanes (``TestCycleTail.test_tail_starts_on_one_row_blocks``).
+    4,097 and 2,800 lanes (``TestLogCycleTail.test_tail_starts_on_one_row_blocks``).
     """
     if m > analysis._CUMSUM_LANES:
         return m, 2 * m
@@ -918,10 +903,6 @@ class EngineCase(NamedTuple):
     variant: Variant
     direction: float
 
-    def __str__(self):
-        return "-".join([self.kind, self.signs, str(self.m), self.variant.value,
-                         "up" if self.direction > 0 else "down"])
-
     def args(self):
         """``(w, w_in, u, y0, transfer, direction)`` of :func:`lane_references`."""
         rng = rng_stream(1000 * INPUT_KINDS.index(self.kind) + self.m, 23)
@@ -946,22 +927,52 @@ def engine_input(kind: str, m: int, rng):
     return u
 
 
-#: Every pair of axis values at least once (``test_table_covers_every_pair``), not their product.
-NARROW_CASES = [
-    EngineCase(kind, ("negative", "mixed")[(a + b) % 2], m, list(Variant)[(a + b // 2) % 2],
-               (1.0, -1.0)[(a // 2 + b) % 2])
-    for a, kind in enumerate(INPUT_KINDS) for b, m in enumerate(WIDTHS)]
-#: Each input kind and the mixed signs on a grid that steps its rows through ``eval``.
-WIDE_CASES = [EngineCase(kind, signs, WIDE, list(Variant)[i % 2], (1.0, -1.0)[i // 2 % 2])
-              for i, (kind, signs) in enumerate([(kind, "negative") for kind in INPUT_KINDS]
-                                                + [("alternating", "mixed")])]
-ENGINE_CASES = NARROW_CASES + WIDE_CASES
+#: The engine table is the cases of the ids of ``TestCycleReplay.test_matches_per_row_loop``
+#: and ``TestLogCycleTail.test_matches_per_row_loops``, each the product of its axes.
+#: ``TestCycleReplay``'s lane counts: both sides of the float-lane crossover m*.
+REPLAY_WIDTHS = (1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1)
+#: The lane counts and kinds of ``TestLogCycleTail``'s cases.  ``"mixed signs"`` is
+#: mixed gains on constant input at odd m and on alternating input at even m.
+TAIL_WIDTHS = (1, 4, 7)
+TAIL_KINDS = ("constant", "alternating", "mixed signs", "prefix", "per-lane")
+SIGNS = ("negative", "mixed")
+DIRECTIONS = (1.0, -1.0)
+
+
+def replay_case(m: int, kind: str, variant: Variant):
+    """The engine case of ``TestCycleReplay``'s id ``[m-kind-variant]``.
+
+    The axes that the id leaves free vary with it: the gain signs with
+    the parity of ``m`` and the variant, the direction from -1 at m* on.
+    So each input kind meets both signs and both directions, and mixed
+    signs meet iid input.
+    """
+    return EngineCase(kind, SIGNS[(m + list(Variant).index(variant)) % 2], m, variant,
+                      DIRECTIONS[m >= analysis._FLOAT_LANES])
+
+
+def tail_case(direction: float, m: int, kind: str):
+    """The engine case of ``TestLogCycleTail``'s id ``[direction-m-kind]``; the variant
+    varies with the parity of ``m`` and the direction."""
+    variant = list(Variant)[(m + DIRECTIONS.index(direction)) % 2]
+    if kind == "mixed signs":
+        return EngineCase("constant" if m % 2 else "alternating", "mixed", m, variant, direction)
+    return EngineCase(kind, "negative", m, variant, direction)
 
 
 @cache
 def case_references(case: EngineCase):
     """:func:`lane_references` of a table case, computed once per session."""
     return lane_references(*case.args())
+
+
+def check_case(monkeypatch, events, case: EngineCase, ref=None):
+    """:func:`check_lane_engine` on a table case: at every block size the
+    cycle closes and ends the run in the tail, unless the input is iid and
+    every row is stepped."""
+    found = check_lane_engine(monkeypatch, events, ref or case_references(case))
+    for stepped, tail in found.values():
+        assert (stepped == T) == (tail is None) == (case.kind == "iid")
 
 
 def plateau_level_case():
@@ -980,25 +991,21 @@ def forgetting_lanes(m):
     return -alphas, 1.0 - alphas * TANH1, y0, MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
 
 
-class TestPerLaneClosure:
-    """A lane that has closed its 2-cycle is filled from it while the open lanes are stepped on.
+class TestCycleReplay:
+    """A reference recurrence that closes an exact 2-cycle fills the rest of the run with the per-row bytes."""
 
-    ``check_lane_engine`` pins every block size to the per-row loops, and
-    the lane-rows stepped to the rows at which the lanes close.
-    """
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    @pytest.mark.parametrize("m", REPLAY_WIDTHS)
+    def test_matches_per_row_loop(self, monkeypatch, engine_events, variant, kind, m):
+        check_case(monkeypatch, engine_events, replay_case(m, kind, variant))
 
-    def test_table_covers_every_pair(self):
-        axes = list(zip(*NARROW_CASES))
-        for i, j in combinations(range(len(axes)), 2):
-            assert set(zip(axes[i], axes[j])) == set(product(axes[i], axes[j]))
-        assert {case.kind for case in WIDE_CASES} == set(INPUT_KINDS)
-        assert {case.signs for case in WIDE_CASES} == {"negative", "mixed"}
-
-    @pytest.mark.parametrize("case", ENGINE_CASES, ids=str)
-    def test_matches_per_row_loops(self, monkeypatch, engine_events, case):
-        found = check_lane_engine(monkeypatch, engine_events, case_references(case))
-        for stepped, tail in found.values():
-            assert (stepped == T) == (tail is None) == (case.kind == "iid")  # the cycle closed
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_wide_batch_matches_per_row_loop(self, monkeypatch, engine_events, kind):
+        # WIDE lanes at blocks of 1 and 2 rows, as 4,097 and 2,800 lanes get
+        # on the default cap (TestLogCycleTail.test_tail_starts_on_one_row_blocks).
+        case = replay_case(WIDE, kind, list(Variant)[INPUT_KINDS.index(kind) % 2])
+        check_case(monkeypatch, engine_events, case, lane_references(*case.args()))
 
     def test_random_anchors_match_per_row_loop(self, monkeypatch, engine_events):
         rng = rng_stream(4, 23)
@@ -1011,30 +1018,7 @@ class TestPerLaneClosure:
                                   lane_references(w, w_in, u, 0.25, transfer),
                                   cells=(ODD_ROWS * 4, analysis._BLOCK_CELLS))
 
-    PAIR_KINDS = ["constant", "alternating", "iid", "prefix"]
-
-    @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
-    @pytest.mark.parametrize("kind", PAIR_KINDS)
-    def test_run_pair_matches_per_row_loop(self, monkeypatch, kind, start):
-        u = engine_input(kind, 1, rng_stream(6, 23))
-        for i, alpha in enumerate((0.5, 1.0, 1.2)):
-            # The variant alternates with gain and kind: each kind, start and gain meets both.
-            variant = list(Variant)[(i + self.PAIR_KINDS.index(kind)) % 2]
-            res = anchored_reservoir(alpha, variant=variant)
-            states = per_row_states(np.repeat(res.W[0], 2), np.ones(2), u * res.w_in[0, 0],
-                                    np.array(start), res.transfers[0])
-            diff = np.concatenate([[start[1] - start[0]], states[:, 1] - states[:, 0]])
-            d = np.sqrt(diff * diff)
-            zeros = np.flatnonzero(d == 0.0)
-            if zeros.size:
-                d = d[:zeros[0] + 1]
-            for cells in block_sizes(2):
-                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
-                series = run_pair(res, start[0], start[1], u)
-                assert series.d.tobytes() == d.tobytes()
-                assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
-
-    def test_no_closure_once_the_input_stops_repeating(self, monkeypatch, engine_events):
+    def test_no_replay_once_the_input_stops_repeating(self, monkeypatch, engine_events):
         # On the expected orbit the state repeats from the first rows of
         # the alternating prefix, but the input turns iid at row 700.
         alphas = np.array([0.5, 1.0, 1.2])
@@ -1085,6 +1069,168 @@ class TestPerLaneClosure:
         ref = lane_references(w, 1.0, u, 0.0, transfer)
         assert np.all(ref.states == level)
         assert check_lane_engine(monkeypatch, engine_events, ref, cells=(1,)) == {1: (3, 5)}
+
+    PAIR_KINDS = ["constant", "alternating", "iid", "prefix"]
+
+    @pytest.mark.parametrize("start", [(0.0, 1.0), (-TANH1, TANH1), (-TANH1, -TANH1 + 1e-3)])
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    def test_run_pair_matches_per_row_loop(self, monkeypatch, kind, start):
+        u = engine_input(kind, 1, rng_stream(6, 23))
+        for i, alpha in enumerate((0.5, 1.0, 1.2)):
+            # The variant alternates with gain and kind: each kind, start and gain meets both.
+            variant = list(Variant)[(i + self.PAIR_KINDS.index(kind)) % 2]
+            res = anchored_reservoir(alpha, variant=variant)
+            states = per_row_states(np.repeat(res.W[0], 2), np.ones(2), u * res.w_in[0, 0],
+                                    np.array(start), res.transfers[0])
+            diff = np.concatenate([[start[1] - start[0]], states[:, 1] - states[:, 0]])
+            d = np.sqrt(diff * diff)
+            zeros = np.flatnonzero(d == 0.0)
+            if zeros.size:
+                d = d[:zeros[0] + 1]
+            for cells in block_sizes(2):
+                monkeypatch.setattr(analysis, "_BLOCK_CELLS", cells)
+                series = run_pair(res, start[0], start[1], u)
+                assert series.d.tobytes() == d.tobytes()
+                assert series.truncated_at == (int(zeros[0]) if zeros.size else None)
+
+    # Three reference rows stepped before the cycle closes (30 lanes: one
+    # eval each; one lane: one float row each), then one companion eval
+    # for each of the blocks of 1 and 2 rows and one for the two rows
+    # taken from the cycle; the tail does the rest.
+    @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
+    def test_default_commands_replay(self, tmp_path, eval_calls, argv):
+        assert cli_main(["--out", str(tmp_path), *argv]) == 0
+        assert len(eval_calls) == 6
+
+    # Up to _FLOAT_LANES open lanes step as Python floats; more take one eval per row.
+    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
+    def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
+        sizes = []
+        original = MorphableTransfer.eval
+        monkeypatch.setattr(MorphableTransfer, "eval",
+                            lambda self, x: sizes.append(np.size(x)) or original(self, x))
+        w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
+        u = analysis._run_rows(iid_plus_minus(T, 1.0, seed=8), w, w_in, start)
+        for _ in analysis._lane_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0)),
+                                       lambda drive, states: states[1:]):
+            pass
+        assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * T)
+
+    def test_iid_input_steps_every_row(self, eval_calls):
+        u = generate(iid_plus_minus(T, 1.0, seed=8))
+        alphas = np.array([0.5, 0.9])
+        renormalized_scalar_batch(-alphas, 1.0 - alphas * TANH1, u,
+                                  MorphableTransfer((-1.0, 1.0)), washout=100)
+        assert len(eval_calls) >= T
+
+    @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
+                                      constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_replayed_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
+        # The oracle steps through Reservoir.step and never closes a cycle.
+        res = anchored_reservoir(alpha)
+        renorm = lyapunov_renormalized(res, spec, washout=1000)
+        assert len(eval_calls) < 200  # the tail filled the run
+        deriv = lyapunov_derivative_product(res, spec, washout=1000)
+        assert abs(renorm.lam - deriv.lam) <= 1e-3
+
+    def test_overflowing_linear_response_is_rejected(self, eval_calls):
+        transfer = MorphableTransfer((-1.0, 1.0))
+        u = generate(alternating(1200, 2.0))
+        for w, w_in, y0 in [(1e308, 0.5, 0.0), (0.5, 1e308, 0.0), (-10.0, 0.5, 1e308)]:
+            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
+                with pytest.raises(ValueError, match="linear response overflows float64"):
+                    engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
+                assert not eval_calls  # rejected before the first row
+        with pytest.raises(ValueError, match="linear response overflows float64"):
+            run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
+
+
+class TestLogCycleTail:
+    """Once every lane has closed, rows R and R+1 from the cycle fill the rest of the run."""
+
+    @pytest.mark.parametrize("kind", TAIL_KINDS)
+    @pytest.mark.parametrize("m", TAIL_WIDTHS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_matches_per_row_loops(self, monkeypatch, engine_events, kind, m, direction):
+        check_case(monkeypatch, engine_events, tail_case(direction, m, kind))
+
+    def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
+        # Started on the expected orbit, the cycle closes after the blocks
+        # of 1 and 2 rows, and the tail starts after two more.
+        w, w_in, u, _, transfer, _ = EngineCase("alternating", "negative", 4, Variant.BRIDGE,
+                                                1.0).args()
+        ref = lane_references(w, w_in, u, -TANH1, transfer)
+        found = check_lane_engine(monkeypatch, engine_events, ref, cells=(analysis._BLOCK_CELLS,))
+        assert found == {analysis._BLOCK_CELLS: (3, 5)}  # within the washout of 100
+
+    @pytest.mark.parametrize("kind", ["alternating", "mixed signs", "prefix"])
+    def test_wide_batch(self, monkeypatch, engine_events, kind):
+        case = tail_case(1.0, WIDE, kind)
+        check_case(monkeypatch, engine_events, case, lane_references(*case.args()))
+
+    def test_tail_starts_on_one_row_blocks(self, monkeypatch, engine_events):
+        # The default blocks hold 2 rows of 2,800 lanes and 1 row of 4,097;
+        # the wide cases run both at WIDE lanes.  At 4,097 lanes the
+        # default blocks once never started a tail.
+        assert analysis._BLOCK_CELLS // 2800 == 2 and analysis._BLOCK_CELLS // 4097 == 1
+        case = EngineCase("alternating", "negative", 4097, Variant.BRIDGE, 1.0)
+        found = check_lane_engine(monkeypatch, engine_events, lane_references(*case.args()),
+                                  cells=(analysis._BLOCK_CELLS,))
+        assert found[analysis._BLOCK_CELLS][1] is not None
+
+    def test_iid_input_never_starts_a_tail(self, monkeypatch, engine_events):
+        w, w_in, _, y0, transfer, _ = EngineCase("alternating", "negative", 4, Variant.BRIDGE,
+                                                 1.0).args()
+        u = generate(iid_plus_minus(T, 1.0, seed=8))
+        found = check_lane_engine(monkeypatch, engine_events,
+                                  lane_references(w, w_in, u, y0, transfer),
+                                  cells=(analysis._BLOCK_CELLS,))
+        assert found == {analysis._BLOCK_CELLS: (T, None)}
+
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
+        # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
+        # pieces: its separation is exactly 0 at every row, and its
+        # companion restarts in the tail's two rows.
+        alphas = np.array([0.3, 0.7, 1.2])
+        ref = lane_references(-alphas, 1.0 - alphas * TANH1, generate(alternating(T, 1.0)), 0.0,
+                              MorphableTransfer((-1.0, 1.0), Variant.PLATEAU), direction)
+        for _, tail in check_lane_engine(monkeypatch, engine_events, ref).values():
+            assert tail is not None
+
+    def test_tail_takes_two_rows_from_the_cycle(self, monkeypatch, engine_events):
+        # The state alternates between the plateau level (rows 0, 2, ...)
+        # and about tanh(1) (rows 1, 3, ...), and the input is 2-periodic from
+        # row 1, so the cycle closes after row 2: R = 3.  The companion's
+        # offset is + at row 2 and - at row 4, from the restart at row 2.
+        # Row 0 leaves the plateau below its left edge and rows 1 and 3 lie
+        # on a slope, so the map of rows R-2 and R is the identity; at rows
+        # R-1 and R+1 the linear response sits just inside the right edge,
+        # so the + offset stays on the level (log -inf) and restarts at +
+        # and the - offset leaves it: the map of rows R+-1 is the constant
+        # +.  So row R+1's log is finite and row R-1's is not: a tail from
+        # rows R-1 and R would copy -inf into every row R+1, R+3, ...
+        transfer, d1, a1, level = plateau_level_case()
+        w = np.array([-0.5])
+        u = np.empty(T)
+        u[0] = d1 + 2.5e-10
+        u[1::2] = 1.0 + 0.5 * level
+        v = transfer.eval(w * level + u[1])
+        u[2::2] = a1 - 2.5e-10 + 0.5 * v
+        ref = lane_references(w, 1.0, u, 0.0, transfer)
+        assert np.all(ref.states[0::2] == level) and np.all(ref.states[1::2] == v)
+        logs = ref.logs[0]
+        assert np.isneginf(logs[2]) and np.isfinite(logs[[0, 1, 3, 4]]).all()
+        assert set(check_lane_engine(monkeypatch, engine_events, ref).values()) == {(3, 5)}
+
+
+class TestPerLaneClosure:
+    """A lane that has closed its 2-cycle is filled from it while the open lanes are stepped on.
+
+    ``check_lane_engine`` pins every block size to the per-row loops, and
+    the lane-rows stepped to the rows at which the lanes close.
+    """
 
     def test_lanes_close_at_different_rows(self, monkeypatch, engine_events):
         # The reference of the forgetting pair closes at once, its twin
@@ -1150,86 +1296,26 @@ class TestPerLaneClosure:
         assert sum(lane_rows) == 100_000 + 3
 
 
-class TestCycleTail:
-    """Once every lane has closed, rows R and R+1 from the cycle fill the rest of the run."""
-
-    def test_tail_starts_inside_the_washout(self, monkeypatch, engine_events):
-        # Started on the expected orbit, the cycle closes after the blocks
-        # of 1 and 2 rows, and the tail starts after two more.
-        w, w_in, u, _, transfer, _ = EngineCase("alternating", "negative", 4, Variant.BRIDGE,
-                                                1.0).args()
-        ref = lane_references(w, w_in, u, -TANH1, transfer)
-        found = check_lane_engine(monkeypatch, engine_events, ref, cells=(analysis._BLOCK_CELLS,))
-        assert found == {analysis._BLOCK_CELLS: (3, 5)}  # within the washout of 100
-
-    def test_tail_starts_on_one_row_blocks(self, monkeypatch, engine_events):
-        # The default blocks hold 2 rows of 2,800 lanes and 1 row of 4,097;
-        # the wide table cases run both at 200 lanes.  At 4,097 lanes the
-        # default blocks once never started a tail.
-        assert analysis._BLOCK_CELLS // 2800 == 2 and analysis._BLOCK_CELLS // 4097 == 1
-        case = EngineCase("alternating", "negative", 4097, Variant.BRIDGE, 1.0)
-        found = check_lane_engine(monkeypatch, engine_events, lane_references(*case.args()),
-                                  cells=(analysis._BLOCK_CELLS,))
-        assert found[analysis._BLOCK_CELLS][1] is not None
-
-    @pytest.mark.parametrize("direction", [1.0, -1.0])
-    def test_restarting_lanes_start_the_tail(self, monkeypatch, engine_events, direction):
-        # Started at 0, the alpha = 1.2 lane lands on the plateau's flat
-        # pieces: its separation is exactly 0 at every row, and its
-        # companion restarts in the tail's two rows.
-        alphas = np.array([0.3, 0.7, 1.2])
-        ref = lane_references(-alphas, 1.0 - alphas * TANH1, generate(alternating(T, 1.0)), 0.0,
-                              MorphableTransfer((-1.0, 1.0), Variant.PLATEAU), direction)
-        for _, tail in check_lane_engine(monkeypatch, engine_events, ref).values():
-            assert tail is not None
-
-    def test_tail_takes_two_rows_from_the_cycle(self, monkeypatch, engine_events):
-        # The state alternates between the plateau level (rows 0, 2, ...)
-        # and about tanh(1) (rows 1, 3, ...), and the input is 2-periodic from
-        # row 1, so the cycle closes after row 2: R = 3.  The companion's
-        # offset is + at row 2 and - at row 4, from the restart at row 2.
-        # Row 0 leaves the plateau below its left edge and rows 1 and 3 lie
-        # on a slope, so the map of rows R-2 and R is the identity; at rows
-        # R-1 and R+1 the linear response sits just inside the right edge,
-        # so the + offset stays on the level (log -inf) and restarts at +
-        # and the - offset leaves it: the map of rows R+-1 is the constant
-        # +.  So row R+1's log is finite and row R-1's is not: a tail from
-        # rows R-1 and R would copy -inf into every row R+1, R+3, ...
-        transfer, d1, a1, level = plateau_level_case()
-        w = np.array([-0.5])
-        u = np.empty(T)
-        u[0] = d1 + 2.5e-10
-        u[1::2] = 1.0 + 0.5 * level
-        v = transfer.eval(w * level + u[1])
-        u[2::2] = a1 - 2.5e-10 + 0.5 * v
-        ref = lane_references(w, 1.0, u, 0.0, transfer)
-        assert np.all(ref.states[0::2] == level) and np.all(ref.states[1::2] == v)
-        logs = ref.logs[0]
-        assert np.isneginf(logs[2]) and np.isfinite(logs[[0, 1, 3, 4]]).all()
-        assert set(check_lane_engine(monkeypatch, engine_events, ref).values()) == {(3, 5)}
-
-    # Three reference rows stepped before the cycle closes (30 lanes: one
-    # eval each; one lane: one float row each), then one companion eval
-    # for each of the blocks of 1 and 2 rows and one for the two rows
-    # taken from the cycle; the tail does the rest.
-    @pytest.mark.parametrize("argv", [["sweep-alpha"], ["lyapunov", "--preset", "anchored"]])
-    def test_default_commands_end_in_the_tail(self, tmp_path, eval_calls, argv):
-        assert cli_main(["--out", str(tmp_path), *argv]) == 0
-        assert len(eval_calls) == 6
-
-    @pytest.mark.parametrize("spec", [alternating(6000, 1.0), constant(6000, 1.0),
-                                      constant(6000, -0.5)], ids=["alternating", "+1", "-0.5"])
-    @pytest.mark.parametrize("alpha", [0.5, 1.2])
-    def test_tail_estimate_matches_stepped_oracle(self, eval_calls, spec, alpha):
-        # The oracle steps through Reservoir.step and never closes a cycle.
-        res = anchored_reservoir(alpha)
-        renorm = lyapunov_renormalized(res, spec, washout=1000)
-        assert len(eval_calls) < 200  # the tail filled the run
-        deriv = lyapunov_derivative_product(res, spec, washout=1000)
-        assert abs(renorm.lam - deriv.lam) <= 1e-3
+    def test_float_path_starts_mid_run(self, monkeypatch, engine_events):
+        # m* + 1 lanes step through eval until the first closures leave at
+        # most m* open; those step as floats from then on.
+        m = analysis._FLOAT_LANES + 1
+        floats, float_rows = [], analysis._float_rows
+        monkeypatch.setattr(analysis, "_float_rows",
+                            lambda step, w, y, drive: floats.append(w.size) or float_rows(
+                                step, w, y, drive))
+        w, w_in, y0, transfer = forgetting_lanes(m)
+        ref = lane_references(w, w_in, generate(alternating(T, 1.0)), y0, transfer)
+        check_lane_engine(monkeypatch, engine_events, ref)  # pins each row's lanes
+        for cells in block_sizes(m):
+            lanes = stepped_lanes(ref.closes, ref.steps, cells)
+            wide = lanes.index(next(n for n in lanes if n < m))
+            assert wide > 0 and set(lanes[:wide]) == {m}
+            assert all(n <= analysis._FLOAT_LANES for n in lanes[wide:]) and lanes[-1] == 1
+        assert floats and max(floats) <= analysis._FLOAT_LANES
 
 
-class TestSignRule:
+class TestBlockedEngine:
     """The keep/flip/set sign scan of ``_renormalized_rows`` against the per-step loop."""
 
     def _plateau_case(self):
@@ -1273,13 +1359,14 @@ class TestSignRule:
         np.testing.assert_allclose(lam, exact_lam, rtol=1e-12, atol=1e-15)
 
     def test_a_restart_ends_an_odd_block(self):
-        # A plateau case of the table restarts its companion at a row that
-        # ends a block of ODD_ROWS rows, so the next block starts from a
-        # restart.  The table also runs mixed-sign gains under iid input.
+        # A plateau iid case of the table restarts its companion at a row
+        # that ends a block of ODD_ROWS rows, so the next block starts from
+        # a restart.  These cases also run mixed-sign gains under iid input.
+        cases = [replay_case(m, "iid", Variant.PLATEAU) for m in REPLAY_WIDTHS]
         restarts = [np.flatnonzero(np.isneginf(case_references(case).logs[0]).any(axis=1))
-                    for case in NARROW_CASES
-                    if case.variant is Variant.PLATEAU and case.kind == "iid"]
+                    for case in cases]
         assert any(np.any(rows % ODD_ROWS == ODD_ROWS - 1) for rows in restarts)
+        assert {case.signs for case in cases} == set(SIGNS)
 
     class NegTanh:
         """``-tanh``: a decreasing transfer, so with w > 0 every nonzero separation flips sign."""
@@ -1347,40 +1434,19 @@ class TestSignRule:
         with pytest.raises(ValueError, match=r"direction must be \+1 or -1"):
             renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
 
+    def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
+        calls = recorded_advance(monkeypatch)
+        spec = iid_plus_minus(1500, 1.0, seed=3)
+        shared = anchored_reservoir(0.9)
+        lyapunov_renormalized(shared, spec, washout=500)
+        assert calls == []
 
-class TestFloatLanes:
-    """Up to ``_FLOAT_LANES`` open lanes step as Python floats; more take one ``eval`` per row."""
-
-    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
-    def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
-        sizes = []
-        original = MorphableTransfer.eval
-        monkeypatch.setattr(MorphableTransfer, "eval",
-                            lambda self, x: sizes.append(np.size(x)) or original(self, x))
-        w, w_in, start = analysis._lanes(-np.linspace(0.3, 0.8, m), 0.5, 0.0)
-        u = analysis._run_rows(iid_plus_minus(T, 1.0, seed=8), w, w_in, start)
-        for _ in analysis._lane_blocks(w, w_in, u, start, MorphableTransfer((-1.0, 1.0)),
-                                       lambda drive, states: states[1:]):
-            pass
-        assert sizes == ([] if m <= analysis._FLOAT_LANES else [m] * T)
-
-    def test_float_path_starts_mid_run(self, monkeypatch, engine_events):
-        # m* + 1 lanes step through eval until the first closures leave at
-        # most m* open; those step as floats from then on.
-        m = analysis._FLOAT_LANES + 1
-        floats, float_rows = [], analysis._float_rows
-        monkeypatch.setattr(analysis, "_float_rows",
-                            lambda step, w, y, drive: floats.append(w.size) or float_rows(
-                                step, w, y, drive))
-        w, w_in, y0, transfer = forgetting_lanes(m)
-        ref = lane_references(w, w_in, generate(alternating(T, 1.0)), y0, transfer)
-        check_lane_engine(monkeypatch, engine_events, ref)  # pins each row's lanes
-        for cells in block_sizes(m):
-            lanes = stepped_lanes(ref.closes, ref.steps, cells)
-            wide = lanes.index(next(n for n in lanes if n < m))
-            assert wide > 0 and set(lanes[:wide]) == {m}
-            assert all(n <= analysis._FLOAT_LANES for n in lanes[wide:]) and lanes[-1] == 1
-        assert floats and max(floats) <= analysis._FLOAT_LANES
+        lyapunov_renormalized(anchored_reservoir(0.9, predictor=lambda i, t, s: None), spec,
+                              washout=500)
+        lyapunov_renormalized(_per_neuron_twin(shared), spec, washout=500)
+        res2 = Reservoir(random_orthogonal(2, 1), np.ones((2, 1)), shared.transfers[0])
+        lyapunov_renormalized(res2, spec, washout=500)
+        assert calls == [(2, 1)] * 3000 + [(2, 2)] * 1500  # one call per step
 
 
 class TestNonFiniteInput:
@@ -1441,7 +1507,10 @@ class TestNonFiniteInput:
 
 
 class TestReachGate:
-    """Every run and batched engine rejects a linear response that can overflow, before a step."""
+    """Every reservoir run rejects a linear response that can overflow, before its first step.
+
+    The batched engines' cases are in ``TestCycleReplay``.
+    """
 
     # (w, w_in, start): a gain, an input gain or a start state of 1e308.
     CASES = {"gain": (1e308, 0.5, 0.0), "input-gain": (0.5, 1e308, 0.0),
@@ -1485,17 +1554,6 @@ class TestReachGate:
             lam, _ = engine(np.array([0.5, 1e307]), 0.5, u, MorphableTransfer((-1.0, 1.0)),
                             washout=100)
             assert np.isfinite(lam[0])
-
-    def test_overflowing_linear_response_is_rejected(self, eval_calls):
-        transfer = MorphableTransfer((-1.0, 1.0))
-        u = generate(alternating(1200, 2.0))
-        for w, w_in, y0 in self.CASES.values():
-            for engine in (renormalized_scalar_batch, derivative_product_scalar_batch):
-                with pytest.raises(ValueError, match="linear response overflows float64"):
-                    engine(np.array([0.5, w]), w_in, u, transfer, washout=100, y0=y0)
-                assert not eval_calls  # rejected before the first row
-        with pytest.raises(ValueError, match="linear response overflows float64"):
-            run_pair(anchored_reservoir(1e308), [0.0], [1.0], u)
 
 
 class TestRate:
