@@ -794,17 +794,21 @@ def _window_points(series: DistanceSeries, window):
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares ``(slope, r2)`` of ``y`` on ``x``, r2 clipped to [0, 1].
+
+    An exactly constant ``y`` has no variance to explain: its slope and
+    r2 are both 0.  Its floating-point mean need not equal the constant,
+    so this is tested on the values, not on the sum of squares.
+    """
+    if np.all(y == y[0]):
+        return 0.0, 0.0
     xm, ym = x.mean(), y.mean()
     sxx = float(((x - xm) ** 2).sum())
     slope = float(((x - xm) * (y - ym)).sum()) / sxx
     resid = y - (ym + slope * (x - xm))
     ss_res = float((resid**2).sum())
     ss_tot = float(((y - ym) ** 2).sum())
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res == 0.0 else 0.0
-    else:
-        r2 = 1.0 - ss_res / ss_tot
-    return slope, max(0.0, min(1.0, r2))
+    return slope, max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
 
 
 def fit_power_law(series: DistanceSeries, window) -> tuple[float, float]:
@@ -827,7 +831,9 @@ def classify_decay(series: DistanceSeries) -> DecayFit:
     The window drops the first 10 steps (transient) and everything at or
     below the floating-point floor.  The law with the higher coefficient
     of determination wins when the margin exceeds 0.02; otherwise the
-    result is inconclusive.  Raises only for an empty series.
+    result is inconclusive.  A window whose distances are all equal gives
+    r2 = 0 for both laws, so it is inconclusive.  Raises only for an
+    empty series.
     """
     if series.t.size == 0:
         raise ValueError("empty distance series")

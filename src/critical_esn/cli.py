@@ -7,7 +7,8 @@ files byte for byte.  Configuration precedence is flags over config file
 over built-in defaults; the config file is a flat ``key=value`` text
 format.  Each option's default, type and choices are stated once, in
 :func:`build_parser`; a config value becomes the default of every parser
-that has its key, so argparse casts it like a flag.
+that has its key, so argparse casts it like a flag.  :func:`main` checks
+the length cap and makes the output directory for every command.
 """
 
 from __future__ import annotations
@@ -47,9 +48,19 @@ from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
 
+#: Expected input amplitude the tanh baseline's critical gain is tuned for.
+_BASELINE_AMPLITUDE = math.pi / 4.0
+
 #: Largest accepted ``--horizon``, ``--washout`` and ``--length``: input
 #: validation only, since the estimators keep no per-step buffer.
 _MAX_HORIZON = 1_000_000
+
+#: The ``--input`` kinds, each a spec of (length, amplitude, seed).
+_INPUTS = {
+    "alternating": lambda length, amplitude, seed: alternating(length, amplitude),
+    "constant": lambda length, amplitude, seed: constant(length, amplitude),
+    "iid": lambda length, amplitude, seed: iid_plus_minus(length, amplitude, seed=seed),
+}
 
 
 #: Rows formatted and written per chunk by :func:`write_csv`.
@@ -244,56 +255,38 @@ def cmd_transfer_dump(args) -> None:
     transfer = MorphableTransfer(ecps, args.variant)
     table = transfer.sample(args.lo, args.hi, args.n)
 
-    out = Path(args.out)
-    write_csv(out / "transfer.csv", ["x", "theta", "slope"], table)
+    write_csv(args.out / "transfer.csv", ["x", "theta", "slope"], table)
     write_csv(
-        out / "transfer_ecps.csv",
+        args.out / "transfer_ecps.csv",
         ["ecp", "theta"],
         ((p, transfer.eval(p)) for p in transfer.ecps),
     )
     if args.emit_plot_script:
-        (out / "plot_transfer.py").write_text(_PLOT_SCRIPT)
+        (args.out / "plot_transfer.py").write_text(_PLOT_SCRIPT)
     print(f"transfer-dump: {args.n} rows, variant {transfer.variant.value}, "
           f"ecps {','.join(format(p, 'g') for p in transfer.ecps)}")
 
 
-def _check_lengths(args) -> None:
-    """Cap ``--horizon``, ``--washout`` and ``--length`` at 1e6.
+def _sweep_lambda(args, w, w_in):
+    """``(lam, stderr)`` of one-neuron lanes with gains ``(w, w_in)``, as both sweeps run them.
 
-    Every command that generates an input calls this before ``generate``.
+    Each lane is a bridge transfer anchored at (-1, 0, 1), started on the
+    expected orbit at ``-tanh(1)`` under the alternating +-1 input, with
+    the seeded companion sign.
     """
-    for name in ("horizon", "washout", "length"):
-        if getattr(args, name, 0) > _MAX_HORIZON:
-            raise ValueError(f"{name} above the 1e6 cap")
-
-
-def _sweep_setup(args):
-    """Length checks, base input, transfer and companion sign of both sweeps."""
-    _check_lengths(args)
     base = generate(alternating(args.washout + args.horizon, 1.0))
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
-    return base, transfer, direction
+    return renormalized_scalar_batch(w, w_in, base, transfer, d0=args.d0, washout=args.washout,
+                                     y0=-TANH1, direction=direction)
 
 
 def cmd_sweep_alpha(args) -> None:
     grid = np.array([i / 20 for i in range(1, 31)]) if args.grid is None else parse_grid(args.grid)
     if np.any(grid <= 0.0) or np.any(grid > 1.5):
         raise ValueError("alpha grid must lie in (0, 1.5]")
-    base, transfer, direction = _sweep_setup(args)
-
-    lam, err = renormalized_scalar_batch(
-        -grid,
-        1.0 - grid * TANH1,
-        base,
-        transfer,
-        d0=args.d0,
-        washout=args.washout,
-        y0=-TANH1,
-        direction=direction,
-    )
-
-    write_csv(Path(args.out) / "sweep_alpha.csv", ["alpha", "lambda", "stderr"],
+    lam, err = _sweep_lambda(args, -grid, 1.0 - grid * TANH1)
+    write_csv(args.out / "sweep_alpha.csv", ["alpha", "lambda", "stderr"],
               zip(grid, lam, err))
     print(f"sweep-alpha: {grid.size} grid points, horizon {args.horizon}")
 
@@ -306,33 +299,14 @@ def cmd_sweep_gamma(args) -> None:
     )
     if np.any(grid < 0.25) or np.any(grid > 2.0):
         raise ValueError("gamma grid must lie in [0.25, 2]")
-    base, transfer, direction = _sweep_setup(args)
+    # The base input is +-1, so scaling the input weight scales the input exactly.
+    lam_ecp, _ = _sweep_lambda(args, np.full(grid.size, -1.0), (1.0 - TANH1) * grid)
+    critical = solve_critical_b(_BASELINE_AMPLITUDE)
+    lam_tanh = np.array([expected_orbit_rate(critical, _BASELINE_AMPLITUDE, g) for g in grid])
 
-    lam_ecp, _ = renormalized_scalar_batch(
-        np.full(grid.size, -1.0),
-        # base is +-1, so scaling the input weight scales the input exactly.
-        (1.0 - TANH1) * grid,
-        base,
-        transfer,
-        d0=args.d0,
-        washout=args.washout,
-        y0=-TANH1,
-        direction=direction,
-    )
-
-    critical = solve_critical_b(math.pi / 4.0)
-    lam_tanh = np.array([expected_orbit_rate(critical, math.pi / 4.0, g) for g in grid])
-
-    write_csv(Path(args.out) / "sweep_gamma.csv", ["gamma", "lambda_ecp", "lambda_tanh"],
+    write_csv(args.out / "sweep_gamma.csv", ["gamma", "lambda_ecp", "lambda_tanh"],
               zip(grid, lam_ecp, lam_tanh))
     print(f"sweep-gamma: {grid.size} grid points, critical b = {critical.b_star:.6f}")
-
-
-def _input_spec(kind: str, length: int, amplitude: float, seed: int):
-    """The ``--input`` sequence: alternating, constant or seeded iid +-amplitude."""
-    if kind == "iid":
-        return iid_plus_minus(length, amplitude, seed=seed)
-    return (constant if kind == "constant" else alternating)(length, amplitude)
 
 
 def _forgetting_states(mode: str, d0: float, seed: int, replicate: int):
@@ -355,21 +329,19 @@ def cmd_forgetting(args) -> None:
         raise ValueError("--d0 must be finite")
     if args.d0 == 0.0:
         raise ValueError("--d0 must be nonzero: the twin would start on the reference")
-    _check_lengths(args)
 
     res = anchored_reservoir(args.alpha, variant=args.variant)
-    out = Path(args.out)
     report_lines: list[str] = []
     fit_rows: list[list] = []
 
     for rep in range(replicates):
-        spec = _input_spec(args.input, args.horizon, 1.0, args.seed + rep)
+        spec = _INPUTS[args.input](args.horizon, 1.0, args.seed + rep)
         x0, y0 = _forgetting_states(args.init, args.d0, args.seed, rep)
         series = run_pair(res, x0, y0, spec)
         fit = classify_decay(series)
 
         name = "forgetting.csv" if replicates == 1 else f"forgetting_r{rep}.csv"
-        write_csv(out / name, ["t", "d"], zip(series.t, series.d))
+        write_csv(args.out / name, ["t", "d"], zip(series.t, series.d))
         fit_rows.append([rep, fit.law, "" if fit.c_a is None else fit.c_a,
                          "" if fit.c_b is None else fit.c_b, fit.r2_loglog, fit.r2_semilog,
                          *fit.window, "" if fit.truncated_at is None else fit.truncated_at])
@@ -382,16 +354,16 @@ def cmd_forgetting(args) -> None:
             report_lines.append("log-log bend: series too short")
         report_lines.append("")
 
-    write_csv(out / "forgetting_fits.csv", ["replicate", *_DECAY_CSV_HEADER], fit_rows)
-    (out / "forgetting_report.txt").write_text("\n".join(report_lines))
-    (out / "forgetting_config.txt").write_text(config_text({**res.meta, "seed": args.seed}))
+    write_csv(args.out / "forgetting_fits.csv", ["replicate", *_DECAY_CSV_HEADER], fit_rows)
+    (args.out / "forgetting_report.txt").write_text("\n".join(report_lines))
+    (args.out / "forgetting_config.txt").write_text(config_text({**res.meta, "seed": args.seed}))
     print(f"forgetting: {replicates} run(s), input {args.input}, init {args.init}")
 
 
 def cmd_critical_b(args) -> None:
     critical = solve_critical_b(args.amplitude)
     write_csv(
-        Path(args.out) / "critical_b.csv",
+        args.out / "critical_b.csv",
         ["amplitude", "b_star", "s_star", "residual_orbit", "residual_tangent"],
         [(args.amplitude, critical.b_star, critical.s_star, *critical.residuals)],
     )
@@ -404,7 +376,6 @@ def cmd_critical_b(args) -> None:
 
 
 def cmd_lyapunov(args) -> None:
-    _check_lengths(args)
     total = args.washout + args.horizon
 
     if args.preset == "anchored":
@@ -413,28 +384,27 @@ def cmd_lyapunov(args) -> None:
         state = anchored_orbit_state()
     else:
         if args.b == "critical":
-            critical = solve_critical_b(math.pi / 4.0)
+            critical = solve_critical_b(_BASELINE_AMPLITUDE)
             b = critical.b_star
             state = baseline_orbit_state(critical.s_star)
         else:
             b = float(args.b)
             state = np.zeros(1)
         res = baseline_reservoir(b)
-        amplitude = math.pi / 4.0
+        amplitude = _BASELINE_AMPLITUDE
 
     res.state = state
-    spec = scaled(_input_spec(args.input, total, amplitude, args.seed), args.gamma)
+    spec = scaled(_INPUTS[args.input](total, amplitude, args.seed), args.gamma)
     _check_d0(args.d0)  # whatever the method, so a bad value is never silently ignored
     if args.method == "derivative_product":
         est = lyapunov_derivative_product(res, spec, washout=args.washout)
     else:
         est = lyapunov_renormalized(res, spec, d0=args.d0, washout=args.washout, seed=args.seed)
 
-    out = Path(args.out)
-    write_csv(out / "lyapunov.csv", _LYAPUNOV_CSV_HEADER,
+    write_csv(args.out / "lyapunov.csv", _LYAPUNOV_CSV_HEADER,
               [(est.lam, est.stderr, est.method, est.steps_used, est.washout,
                 "" if est.d0 is None else est.d0)])
-    (out / "lyapunov.txt").write_text(
+    (args.out / "lyapunov.txt").write_text(
         _render_lyapunov(est) + "\n" + config_text({**res.meta, "gamma": args.gamma, "seed": args.seed})
     )
     print(_render_lyapunov(est))
@@ -445,7 +415,6 @@ def cmd_readout_demo(args) -> None:
         raise ValueError("delay must be nonnegative")
     if args.delay >= args.length:
         raise ValueError(f"delay {args.delay} must be below length {args.length}")
-    _check_lengths(args)
     split = int(0.7 * (args.length - args.delay))  # training rows
     if split < args.washout + args.k + 1:
         raise ValueError(
@@ -469,13 +438,12 @@ def cmd_readout_demo(args) -> None:
     base_rmse = float(np.sqrt(np.mean((target - ys[:split].mean()) ** 2)))
     nrmse = rmse / base_rmse if base_rmse > 0 else float("inf")
 
-    out = Path(args.out)
     write_csv(
-        out / "readout_demo.csv",
+        args.out / "readout_demo.csv",
         ["k", "delay", "nrmse", "rmse", "baseline_rmse", "ridge_lambda"],
         [(args.k, args.delay, nrmse, rmse, base_rmse, args.ridge)],
     )
-    (out / "readout_demo.txt").write_text(
+    (args.out / "readout_demo.txt").write_text(
         f"delayed recall of u[t-{args.delay}] from a k={args.k} critical reservoir\n"
         f"test NRMSE = {nrmse:.6f} (baseline 1.0 = predicting the mean)\n"
         + readout.model_to_text(model)
@@ -506,10 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_HelpFormatter,
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument("--out", type=str, default=".", help="output directory")
+    parser.add_argument("--out", type=Path, default=".", help="output directory")
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
+    input_option = dict(type=str, choices=list(_INPUTS), default="alternating",
+                        help="driving input")
+    variant_option = dict(type=str, choices=[v.value for v in Variant], default="bridge",
+                          help="gluing between anchors")
 
     def command(name, func, help):
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
@@ -518,8 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("transfer-dump", cmd_transfer_dump, "dump a transfer-function curve as CSV")
     p.add_argument("--ecps", type=str, default="-1,0,1", help="comma list of anchors")
-    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
-                   help="gluing between anchors")
+    p.add_argument("--variant", **variant_option)
     p.add_argument("--lo", type=float, default=-3.0, help="first x")
     p.add_argument("--hi", type=float, default=3.0, help="last x")
     p.add_argument("--n", type=int, default=601, help="row count")
@@ -540,8 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d0", type=float, default=1e-9, help="companion separation")
 
     p = command("forgetting", cmd_forgetting, "distance decay between twin trajectories")
-    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"],
-                   default="alternating", help="driving input")
+    p.add_argument("--input", **input_option)
     p.add_argument("--alpha", type=float, default=1.0, help="recurrent gain")
     p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
                    default="fixed-delta", help="how the twin start states are drawn")
@@ -551,13 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "the twin below and is written --d0=-1e-3, since argparse reads a "
                         "separate -1e-3 as an option")
     p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
-    p.add_argument("--variant", type=str, choices=["plateau", "bridge"], default="bridge",
-                   help="gluing between anchors")
+    p.add_argument("--variant", **variant_option)
     p.add_argument("--replicates", type=int, default=None,
                    help="run count (default: 8 for iid input, else 1)")
 
     p = command("critical-b", cmd_critical_b, "critical recurrent gain of the tanh baseline")
-    p.add_argument("--amplitude", type=float, default=math.pi / 4.0,
+    p.add_argument("--amplitude", type=float, default=_BASELINE_AMPLITUDE,
                    help="expected input amplitude")
 
     p = command("lyapunov", cmd_lyapunov, "single Lyapunov estimate for one configuration")
@@ -566,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0, help="recurrent gain (anchored)")
     p.add_argument("--b", type=str, default="critical", help="gain or 'critical' (baseline)")
     p.add_argument("--gamma", type=float, default=1.0, help="input scale factor")
-    p.add_argument("--input", type=str, choices=["alternating", "constant", "iid"],
-                   default="alternating", help="driving input")
+    p.add_argument("--input", **input_option)
     p.add_argument("--method", type=str, choices=["renormalized", "derivative_product"],
                    default="renormalized", help="estimator")
     p.add_argument("--horizon", type=int, default=100_000, help="steps after the washout")
@@ -591,7 +559,10 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, read_config(args.config))
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        for name in ("horizon", "washout", "length"):  # before any output is written
+            if getattr(args, name, 0) > _MAX_HORIZON:
+                raise ValueError(f"{name} above the 1e6 cap")
+        args.out.mkdir(parents=True, exist_ok=True)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import DistanceSeries, _CycleTail, _lane_blocks, _one_lane, _run_rows
+from .analysis import (DistanceSeries, _CycleTail, _doubling_blocks, _lane_blocks, _one_lane,
+                       _run_rows)
 from .signals import rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
@@ -319,10 +320,22 @@ def _lane_distances(pair: Reservoir, rows: np.ndarray):
 
 
 def _stack_distances(pair: Reservoir, rows: np.ndarray):
-    """Distances of a pair stepped as a ``(2, k)`` stack, one 1-element array per step."""
-    for u in rows:
-        pair._advance(u)
-        yield np.array([np.linalg.norm(pair.state[1] - pair.state[0])])
+    """Distances of a pair stepped as a ``(2, k)`` stack, one array per block.
+
+    The blocks are those of :func:`~critical_esn.analysis._doubling_blocks`.
+    A block ends right after its first exact zero, so a predictor hook
+    never sees a step after the pair has met.
+    """
+    def distances(block):
+        d = np.empty(len(block))
+        for i, u in enumerate(block):
+            pair._advance(u)
+            d[i] = np.linalg.norm(pair.state[1] - pair.state[0])
+            if d[i] == 0.0:
+                return d[:i + 1]
+        return d
+
+    return _doubling_blocks(rows, distances)
 
 
 # -- presets ----------------------------------------------------------------

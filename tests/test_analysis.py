@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import warnings
@@ -1810,9 +1811,20 @@ class TestClassify:
         assert fit.c_b == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_series_inconclusive(self):
-        t = np.arange(0, 200)
-        fit = classify_decay(DistanceSeries(t=t, d=np.full(200, 0.5)))
-        assert fit.law == "inconclusive"
+        # The mean of a constant array need not be the constant, so the
+        # sums of squares are rounding noise that must not set r2.
+        for c, n in itertools.product((0.1, 0.3, 0.5, 0.7, 1.0, 1.131), (200, 1000, 3001)):
+            fit = classify_decay(DistanceSeries(t=np.arange(n), d=np.full(n, c)))
+            assert fit.law == "inconclusive"
+            assert (fit.r2_loglog, fit.r2_semilog) == (0.0, 0.0), (c, n)
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty distance series"):
+            classify_decay(DistanceSeries(t=np.arange(0), d=np.ones(0)))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="t and d must have matching shapes"):
+            DistanceSeries(t=np.arange(5), d=np.ones(4))
 
     def test_truncation_recorded(self):
         t = np.arange(0, 100)
@@ -1833,6 +1845,19 @@ class TestLoglogBend:
     def test_power_law_is_straight(self):
         t = np.arange(1, 3000)
         assert abs(loglog_bend(DistanceSeries(t=t, d=t**-0.5))) < 1e-6
+
+    def test_fewer_than_three_valid_points_rejected(self):
+        # Step 0 and a distance at the floor are not valid points.
+        series = DistanceSeries(t=[0, 1, 2, 3], d=[1.0, 0.5, 0.25, 0.0])
+        with pytest.raises(ValueError, match="at least three valid points"):
+            loglog_bend(series)
+
+    def test_resampling_that_keeps_two_points_rejected(self):
+        # The geometric targets between steps 1 and 1e12 step by sqrt(10),
+        # so none lands on step 2: the resampling keeps only both ends.
+        series = DistanceSeries(t=[1, 2, 10**12], d=[1.0, 0.5, 1e-6])
+        with pytest.raises(ValueError, match="resampled series too short"):
+            loglog_bend(series)
 
     def test_matches_the_unique_resampling(self):
         # The resampling is deduplicated without np.unique, to the same values.

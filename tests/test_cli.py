@@ -222,6 +222,12 @@ class TestForgetting:
     def test_horizon_cap(self, tmp_path):
         assert run_cli("--out", tmp_path, "forgetting", "--horizon", 2_000_000) == 1
 
+    def test_too_short_for_a_bend(self, tmp_path):
+        assert run_cli("--out", tmp_path, "forgetting", "--horizon", 2) == 0
+        report = (tmp_path / "forgetting_report.txt").read_text()
+        assert "decay law: inconclusive" in report
+        assert "log-log bend: series too short" in report
+
     def test_run_leaves_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma on its first call, 14-25 ms of a one-shot run.
         code = ("import sys; from critical_esn.cli import main; "
@@ -622,8 +628,21 @@ class TestNoNanRows:
         ["readout-demo", "--length"], ["readout-demo", "--washout"],
     ], ids=lambda argv: " ".join(argv))
     def test_generated_length_cap(self, tmp_path, capsys, argv):
-        err = self.fails_cleanly(tmp_path, capsys, *argv, 1_000_001)
-        assert err == f"error: {argv[-1][2:]} above the 1e6 cap\n"
+        # main checks the cap before it makes the --out directory.
+        out = tmp_path / "new"
+        assert run_cli("--out", out, *argv, 1_000_001) == 1
+        assert capsys.readouterr().err == f"error: {argv[-1][2:]} above the 1e6 cap\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep-alpha", "--grid", "1:0.5:0.1"], "bad grid range '1:0.5:0.1'"),
+        (["sweep-alpha", "--grid", "0:1:0"], "bad grid range '0:1:0'"),
+        (["sweep-gamma", "--grid", "0.2,1.0"], "gamma grid must lie in [0.25, 2]"),
+        (["critical-b", "--amplitude", "1e-300"], "no critical orbit bracket for amplitude 1e-300"),
+        (["critical-b", "--amplitude", "1e300"], "no critical orbit bracket for amplitude 1e+300"),
+    ], ids=["stop-below-start", "zero-step", "gamma-grid", "tiny-amplitude", "huge-amplitude"])
+    def test_rejected_value(self, tmp_path, capsys, argv, message):
+        assert self.fails_cleanly(tmp_path, capsys, *argv) == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
     def test_transfer_dump_infinite_bound(self, tmp_path, capsys):

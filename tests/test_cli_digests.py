@@ -15,14 +15,21 @@ _spec.loader.exec_module(cli_digests)
 
 
 @pytest.mark.parametrize("argv", cli_digests.COMMANDS, ids=" ".join)
-def test_every_command_parses(argv):
-    build_parser().parse_args(["--seed", "0", "--out", "unused", *argv])
+def test_every_command_parses(argv, capsys):
+    # A --help argv prints its help and exits 0 through SystemExit.
+    full = ["--seed", "0", "--out", "unused", *argv]
+    if "--help" not in argv:
+        build_parser().parse_args(full)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(full)
+    assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_every_command_is_listed_once():
-    # A report keys its runs by argv and seed: 62 commands, 186 runs.
+    # A report keys its runs by argv and seed: 70 commands, 210 runs.
     commands = {" ".join(argv) for argv in cli_digests.COMMANDS}
-    assert len(commands) == len(cli_digests.COMMANDS) == 62
+    assert len(commands) == len(cli_digests.COMMANDS) == 70
 
 
 def test_runs_repeat_and_a_moved_run_is_listed(tmp_path):

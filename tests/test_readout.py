@@ -29,6 +29,19 @@ class TestTrain:
         assert model.weights[-1] == pytest.approx(5.0, abs=1e-9)
         assert model.weights[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_one_dimensional_states_are_one_column(self):
+        rng = rng_stream(4, 0)
+        x = _states(rng, 300)
+        y = 2.0 * x[:, 0] + 0.5
+        one_d = train(x[:, 0], y, ridge_lambda=1e-8, washout=10)
+        column = train(x, y, ridge_lambda=1e-8, washout=10)
+        assert one_d.weights.tobytes() == column.weights.tobytes()
+
+    def test_mismatched_lengths_rejected(self):
+        rng = rng_stream(5, 0)
+        with pytest.raises(ValueError, match="states and targets must have equal length"):
+            train(_states(rng, 300), np.zeros(299))
+
     def test_washout_rows_ignored(self):
         rng = rng_stream(3, 0)
         x = _states(rng, 400)

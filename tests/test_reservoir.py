@@ -227,6 +227,35 @@ class TestRunPair:
         assert None in truncations
         assert any(t is not None for t in truncations)
 
+    def test_stacked_pair_keeps_one_array_per_block(self, monkeypatch):
+        # A hooked pair steps the stack; its distances come in blocks of
+        # 1, 2, 4, ... rows up to the engine's cap, not one array per step.
+        import critical_esn.reservoir as reservoir_module
+
+        sizes = []
+        original = reservoir_module._stack_distances
+
+        def recorded(pair, rows):
+            for d in original(pair, rows):
+                sizes.append(d.size)
+                yield d
+
+        monkeypatch.setattr(reservoir_module, "_stack_distances", recorded)
+        res = anchored_reservoir(1.0, predictor=lambda i, t, state: None)
+        series = run_pair(res, anchored_orbit_state(), anchored_orbit_state() + 1.0,
+                          alternating(100_000, 1.0))
+        assert series.truncated_at is None and sum(sizes) == 100_000
+        assert sizes[:4] == [1, 2, 4, 8] and len(sizes) <= 25
+
+    def test_non_square_weights_rejected(self):
+        with pytest.raises(ValueError, match="recurrent weights must be square"):
+            Reservoir([[0.5, 0.1]], [[1.0]], MorphableTransfer((-1.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="input weights must be finite"):
+            Reservoir([[0.5]], [[bad]], MorphableTransfer((-1.0, 1.0)))
+
     def test_only_one_lane_pairs_skip_the_stack(self, monkeypatch):
         steps = []
         advance = Reservoir._advance

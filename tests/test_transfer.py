@@ -12,6 +12,7 @@ from critical_esn.transfer import (
     MorphableTransfer,
     TanhTransfer,
     ValidationIssue,
+    ValidationReport,
     Variant,
     _nearest_distance,
     _normalize_ecps,
@@ -163,6 +164,10 @@ class TestBuild:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             MorphableTransfer(bad)
+
+    def test_two_dimensional_list_rejected(self):
+        with pytest.raises(ValueError, match="ECP list must be one-dimensional"):
+            MorphableTransfer([[-1.0, 1.0]])
 
     def test_spacing_floor_constant(self):
         assert MIN_ECP_SPACING == 1e-6
@@ -513,6 +518,14 @@ class TestValidate:
     def test_report_rendering(self):
         report = MorphableTransfer([0.0]).validate(1e-2)
         assert "no violations" in str(report)
+
+    def test_report_lists_twenty_issues(self):
+        issues = [ValidationIssue(x=float(i), check="slope range", magnitude=1.0)
+                  for i in range(23)]
+        lines = str(ValidationReport(grid_step=1e-2, points_checked=100, issues=issues)).split("\n")
+        assert lines[0].endswith("23 violation(s)")
+        assert lines[1:21] == [f"  - {issue}" for issue in issues[:20]]
+        assert lines[21:] == ["  ... and 3 more"]
 
     def test_detects_injected_anchor_corruption(self):
         f = MorphableTransfer([-1.0, 0.0, 1.0], Variant.BRIDGE)

@@ -51,7 +51,8 @@ SEEDS = (0, 3, 11)
 # saturates on most rows, each also by the derivative product, whose
 # saturated slopes give logs of -inf; and the critical gain at both
 # ends of the amplitude range and a six-anchor transfer in each variant,
-# whose roots (s* and the bridge kinks) come from one bisection.
+# whose roots (s* and the bridge kinks) come from one bisection; and the
+# help text of the global parser and of every command.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -98,6 +99,10 @@ COMMANDS = [
     *[["critical-b", "--amplitude", amplitude] for amplitude in ("0.05", "3")],
     *[["transfer-dump", "--ecps=-2.5,-1,-0.3,0.4,1,2", "--n", "2001", "--variant", variant]
       for variant in ("plateau", "bridge")],
+    ["--help"],
+    *[[command, "--help"] for command in ("transfer-dump", "sweep-alpha", "sweep-gamma",
+                                          "forgetting", "critical-b", "lyapunov",
+                                          "readout-demo")],
 ]
 
 
@@ -117,7 +122,7 @@ def digest_run(argv: list[str], seed: int) -> dict:
             warnings.simplefilter("always")
             try:
                 code = main(["--seed", str(seed), "--out", tmp, *argv])
-            except SystemExit as exc:  # argparse rejected the argv
+            except SystemExit as exc:  # argparse printed help or rejected the argv
                 code = exc.code
         root = Path(tmp)
         files = {str(p.relative_to(root)): _sha(p.read_bytes())
