@@ -3,12 +3,14 @@
 The update is the standard leakless echo-state form: the linear response
 ``y_lin = W y + w_in u`` goes elementwise through each neuron's transfer
 function; one kernel applies it to a ``(k,)`` state or to every row of a
-``(B, k)`` stack.  :func:`run_pair` runs a one-neuron pair with one shared
-transfer and no predictor hook as two lanes of the blocked one-neuron
-engine of :mod:`~critical_esn.analysis` instead.  With orthogonal ``W``
-and Lipschitz-1 transfers the map is non-expansive for every input, which
-is what makes the critical tuning safe: no input can push the network
-into expansion.
+``(B, k)`` stack.  A step costs little beyond that arithmetic: its
+record is a named tuple, the linear response is two ``np.dot`` products,
+and :meth:`Reservoir.step` checks its input once.  :func:`run_pair` runs
+a one-neuron pair with one shared transfer and no predictor hook as two
+lanes of the blocked one-neuron engine of :mod:`~critical_esn.analysis`
+instead.  With orthogonal ``W`` and Lipschitz-1 transfers the map is
+non-expansive for every input, which is what makes the critical tuning
+safe: no input can push the network into expansion.
 
 One-neuron presets implement the two study systems:
 
@@ -23,8 +25,7 @@ One-neuron presets implement the two study systems:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,9 +56,14 @@ _TRANSFER_CACHE = 8  # hooked transfers a reservoir keeps, most recently used
 PredictorHook = Callable[[int, int, np.ndarray], Optional[Sequence[float]]]
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """State of one update step; ``y = transfer(y_lin)`` holds exactly, elementwise."""
+class StepRecord(NamedTuple):
+    """State of one update step; ``y = transfer(y_lin)`` holds exactly, elementwise.
+
+    An immutable ``(t, y_lin, y)`` tuple.  ``y`` is the reservoir's own
+    ``state`` array after the step, not a copy: a write into ``state``
+    before the next step shows in ``y``.  Each step makes a new ``state``
+    array, so the records of a :meth:`Reservoir.run` hold distinct arrays.
+    """
 
     t: int
     y_lin: np.ndarray
@@ -213,11 +219,14 @@ class Reservoir:
     def _advance(self, u: np.ndarray) -> np.ndarray:
         """Advance the held (k,) state or (B, k) stack under a checked input row.
 
-        Returns ``y_lin``.  A caller may write into ``state`` between steps.
+        Returns ``y_lin``.  A caller may write into ``state`` between steps;
+        the last :class:`StepRecord`'s ``y`` is that array and sees the write.
+        ``np.dot`` rounds as ``state @ W.T + u @ w_in.T`` does (a test pins
+        it bit for bit) at a lower cost per call.
         """
         if self.predictor is not None:
             self._apply_predictor()
-        y_lin = self.state @ self.W.T + u @ self.w_in.T
+        y_lin = np.dot(self.state, self.W.T) + np.dot(u, self.w_in.T)
         if self._shared:
             y = self.transfers[0].eval(y_lin)
         else:
@@ -231,14 +240,16 @@ class Reservoir:
     def step(self, u) -> StepRecord:
         """Advance one step under input ``u`` and return the step record.
 
-        Only the row's width is checked: float64 reach is checked once per
-        run (:meth:`run`, :func:`run_pair`, the estimators), not per step.
+        ``u`` is a scalar (for n = 1) or an ``(n,)`` row.  Only the row's
+        width is checked: float64 reach is checked once per run
+        (:meth:`run`, :func:`run_pair`, the estimators), not per step.  The
+        record's ``y`` is the live ``state`` array (see :class:`StepRecord`).
         """
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (self.n,):
+        u = np.array(u, dtype=float, ndmin=1, copy=None)
+        if u.shape != self.w_in.shape[1:]:
             raise ValueError(f"input shape {u.shape} does not match n={self.n}")
         y_lin = self._advance(u)
-        return StepRecord(t=self.t - 1, y_lin=y_lin, y=self.state)
+        return StepRecord(self.t - 1, y_lin, self.state)
 
     def run(self, inputs) -> list[StepRecord]:
         """Drive the reservoir through a whole input sequence.
@@ -248,7 +259,8 @@ class Reservoir:
         n-vectors.  The run gate (:func:`~critical_esn.analysis._run_rows`)
         rejects a bad or empty input, a non-finite state and a run whose
         linear response can overflow before the first step.  Returns the
-        trajectory as one :class:`StepRecord` per input row.
+        trajectory as one :class:`StepRecord` per input row; no two records
+        share an array.
         """
         return [self.step(u) for u in _run_rows(inputs, self.W, self.w_in, self.state)]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,76 @@ class TestStep:
         r1 = res.step(-1.0)
         assert r0.t == 0 and r1.t == 1
         assert res.t == 2
+
+    @pytest.mark.parametrize("u", [0.3, 1, np.float64(0.3), [0.3], np.array([0.3])],
+                             ids=["float", "int", "float64", "list", "array"])
+    def test_accepted_inputs(self, u):
+        # A scalar or a one-element row steps n = 1 as the (1,) float row does.
+        expect = anchored_reservoir(0.9).step(np.asarray(u, dtype=float).reshape(1))
+        rec = anchored_reservoir(0.9).step(u)
+        assert rec.y_lin.shape == rec.y.shape == (1,)
+        assert rec.y_lin.tobytes() == expect.y_lin.tobytes()
+        assert rec.y.tobytes() == expect.y.tobytes()
+
+    def test_accepted_row_of_width_n(self):
+        res = Reservoir(random_orthogonal(2, 5), np.arange(6.0).reshape(2, 3) / 10.0,
+                        MorphableTransfer((-1.0, 1.0)))
+        rec = res.step(np.array([0.5, -1.0, 2.0]))
+        assert rec.y_lin.shape == rec.y.shape == (2,)
+
+    @pytest.mark.parametrize("u, shape, n", [(np.ones((1, 1)), (1, 1), 1), ([1.0, 2.0], (2,), 1),
+                                             (0.5, (1,), 3)])
+    def test_rejected_inputs(self, u, shape, n):
+        res = Reservoir([[0.5]], np.ones((1, n)), MorphableTransfer((-1.0, 1.0)))
+        with pytest.raises(ValueError, match=re.escape(f"input shape {shape} does not match n={n}")):
+            res.step(u)
+        assert res.t == 0
+
+    def test_record_is_an_immutable_tuple(self):
+        res = anchored_reservoir(1.0)
+        rec = res.step(0.3)
+        t, y_lin, y = rec
+        assert (t, y_lin is rec.y_lin, y is rec.y) == (0, True, True)
+        with pytest.raises(AttributeError):
+            rec.t = 5
+
+    def test_record_y_is_the_live_state(self):
+        # The record holds the reservoir's state array, not a copy, so a
+        # write into the state between steps shows in the last record.
+        res = anchored_reservoir(1.0)
+        rec = res.step(0.3)
+        res.state[0] = 5.0
+        assert rec.y.tolist() == [5.0]
+
+    def test_run_records_hold_distinct_arrays(self):
+        records = anchored_reservoir(0.9).run(iid_plus_minus(40, 1.0, seed=4))
+        arrays = [a for rec in records for a in (rec.y_lin, rec.y)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    n=st.integers(1, 3),
+    rows=st.one_of(st.none(), st.integers(1, 4)),
+    per_neuron=st.booleans(),
+    hooked=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_linear_response_matches_matmul(k, n, rows, per_neuron, hooked, seed):
+    # The kernel's ``y_lin`` against the ``@`` form, bit for bit, for a
+    # (k,) state (rows None) and a (rows, k) stack.
+    rng = rng_stream(seed, 23)
+    transfers = [MorphableTransfer(random_ecp_list(rng)) for _ in range(k if per_neuron else 1)]
+    anchor_sets = [random_ecp_list(rng) for _ in range(2)]
+    hook = (lambda i, t, state: anchor_sets[(i + t) % 2]) if hooked else None
+    start = rng.uniform(-1.0, 1.0, k if rows is None else (rows, k))
+    res = Reservoir(rng.normal(0.0, 1.0, (k, k)), rng.normal(0.0, 0.5, (k, n)),
+                    transfers if per_neuron else transfers[0], state=start, predictor=hook)
+    for row in rng.uniform(-1.5, 1.5, (4, n)):
+        expect = res.state @ res.W.T + row @ res.w_in.T
+        y_lin = res._advance(row)
+        assert y_lin.shape == expect.shape and y_lin.tobytes() == expect.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -51,8 +51,10 @@ SEEDS = (0, 3, 11)
 # saturates on most rows, each also by the derivative product, whose
 # saturated slopes give logs of -inf; and the critical gain at both
 # ends of the amplitude range and a six-anchor transfer in each variant,
-# whose roots (s* and the bridge kinks) come from one bisection; and the
-# help text of the global parser and of every command.
+# whose roots (s* and the bridge kinks) come from one bisection; a
+# readout at k = 1 and k = 32 beside the default k = 8, the only command
+# that steps a network wider than one neuron; and the help text of the
+# global parser and of every command.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -99,6 +101,7 @@ COMMANDS = [
     *[["critical-b", "--amplitude", amplitude] for amplitude in ("0.05", "3")],
     *[["transfer-dump", "--ecps=-2.5,-1,-0.3,0.4,1,2", "--n", "2001", "--variant", variant]
       for variant in ("plateau", "bridge")],
+    *[["readout-demo", "--k", k] for k in ("1", "32")],
     ["--help"],
     *[[command, "--help"] for command in ("transfer-dump", "sweep-alpha", "sweep-gamma",
                                           "forgetting", "critical-b", "lyapunov",
