@@ -34,6 +34,7 @@ from .analysis import (
     solve_critical_b,
 )
 from .reservoir import (
+    _BASELINE_AMPLITUDE,
     Reservoir,
     config_text,
     anchored_orbit_state,
@@ -47,9 +48,6 @@ from .signals import alternating, constant, generate, iid_plus_minus, rng_stream
 from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
-
-#: Expected input amplitude the tanh baseline's critical gain is tuned for.
-_BASELINE_AMPLITUDE = math.pi / 4.0
 
 #: Largest accepted ``--horizon``, ``--washout`` and ``--length``: input
 #: validation only, since the estimators keep no per-step buffer.

@@ -24,6 +24,7 @@ One-neuron presets implement the two study systems:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -48,6 +49,9 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 _TRANSFER_CACHE = 8  # hooked transfers a reservoir keeps, most recently used
+
+#: Expected input amplitude the tanh baseline's critical gain is tuned for.
+_BASELINE_AMPLITUDE = math.pi / 4.0
 
 #: Predictor hook signature: (neuron index, step t, state) -> new ECP list
 #: or None to keep the current transfer.  Called once per step for each
@@ -164,7 +168,9 @@ class Reservoir:
         self.t = 0
         self.predictor = predictor
         self.meta = dict(meta or {})
-        self._transfer_cache: dict = {}
+        # Hooked transfers, most recently used kept; MorphableTransfer is looked up per build.
+        self._hooked_transfer = functools.lru_cache(maxsize=_TRANSFER_CACHE)(
+            lambda ecps, variant: MorphableTransfer(ecps, variant))
 
     # -- basic introspection ----------------------------------------------
 
@@ -201,15 +207,7 @@ class Reservoir:
             if ecps is None:
                 continue
             current = self.transfers[i]
-            variant = current.variant or Variant.BRIDGE
-            key = (tuple(ecps), variant)
-            # Re-inserting keeps the dict in least- to most-recently-used order.
-            cached = self._transfer_cache.pop(key, None)
-            if cached is None:
-                cached = MorphableTransfer(ecps, variant)
-            self._transfer_cache[key] = cached
-            if len(self._transfer_cache) > _TRANSFER_CACHE:
-                del self._transfer_cache[next(iter(self._transfer_cache))]
+            cached = self._hooked_transfer(tuple(ecps), current.variant or Variant.BRIDGE)
             if cached.ecps != current.ecps:
                 self.transfers[i] = cached
                 changed = True
@@ -355,7 +353,6 @@ def _stack_distances(pair: Reservoir, rows: np.ndarray):
 
 def anchored_reservoir(
     alpha: float,
-    ecps: Sequence[float] = (-1.0, 1.0),
     variant: Variant | str = Variant.BRIDGE,
     predictor: Optional[PredictorHook] = None,
 ) -> Reservoir:
@@ -363,12 +360,12 @@ def anchored_reservoir(
 
     The recurrent weight is ``-alpha`` and the input weight
     ``1 - alpha*tanh(1)``, so on the expected orbit the linear response
-    is exactly +-1 for every alpha; the default anchors (-1, 0, 1) place
-    unit slope exactly there.
+    is exactly +-1 for every alpha; the anchors, fixed at (-1, 0, 1),
+    place unit slope exactly there.  Only a ``predictor`` hook moves them.
     """
     if not (alpha > 0.0):
         raise ValueError("alpha must be positive")
-    transfer = MorphableTransfer(ecps, variant)
+    transfer = MorphableTransfer((-1.0, 1.0), variant)
     meta = {
         "kind": "anchored",
         "alpha": alpha,
@@ -396,15 +393,15 @@ def anchored_orbit_state() -> np.ndarray:
     return np.array([-math.tanh(1.0)])
 
 
-def baseline_reservoir(b: float, amplitude: float = math.pi / 4.0) -> Reservoir:
+def baseline_reservoir(b: float) -> Reservoir:
     """One-neuron tanh baseline with recurrent weight ``-b``.
 
-    ``amplitude`` is the expected input amplitude the gain was tuned for;
-    it is carried in the configuration so runs are self-describing.
+    Its configuration carries ``amplitude`` = pi/4, the expected input
+    amplitude the critical gain is tuned for, so runs are self-describing.
     """
     if not (b > 0.0):
         raise ValueError("b must be positive")
-    meta = {"kind": "baseline", "b": b, "amplitude": amplitude, "k": 1}
+    meta = {"kind": "baseline", "b": b, "amplitude": _BASELINE_AMPLITUDE, "k": 1}
     return Reservoir([[-b]], [[1.0]], TanhTransfer(), meta=meta)
 
 

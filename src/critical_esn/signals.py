@@ -5,13 +5,14 @@ bit for bit.  Pseudo-random draws come from numpy's PCG64 generator keyed
 through ``SeedSequence(seed, spawn_key=(stream,))``; the (seed, stream)
 pair fully determines the stream, and distinct stream ids give
 statistically independent substreams of the same experiment seed.
+A spec is flat: :func:`scaled` returns its spec with the amplitude
+scaled, so a spec's fields always describe the sequence it generates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,35 +45,29 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 class InputSequence:
     """Spec for a finite realization of a driving input series.
 
-    ``kind`` is one of ``alternating``, ``constant``, ``iid`` or
-    ``scaled``.  Element ``t`` (0-based) of the generated sequence is:
+    ``kind`` is one of ``alternating``, ``constant`` or ``iid``.
+    Element ``t`` (0-based) of the generated sequence is:
 
     - alternating: ``amplitude * (-1)**t`` (element 0 is +amplitude),
     - constant: ``amplitude``,
-    - iid: ``amplitude`` times a seeded fair +-1 draw,
-    - scaled: ``gamma`` times the base sequence's element.
+    - iid: ``amplitude`` times a seeded fair +-1 draw.
+
+    Every element is ``+-amplitude``, so scaling the amplitude scales the
+    sequence bit for bit (see :func:`scaled`).
     """
 
     kind: str
     length: int = 0
     amplitude: float = 1.0
     seed: int = 0
-    gamma: float = 1.0
-    base: Optional["InputSequence"] = None
 
     def __post_init__(self):
-        if self.kind not in {"alternating", "constant", "iid", "scaled"}:
+        if self.kind not in {"alternating", "constant", "iid"}:
             raise ValueError(f"unknown input kind {self.kind!r}")
-        if self.kind == "scaled":
-            if self.base is None:
-                raise ValueError("scaled input needs a base sequence")
-            if not (self.gamma > 0.0):
-                raise ValueError("scale factor must be positive")
-        else:
-            if self.length < 1:
-                raise ValueError("input length must be at least 1")
-            if not math.isfinite(self.amplitude):
-                raise ValueError("amplitude must be finite")
+        if self.length < 1:
+            raise ValueError("input length must be at least 1")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
 
 
 def alternating(length: int, amplitude: float = 1.0) -> InputSequence:
@@ -88,7 +83,10 @@ def iid_plus_minus(length: int, amplitude: float = 1.0, seed: int = 0) -> InputS
 
 
 def scaled(base: InputSequence, gamma: float) -> InputSequence:
-    return InputSequence(kind="scaled", gamma=gamma, base=base)
+    """``base`` with its amplitude times ``gamma``: ``gamma`` times each element, exactly."""
+    if not (gamma > 0.0):
+        raise ValueError("scale factor must be positive")
+    return replace(base, amplitude=base.amplitude * gamma)
 
 
 def generate(spec: InputSequence) -> np.ndarray:
@@ -98,11 +96,9 @@ def generate(spec: InputSequence) -> np.ndarray:
         return spec.amplitude * signs
     if spec.kind == "constant":
         return np.full(spec.length, float(spec.amplitude))
-    if spec.kind == "iid":
-        rng = rng_stream(spec.seed, STREAM_INPUT)
-        signs = rng.integers(0, 2, size=spec.length) * 2.0 - 1.0
-        return spec.amplitude * signs
-    return spec.gamma * generate(spec.base)
+    rng = rng_stream(spec.seed, STREAM_INPUT)
+    signs = rng.integers(0, 2, size=spec.length) * 2.0 - 1.0
+    return spec.amplitude * signs
 
 
 def input_rows(inputs, width: int) -> np.ndarray:

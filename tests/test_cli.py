@@ -11,6 +11,7 @@ import pytest
 
 from critical_esn import cli
 from critical_esn.cli import fmt, main, parse_grid
+from critical_esn.reservoir import anchored_orbit_state, anchored_reservoir
 
 
 def run_cli(*argv) -> int:
@@ -190,6 +191,43 @@ class TestSweepGamma:
     def test_horizon_cap(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path, "sweep-gamma", "--horizon", 2_000_000) == 1
         assert capsys.readouterr().err == "error: horizon above the 1e6 cap\n"
+
+
+class TestSweepsRunThePreset:
+    """Each default sweep lane is the anchored preset, bit for bit."""
+
+    def lanes(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def record(w, w_in, u, transfer, **kwargs):
+            calls.append((w, w_in, transfer, kwargs["y0"]))
+            return np.zeros(len(w)), np.zeros(len(w))
+
+        monkeypatch.setattr(cli, "renormalized_scalar_batch", record)
+        assert run_cli("--out", tmp_path, command) == 0
+        [call] = calls
+        column = command.split("-")[1]
+        grid = [float(r[column]) for r in read_rows(tmp_path / f"sweep_{column}.csv")]
+        return grid, call
+
+    def check(self, preset, w, w_in, transfer, y0, gamma=1.0):
+        assert float(w).hex() == float(preset.W[0, 0]).hex()
+        assert float(w_in).hex() == float(preset.w_in[0, 0] * gamma).hex()
+        assert float(y0).hex() == float(anchored_orbit_state()[0]).hex()
+        assert (transfer.ecps, transfer.variant) == (preset.transfers[0].ecps,
+                                                     preset.transfers[0].variant)
+
+    def test_sweep_alpha(self, tmp_path, monkeypatch):
+        grid, (w, w_in, transfer, y0) = self.lanes(tmp_path, monkeypatch, "sweep-alpha")
+        assert len(grid) == len(w) == 30
+        for i, alpha in enumerate(grid):
+            self.check(anchored_reservoir(alpha), w[i], w_in[i], transfer, y0)
+
+    def test_sweep_gamma(self, tmp_path, monkeypatch):
+        grid, (w, w_in, transfer, y0) = self.lanes(tmp_path, monkeypatch, "sweep-gamma")
+        assert len(grid) == len(w) == 21
+        for i, gamma in enumerate(grid):
+            self.check(anchored_reservoir(1.0), w[i], w_in[i], transfer, y0, gamma)
 
 
 class TestForgetting:
@@ -530,6 +568,14 @@ class TestNoNanRows:
         err = self.fails_cleanly(tmp_path, capsys, "lyapunov", "--preset", "baseline",
                                  "--method", method, "--horizon", 1000, "--d0", d0)
         assert err == "error: d0 must lie in [1e-12, 1e-6]\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("method", ["renormalized", "derivative_product"])
+    def test_lyapunov_infinite_gamma(self, tmp_path, capsys, method):
+        # The scaled spec's amplitude is checked when the spec is built.
+        err = self.fails_cleanly(tmp_path, capsys, "lyapunov", "--preset", "anchored",
+                                 "--method", method, "--gamma", "inf")
+        assert err == "error: amplitude must be finite\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -439,7 +439,7 @@ class TestTransferCache:
         built = self._counting(monkeypatch)
         res.run(alternating(5000, 1.0))
         assert len(built) == 5000
-        assert len(res._transfer_cache) == reservoir_module._TRANSFER_CACHE
+        assert res._hooked_transfer.cache_info().currsize == reservoir_module._TRANSFER_CACHE
         assert res.transfers[0].ecps == (-1.0 - 4999e-4, 0.0, 1.0)
 
     def test_period_two_hook_builds_two_transfers(self, monkeypatch):

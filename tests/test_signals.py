@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critical_esn.signals import (
     InputSequence,
@@ -45,6 +47,25 @@ class TestScaled:
             scaled(constant(3, 1.0), 0.0)
 
 
+_AMPLITUDES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, math.pi / 4.0]),
+                        st.floats(-1e3, 1e3))
+_GAMMAS = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["alternating", "constant", "iid"]), length=st.integers(1, 40),
+       amplitude=_AMPLITUDES, seed=st.integers(0, 2**32), gamma=_GAMMAS, outer=_GAMMAS)
+def test_scaled_spec_is_flat(kind, length, amplitude, seed, gamma, outer):
+    # A scaled spec is its base with a scaled amplitude, and generates
+    # gamma times the base's elements byte for byte, nested or not.
+    spec = InputSequence(kind=kind, length=length, amplitude=amplitude, seed=seed)
+    once = scaled(spec, gamma)
+    assert (once.kind, once.length, once.seed) == (kind, length, seed)
+    assert generate(once).tobytes() == (gamma * generate(spec)).tobytes()
+    twice = scaled(once, outer)
+    assert generate(twice).tobytes() == (outer * (gamma * generate(spec))).tobytes()
+
+
 class TestIidPlusMinus:
     def test_deterministic_per_seed(self):
         a = generate(iid_plus_minus(1000, 1.0, seed=9))
@@ -84,9 +105,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InputSequence(kind="sawtooth", length=3)
 
-    def test_scaled_requires_base(self):
-        with pytest.raises(ValueError):
-            InputSequence(kind="scaled", gamma=1.0)
+    def test_scaled_kind_rejected(self):
+        # scaled() returns a spec of its base's kind; there is no scaled kind.
+        with pytest.raises(ValueError, match="unknown input kind 'scaled'"):
+            InputSequence(kind="scaled", length=3)
 
 
 class TestInputRows:

@@ -53,8 +53,11 @@ SEEDS = (0, 3, 11)
 # ends of the amplitude range and a six-anchor transfer in each variant,
 # whose roots (s* and the bridge kinks) come from one bisection; a
 # readout at k = 1 and k = 32 beside the default k = 8, the only command
-# that steps a network wider than one neuron; and the help text of the
-# global parser and of every command.
+# that steps a network wider than one neuron; scaled inputs: an iid
+# input and the baseline's amplitude, a scaled input stepped by the
+# derivative product, and an infinite gamma, rejected when its spec is
+# built; a forgetting run on the plateau variant; and the help text of
+# the global parser and of every command.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -102,6 +105,10 @@ COMMANDS = [
     *[["transfer-dump", "--ecps=-2.5,-1,-0.3,0.4,1,2", "--n", "2001", "--variant", variant]
       for variant in ("plateau", "bridge")],
     *[["readout-demo", "--k", k] for k in ("1", "32")],
+    ["lyapunov", "--preset", "baseline", "--gamma", "1.3", "--input", "iid"],
+    ["lyapunov", "--preset", "anchored", "--gamma", "0.7", "--method", "derivative_product"],
+    ["lyapunov", "--preset", "anchored", "--gamma", "inf"],
+    ["forgetting", "--variant", "plateau"],
     ["--help"],
     *[[command, "--help"] for command in ("transfer-dump", "sweep-alpha", "sweep-gamma",
                                           "forgetting", "critical-b", "lyapunov",
