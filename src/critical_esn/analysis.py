@@ -13,11 +13,11 @@ Estimators
   companion trajectory is kept at separation ``d0`` by renormalizing it
   onto the current difference direction after every step, and the
   exponent is the mean per-step log growth.  A one-neuron reservoir with
-  one shared transfer and no predictor hook runs on the blocked
-  one-neuron engine below.  Every other reservoir advances reference and
-  companion as one ``(2, k)`` state stack through the reservoir's one
-  step kernel; a predictor hook runs once per step, sees the reference
-  state, and sets the transfers of both rows.
+  no predictor hook runs on the blocked one-neuron engine below.  Every
+  other reservoir advances reference and companion as one ``(2, k)``
+  state stack through the reservoir's one step kernel; a predictor hook
+  runs once per step, sees the reference state, and sets the transfers
+  of both rows.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.  It steps
@@ -109,7 +109,9 @@ __all__ = [
 ]
 
 _BATCHES = 20  # batch-mean count for the standard error
-_FLOOR = 1e-13  # distances below this are floating-point noise for fits
+_FLOOR = 1e-13  # distances at or below this are floating-point noise for fits
+_TRANSIENT = 10  # steps that classify_decay drops before its window
+_MARGIN = 0.02  # r2 lead by which classify_decay picks a law
 _MIN_FIT_POINTS = 30  # a decay fit needs at least this many points in its window
 _BEND_POINTS = 25  # geometric resampling size of loglog_bend
 
@@ -361,8 +363,8 @@ def lyapunov_renormalized(
     stacked ``reservoir.state`` is rejected, and so is whatever the run
     gate :func:`_run_rows` rejects, before the first step.
 
-    A one-neuron reservoir with one shared transfer and no predictor hook
-    runs as a one-lane batch of the blocked one-neuron engine (see
+    A one-neuron reservoir with no predictor hook runs as a one-lane
+    batch of the blocked one-neuron engine (see
     :func:`renormalized_scalar_batch`): its drive is ``u @ w_in[0]`` and
     its direction, the seeded unit vector of length 1, is exactly +-1.
     :func:`lyapunov_derivative_product`, the oracle this estimate is
@@ -464,9 +466,9 @@ _BLOCK_CELLS = 1 << 13
 def _one_lane(reservoir) -> bool:
     """Whether ``reservoir`` runs on the blocked engine, one lane per trajectory.
 
-    That takes one neuron, one shared transfer and no predictor hook.
+    That takes one neuron and no predictor hook.
     """
-    return reservoir.k == 1 and reservoir._shared and reservoir.predictor is None
+    return reservoir.k == 1 and reservoir.predictor is None
 
 
 def _lanes(w, w_in, y0):
@@ -777,14 +779,14 @@ def expected_orbit_rate(critical: CriticalPoint, amplitude: float, gamma: float)
 # -- decay-law fitting ---------------------------------------------------------
 
 
+def _valid(series: DistanceSeries, lo=1) -> np.ndarray:
+    """Mask of the points a fit may use: step >= max(lo, 1) and distance above ``_FLOOR``."""
+    return (series.t >= max(lo, 1)) & (series.d > _FLOOR)
+
+
 def _window_points(series: DistanceSeries, window):
     t_lo, t_hi = window
-    mask = (
-        (series.t >= t_lo)
-        & (series.t <= t_hi)
-        & (series.t >= 1)
-        & (series.d > _FLOOR)
-    )
+    mask = _valid(series, t_lo) & (series.t <= t_hi)
     if int(mask.sum()) < _MIN_FIT_POINTS:
         raise ValueError(
             f"insufficient valid points in window [{t_lo}, {t_hi}]: "
@@ -828,37 +830,29 @@ def fit_exponential(series: DistanceSeries, window) -> tuple[float, float]:
 def classify_decay(series: DistanceSeries) -> DecayFit:
     """Fit both laws on an automatic window and pick the straighter one.
 
-    The window drops the first 10 steps (transient) and everything at or
-    below the floating-point floor.  The law with the higher coefficient
-    of determination wins when the margin exceeds 0.02; otherwise the
-    result is inconclusive.  A window whose distances are all equal gives
-    r2 = 0 for both laws, so it is inconclusive.  Raises only for an
-    empty series.
+    The window drops the first ``_TRANSIENT`` steps and ends at the last
+    distance above the floating-point floor ``_FLOOR``.  The law with the
+    higher coefficient of determination wins when it leads by more than
+    ``_MARGIN``; otherwise the result is inconclusive.  A window with
+    fewer than ``_MIN_FIT_POINTS`` valid points, or whose distances are
+    all equal, gives r2 = 0 for both laws, so it is inconclusive.  Raises
+    only for an empty series.
     """
     if series.t.size == 0:
         raise ValueError("empty distance series")
-    valid = (series.t > 10) & (series.d > _FLOOR)
-    # With no valid point the window is (11, 11), which no fit accepts.
-    window = (11, int(series.t[valid].max(initial=11)))
+    lo = _TRANSIENT + 1
+    # With no valid point the window is (lo, lo), which no fit accepts.
+    window = (lo, int(series.t[_valid(series, lo)].max(initial=lo)))
     try:
         c_a, r2_ll = fit_power_law(series, window)
         c_b, r2_sl = fit_exponential(series, window)
     except ValueError:
-        return DecayFit(
-            law="inconclusive",
-            c_a=None,
-            c_b=None,
-            r2_loglog=0.0,
-            r2_semilog=0.0,
-            window=window,
-            truncated_at=series.truncated_at,
-        )
-    margin = r2_ll - r2_sl
-    if margin > 0.02:
-        return DecayFit("power_law", c_a, None, r2_ll, r2_sl, window, series.truncated_at)
-    if margin < -0.02:
-        return DecayFit("exponential", None, c_b, r2_ll, r2_sl, window, series.truncated_at)
-    return DecayFit("inconclusive", None, None, r2_ll, r2_sl, window, series.truncated_at)
+        c_a = c_b = None
+        r2_ll = r2_sl = 0.0
+    lead = r2_ll - r2_sl
+    law = "power_law" if lead > _MARGIN else "exponential" if lead < -_MARGIN else "inconclusive"
+    return DecayFit(law, c_a if law == "power_law" else None, c_b if law == "exponential" else None,
+                    r2_ll, r2_sl, window, series.truncated_at)
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -877,7 +871,7 @@ def loglog_bend(series: DistanceSeries) -> float:
     curvature of the log-log plot: negative means the decay bends down,
     i.e. is faster than any power law fitted to its early part.
     """
-    valid = (series.t >= 1) & (series.d > _FLOOR)
+    valid = _valid(series)
     t = series.t[valid].astype(float)
     d = series.d[valid]
     if t.size < 3:

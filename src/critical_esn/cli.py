@@ -310,7 +310,9 @@ def cmd_sweep_gamma(args) -> None:
 def _forgetting_states(mode: str, d0: float, seed: int, replicate: int):
     if mode == "fixed-delta":
         ref = anchored_orbit_state()
-        return ref, ref + d0
+        if np.array_equal(twin := ref + d0, ref):
+            raise ValueError(f"--d0 {d0:g} rounds away: the twin would start on the reference")
+        return ref, twin
     rng = rng_stream(seed + replicate, signals.STREAM_INIT)
     draw = rng.integers(0, 2, size=2) * 2.0 - 1.0
     ref = np.array([draw[0] * TANH1])
@@ -514,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=str, choices=["fixed-delta", "bit-scale"],
                    default="fixed-delta", help="how the twin start states are drawn")
     p.add_argument("--d0", type=float, default=1.0,
-                   help="fixed-delta separation (default: %(default)s), finite and nonzero; "
-                        "bit-scale checks it but ignores its magnitude; a negative one starts "
-                        "the twin below and is written --d0=-1e-3, since argparse reads a "
-                        "separate -1e-3 as an option")
+                   help="fixed-delta separation (default: %(default)s), finite, nonzero and "
+                        "above about 5.6e-17 in size; bit-scale checks it but ignores its "
+                        "magnitude; a negative one starts the twin below and is written "
+                        "--d0=-1e-3, since argparse reads a separate -1e-3 as an option")
     p.add_argument("--horizon", type=int, default=100_000, help="steps per run")
     p.add_argument("--variant", **variant_option)
     p.add_argument("--replicates", type=int, default=None,

@@ -6,11 +6,11 @@ function; one kernel applies it to a ``(k,)`` state or to every row of a
 ``(B, k)`` stack.  A step costs little beyond that arithmetic: its
 record is a named tuple, the linear response is two ``np.dot`` products,
 and :meth:`Reservoir.step` checks its input once.  :func:`run_pair` runs
-a one-neuron pair with one shared transfer and no predictor hook as two
-lanes of the blocked one-neuron engine of :mod:`~critical_esn.analysis`
-instead.  With orthogonal ``W`` and Lipschitz-1 transfers the map is
-non-expansive for every input, which is what makes the critical tuning
-safe: no input can push the network into expansion.
+a one-neuron pair with no predictor hook as two lanes of the blocked
+one-neuron engine of :mod:`~critical_esn.analysis` instead.  With
+orthogonal ``W`` and Lipschitz-1 transfers the map is non-expansive for
+every input, which is what makes the critical tuning safe: no input can
+push the network into expansion.
 
 One-neuron presets implement the two study systems:
 
@@ -277,10 +277,10 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     a bad or empty input, a non-finite start state and a run whose linear
     response can overflow are rejected.
 
-    A one-neuron pair with one shared transfer and no predictor hook runs
-    as two lanes of the blocked one-neuron engine in
-    :mod:`~critical_esn.analysis`, whose blocks grow from one row, so a
-    pair that reaches zero at step ``s`` computes at most ``2*s`` steps.
+    A one-neuron pair with no predictor hook runs as two lanes of the
+    blocked one-neuron engine in :mod:`~critical_esn.analysis`, whose
+    blocks grow from one row, so a pair that reaches zero at step ``s``
+    computes at most ``2*s`` steps.
     The engine takes the distance of each block's rows as its per-block
     consumer.  A lane that has closed an exact 2-cycle is filled from it
     and no longer stepped, so a pair whose reference starts on the

@@ -248,9 +248,8 @@ class MorphableTransfer:
             breaks += [depart, arrive]
             pieces += [(0.0, mid, level, slope), (1.0, right, h_hi, 0.0)]
 
+        # Strictly increasing: each segment's kinks lie inside its (left, right).
         self._breaks = np.asarray(breaks)
-        if self._breaks.size and np.any(np.diff(self._breaks) <= 0.0):
-            raise RuntimeError("piece junctions out of order")
         self._a, self._s, self._b, self._c = np.array(pieces).T.copy()
         # The same table as Python lists, read by _eval_float.
         self._rows = tuple(t.tolist() for t in (self._breaks, self._a, self._s, self._b, self._c))

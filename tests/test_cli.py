@@ -602,11 +602,19 @@ class TestNoNanRows:
         assert err.startswith("error: --d0 must be")
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("d0", ["0", "-0.0"])
+    @pytest.mark.parametrize("d0", ["0", "-0.0", "1e-17", "-5e-17", "1e-16"])
     def test_forgetting_zero_d0(self, tmp_path, capsys, d0):
-        # It used to write a one-row series, "exact zero at step 0", with exit 0.
-        err = self.fails_cleanly(tmp_path, capsys, "forgetting", "--horizon", 1000, "--d0", d0)
-        assert err == "error: --d0 must be nonzero: the twin would start on the reference\n"
+        # It used to write a one-row series, "exact zero at step 0", with exit 0,
+        # also for a d0 within half an ulp of tanh(1), which rounds the twin onto
+        # the reference.  1e-16 is above that and moves the twin.
+        argv = ("forgetting", "--horizon", 1000, f"--d0={d0}")
+        if d0 == "1e-16":
+            assert run_cli("--out", tmp_path, *argv) == 0
+            assert float(read_rows(tmp_path / "forgetting.csv")[0]["d"]) > 0.0
+            return
+        err = self.fails_cleanly(tmp_path, capsys, *argv)
+        reason = ("must be nonzero" if float(d0) == 0.0 else f"{float(d0):g} rounds away")
+        assert err == f"error: --d0 {reason}: the twin would start on the reference\n"
         assert not any(tmp_path.iterdir())
 
     def test_forgetting_negative_d0_in_scientific_notation(self, tmp_path, capsys):

@@ -273,8 +273,8 @@ class TestRunPair:
     def test_shared_and_per_neuron_paths_agree(self):
         # An unhooked one-neuron pair takes the blocked one-lane route; a
         # hook that keeps the transfer sends the same pair through the
-        # stacked step kernel (a copy recomputes ``_shared``, so a k = 1
-        # reservoir cannot be forced there any other way).  Both must agree
+        # stacked step kernel (the route is chosen by k and the hook alone,
+        # so that is the one way to force a k = 1 pair there).  Both must agree
         # bit for bit, whether or not the distance reaches zero.  Under zero
         # input the 1e-150 pair shrinks until diff*diff underflows, where
         # norm, unlike abs, reads 0.

@@ -56,8 +56,9 @@ SEEDS = (0, 3, 11)
 # that steps a network wider than one neuron; scaled inputs: an iid
 # input and the baseline's amplitude, a scaled input stepped by the
 # derivative product, and an infinite gamma, rejected when its spec is
-# built; a forgetting run on the plateau variant; and the help text of
-# the global parser and of every command.
+# built; a forgetting run on the plateau variant; a fixed-delta d0 that
+# rounds the twin onto the reference; and the help text of the global
+# parser and of every command.
 COMMANDS = [
     ["sweep-alpha"],
     ["sweep-gamma"],
@@ -109,6 +110,7 @@ COMMANDS = [
     ["lyapunov", "--preset", "anchored", "--gamma", "0.7", "--method", "derivative_product"],
     ["lyapunov", "--preset", "anchored", "--gamma", "inf"],
     ["forgetting", "--variant", "plateau"],
+    ["forgetting", "--d0=1e-17"],
     ["--help"],
     *[[command, "--help"] for command in ("transfer-dump", "sweep-alpha", "sweep-gamma",
                                           "forgetting", "critical-b", "lyapunov",

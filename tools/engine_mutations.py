@@ -1,4 +1,4 @@
-"""Mutation guard of the one-neuron engine: every named mutation must fail a test.
+"""Mutation guard of the engine and the decay thresholds: every named mutation must fail a test.
 
 Each mutation is a file under ``src/``, an old text and a new text.  For
 each one the tool copies ``src/`` to a temporary directory, replaces the
@@ -14,9 +14,10 @@ directory.
 
     python tools/engine_mutations.py
 
-Rerun it after an engine change; ``tests/test_engine_mutations.py`` checks
-in tier-1 that every old text still occurs exactly once.  Standard
-library only; pytest and hypothesis come from the test dependencies.
+Rerun it after an engine or decay-classifier change;
+``tests/test_engine_mutations.py`` checks in tier-1 that every old text
+still occurs exactly once.  Standard library only; pytest and hypothesis
+come from the test dependencies.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ MUTATIONS = [
                 yield _CycleTail(np.concatenate((prev[-1:], last)), t0 + 1)
             return
 """),
+    # The decay classifier's floor, transient and r2 margin.
+    Mutation("floor 1e-12", ANALYSIS, "_FLOOR = 1e-13", "_FLOOR = 1e-12"),
+    Mutation("transient of 12 steps", ANALYSIS, "_TRANSIENT = 10", "_TRANSIENT = 12"),
+    Mutation("margin 0.05", ANALYSIS, "_MARGIN = 0.02", "_MARGIN = 0.05"),
 ]
 
 
