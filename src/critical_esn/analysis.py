@@ -50,11 +50,11 @@ consumer returns.  A lane that has closed an exact 2-cycle under its own
 earlier; a fixed point under constant input is such a cycle) is no
 longer stepped but filled from its last two states; ``eval`` is pure, so
 the result is what stepping would give.  While at most ``_FLOAT_LANES``
-(m* = 8) lanes are open, such as a ``forgetting`` pair, whose reference
+(m* = 12) lanes are open, such as a ``forgetting`` pair, whose reference
 closes at once, or one renormalized ``lyapunov`` estimate, each open
 lane steps through the block's rows as Python floats, through the same
 piece table and bit for bit what ``eval`` returns, because one small
-``eval`` costs more than eight float steps; with more open, each row
+``eval`` costs more than twelve float steps; with more open, each row
 takes one ``eval`` of every lane.  Once every lane has closed, the engine
 calls the consumer once more, on the next two rows taken from the
 cycle, and hands on the rest of the run as one value, those two rows and
@@ -492,11 +492,11 @@ def _period_start(u) -> np.ndarray:
 #: Most open lanes that the engine steps as Python floats, each lane one
 #: ``_eval_float`` per row; with more open, a row takes one ``eval`` of
 #: every lane.  Measured crossover (CPython 3.11, numpy 2.4.6, 2 vCPUs, iid
-#: input, per row, the faster of 3 runs in each of 36 pairs): about 0.75 us
-#: per float lane against 6.5 us for one ``eval`` of 5-9 lanes on a quiet
-#: host; in three sets of pairs floats won 27-34 of 36 at 8 lanes and 3-8
-#: of 36 at 9.
-_FLOAT_LANES = 8
+#: input on the ``(-1, 1)`` bridge, per row, the faster of 3 runs in each
+#: of 12 pairs): about 0.52 us per float lane against 7.0-7.5 us for one
+#: ``eval`` of 9-14 lanes; in three sets of pairs floats won 11-12 of 12 at
+#: 12 lanes, and 4, 8 and 12 of 12 at 14.
+_FLOAT_LANES = 12
 
 
 def _float_rows(step, w, y, drive) -> np.ndarray:

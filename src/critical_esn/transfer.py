@@ -300,14 +300,19 @@ class MorphableTransfer:
     def _eval_float(self, x: float) -> float:
         """``eval`` of one Python float, bit for bit, without numpy's per-call cost.
 
-        The same clamp, the same piece (``bisect_right`` finds what
-        ``searchsorted(side="right")`` finds, NaN included) and ``_value``'s
-        operations in its order.  The tanh is ``np.tanh`` of a float, never
-        ``math.tanh``, which differs from numpy's SIMD kernels in the last
-        bit on a sizable share of points.
+        The same clamp: two compares give what ``np.minimum(np.maximum(...))``
+        gives, at the clamp edges, for +-inf (which take the edge) and for
+        NaN (which fails both compares and passes through), without the
+        cost of the builtin ``min`` and ``max`` calls; ``TestEvalFloat``
+        pins it, in CI also with numpy's SIMD dispatch off.  The same piece
+        (``bisect_right`` finds what ``searchsorted(side="right")`` finds,
+        NaN included) and ``_value``'s operations in its order.  The tanh
+        is ``np.tanh`` of a float, never ``math.tanh``, which differs from
+        numpy's SIMD kernels in the last bit on a sizable share of points.
         """
         breaks, a, s, b, c = self._rows
-        x = min(max(x, self._lo), self._hi)
+        lo, hi = self._lo, self._hi
+        x = lo if x < lo else hi if x > hi else x
         j = bisect_right(breaks, x)
         d = x - s[j]
         return a[j] * float(np.tanh(d)) + b[j] + c[j] * d

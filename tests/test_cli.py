@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,11 @@ def run_cli(*argv) -> int:
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def cell_by_cell(header, rows) -> str:
+    """The text of ``write_csv(path, header, rows)``, one ``fmt`` per cell."""
+    return ",".join(header) + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
 
 
 class TestHelpers:
@@ -41,12 +47,42 @@ class TestHelpers:
                 for i in range(10)]
         rows += [(10, 1, 2.5, 3)]
         cli.write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"], iter(rows))
-        expected = "a,b,c,d\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
-        assert (tmp_path / "t.csv").read_text() == expected
+        assert (tmp_path / "t.csv").read_text() == cell_by_cell(["a", "b", "c", "d"], rows)
+
+    @pytest.mark.parametrize("n", [0, cli._CSV_CHUNK, cli._CSV_CHUNK + 1])
+    def test_write_csv_chunk_edges(self, tmp_path, n):
+        rows = [(i, i / 7.0, "%d,%s %%" if i % 5 else "") for i in range(n)]
+        cli.write_csv(tmp_path / "t.csv", ["t", "d", "s"], rows)
+        assert (tmp_path / "t.csv").read_text() == cell_by_cell(["t", "d", "s"], rows)
+
+    def test_write_csv_column_changes_type_between_chunks(self, tmp_path):
+        # Column "c" is "" throughout the first chunk and a float in the second.
+        n = cli._CSV_CHUNK
+        rows = [(i, "" if i < n else i / 3.0) for i in range(n + 10)]
+        cli.write_csv(tmp_path / "t.csv", ["t", "c"], rows)
+        assert (tmp_path / "t.csv").read_text() == cell_by_cell(["t", "c"], rows)
 
     def test_write_csv_rejects_a_row_of_another_width(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             cli.write_csv(tmp_path / "t.csv", ["a", "b"], [(1, 2.0), (3,)])
+
+    def test_write_csv_rejects_a_short_row_in_a_later_chunk(self, tmp_path):
+        rows = [(i, 2.0) for i in range(cli._CSV_CHUNK)] + [(1, 2.0), (3,)]
+        with pytest.raises(ValueError, match="width"):
+            cli.write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+
+    def test_write_csv_memory_is_bounded_by_the_chunk(self, tmp_path):
+        # A forgetting curve dump: 100,001 (t, d) rows from two arrays.  A
+        # chunk holds well under 1 MiB; whole-column lists would hold 7.5.
+        t = np.arange(100_001)
+        d = np.linspace(0.0, 1.0, t.size)
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "t.csv", ["t", "d"], zip(t, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_parse_grid_range(self):
         grid = parse_grid("0.5:1.0:0.25")
