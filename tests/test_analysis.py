@@ -935,8 +935,9 @@ def engine_input(kind: str, m: int, rng):
 
 #: The engine table is the cases of the ids of ``TestCycleReplay.test_matches_per_row_loop``
 #: and ``TestLogCycleTail.test_matches_per_row_loops``, each the product of its axes.
-#: ``TestCycleReplay``'s lane counts: both sides of the float-lane crossover m*.
-REPLAY_WIDTHS = (1, 5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1)
+#: ``TestCycleReplay``'s lane counts: float blocks well below the float-lane
+#: crossover m* (8 and 9 were its two sides when m* was 8), and both sides of m*.
+REPLAY_WIDTHS = (1, 5, 8, 9, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1)
 #: The lane counts and kinds of ``TestLogCycleTail``'s cases.  ``"mixed signs"`` is
 #: mixed gains on constant input at odd m and on alternating input at even m.
 TAIL_WIDTHS = (1, 4, 7)
@@ -1109,7 +1110,7 @@ class TestCycleReplay:
         assert len(eval_calls) == 6
 
     # Up to _FLOAT_LANES open lanes step as Python floats; more take one eval per row.
-    @pytest.mark.parametrize("m", [1, 2, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 1])
     def test_only_wide_blocks_step_through_eval(self, monkeypatch, m):
         sizes = []
         original = MorphableTransfer.eval
@@ -1383,7 +1384,7 @@ class TestBlockedEngine:
         def _eval_float(self, x):
             return -float(np.tanh(x))
 
-    @pytest.mark.parametrize("m", [5, analysis._FLOAT_LANES + 4])
+    @pytest.mark.parametrize("m", [5, analysis._FLOAT_LANES, analysis._FLOAT_LANES + 4])
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     def test_decreasing_transfer_matches_per_step_loop(self, engine_events, m, direction):
         # Only the closed-cycle tail needs a nondecreasing transfer, and iid
