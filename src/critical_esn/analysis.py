@@ -22,10 +22,12 @@ Estimators
   one-neuron systems, ``mean log |W * slope(y_lin_t)|``; serves as the
   independent cross-check oracle for the renormalized method.  It steps
   the reservoir through ``Reservoir.step``, one step per input row, so it
-  shares no code with the blocked engine and honours a predictor hook's
-  transfer at every step.  Slopes and logs are read per block of rows:
-  one ``slope`` call for each run of rows that used one transfer, and
-  one ``log`` per block.
+  honours a predictor hook's transfer at every step.  It shares exactly
+  one thing with the blocked engine: a one-neuron, one-input step is the
+  engine's float step ``_eval_float``, which a test pins bit for bit to
+  ``eval``; it has no cycle closure or tail.  Slopes and logs are read
+  per block of rows: one ``slope`` call for each run of rows that used
+  one transfer, and one ``log`` per block.
 - :func:`expected_orbit_rate`: tangent growth rate of the tanh baseline
   when the state is held on the expected critical orbit while the input
   amplitude is scaled; this is the quantity that turns positive the
@@ -256,9 +258,10 @@ def _fold(acc, seg):
     """``((acc + seg[0]) + seg[1]) + ...`` along the rows, or from ``seg[0]`` when ``acc`` is None.
 
     A narrow segment takes one ``cumsum``, which adds along its rows in
-    order, lane by lane, with the carry written into a copy of its first
-    row (``acc + seg[0]`` equals ``seg[0] + acc``: IEEE addition
-    commutes).  ``np.add.reduce`` would not do: it sums a contiguous axis
+    order, lane by lane, in place in a copy of the segment, with the carry
+    added into its first row (``acc + seg[0]`` equals ``seg[0] + acc``:
+    IEEE addition commutes), so a fold holds one array the size of its
+    segment.  ``np.add.reduce`` would not do: it sums a contiguous axis
     pairwise.  A segment of more than ``_CUMSUM_LANES`` lanes is added row
     by row, because ``cumsum`` pays per lane.
     """
@@ -268,10 +271,10 @@ def _fold(acc, seg):
         for row in seg:
             acc = acc + row
         return acc
+    seg = seg.copy()
     if acc is not None:
-        seg = seg.copy()
-        seg[0] = acc + seg[0]
-    return np.cumsum(seg, axis=0)[-1]
+        seg[0] += acc
+    return np.cumsum(seg, axis=0, out=seg)[-1]
 
 
 def _rate(blocks, steps: int, washout: int):
@@ -368,10 +371,12 @@ def lyapunov_renormalized(
     :func:`renormalized_scalar_batch`): its drive is ``u @ w_in[0]`` and
     its direction, the seeded unit vector of length 1, is exactly +-1.
     :func:`lyapunov_derivative_product`, the oracle this estimate is
-    checked against, keeps stepping through :meth:`Reservoir.step`, so
-    the two share no code.  Every other reservoir steps a copy of itself
-    holding both trajectories as one ``(2, k)`` stack; a predictor hook
-    sees row 0, the reference, as the oracle's hook sees its trajectory.
+    checked against, keeps stepping through :meth:`Reservoir.step`; the
+    two share exactly one thing, the float step ``_eval_float``, which is
+    pinned bit for bit to ``eval``.  Every other reservoir steps a copy
+    of itself holding both trajectories as one ``(2, k)`` stack; a
+    predictor hook sees row 0, the reference, as the oracle's hook sees
+    its trajectory.
     For k > 1 the stacked product rounds differently from :meth:`Reservoir.step`.
 
     When the separation reaches exactly 0 after a post-washout step, that
@@ -423,12 +428,16 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     :func:`lyapunov_renormalized`.
 
     The trajectory takes one :meth:`Reservoir.step` per input row, in
-    the blocks of :func:`_doubling_blocks`.  Each step's ``y_lin`` and
-    the transfer the step used are kept; at the end of a block, each run
-    of rows that used one transfer takes one ``slope`` call, and the
-    block one ``log``.  So a predictor hook's choice is honoured at every
-    step, and a log is the one a per-row ``slope`` and ``log`` would
-    give (both are elementwise).
+    the blocks of :func:`_doubling_blocks`.  With one input each step is
+    the float step of the blocked engine's float lanes, so with no hook
+    the estimate is bit for bit that of
+    :func:`derivative_product_scalar_batch` on one lane (a test pins it),
+    though the two share no code but ``_eval_float``.  Each step's
+    ``y_lin`` and the transfer the step used are kept; at the end of a
+    block, each run of rows that used one transfer takes one ``slope``
+    call, and the block one ``log``.  So a predictor hook's choice is
+    honoured at every step, and a log is the one a per-row ``slope`` and
+    ``log`` would give (both are elementwise).
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
     transfer, or saturation), that step's log is ``-inf``: the estimate

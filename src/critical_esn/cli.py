@@ -85,6 +85,17 @@ def fmt(value) -> str:
     return _cell_format(type(value)) % (value,)
 
 
+def _column_rows(*columns):
+    """Rows of equal-length numpy columns as Python scalars, one ``_CSV_CHUNK`` slice at a time.
+
+    ``%`` formats a Python scalar faster than a numpy one, and converting
+    one slice of each column at a time, never a whole column, keeps
+    :func:`write_csv`'s memory within a chunk.
+    """
+    for lo in range(0, len(columns[0]), _CSV_CHUNK):
+        yield from zip(*(column[lo:lo + _CSV_CHUNK].tolist() for column in columns))
+
+
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
     """Write ``header`` and ``rows``, every cell as :func:`fmt` writes it.
 
@@ -292,7 +303,7 @@ def cmd_sweep_alpha(args) -> None:
         raise ValueError("alpha grid must lie in (0, 1.5]")
     lam, err = _sweep_lambda(args, -grid, 1.0 - grid * TANH1)
     write_csv(args.out / "sweep_alpha.csv", ["alpha", "lambda", "stderr"],
-              zip(grid, lam, err))
+              _column_rows(grid, lam, err))
     print(f"sweep-alpha: {grid.size} grid points, horizon {args.horizon}")
 
 
@@ -310,7 +321,7 @@ def cmd_sweep_gamma(args) -> None:
     lam_tanh = np.array([expected_orbit_rate(critical, _BASELINE_AMPLITUDE, g) for g in grid])
 
     write_csv(args.out / "sweep_gamma.csv", ["gamma", "lambda_ecp", "lambda_tanh"],
-              zip(grid, lam_ecp, lam_tanh))
+              _column_rows(grid, lam_ecp, lam_tanh))
     print(f"sweep-gamma: {grid.size} grid points, critical b = {critical.b_star:.6f}")
 
 
@@ -348,7 +359,7 @@ def cmd_forgetting(args) -> None:
         fit = classify_decay(series)
 
         name = "forgetting.csv" if replicates == 1 else f"forgetting_r{rep}.csv"
-        write_csv(args.out / name, ["t", "d"], zip(series.t, series.d))
+        write_csv(args.out / name, ["t", "d"], _column_rows(series.t, series.d))
         fit_rows.append([rep, fit.law, "" if fit.c_a is None else fit.c_a,
                          "" if fit.c_b is None else fit.c_b, fit.r2_loglog, fit.r2_semilog,
                          *fit.window, "" if fit.truncated_at is None else fit.truncated_at])

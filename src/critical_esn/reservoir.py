@@ -5,8 +5,10 @@ The update is the standard leakless echo-state form: the linear response
 function; one kernel applies it to a ``(k,)`` state or to every row of a
 ``(B, k)`` stack.  A step costs little beyond that arithmetic: its
 record is a named tuple, the linear response is two ``np.dot`` products,
-and :meth:`Reservoir.step` checks its input once.  :func:`run_pair` runs
-a one-neuron pair with no predictor hook as two lanes of the blocked
+and :meth:`Reservoir.step` checks its input once; a ``(1,)`` state of one
+neuron with one input takes the float step of the engine's float lanes,
+with the bits of the ``np.dot`` path.  :func:`run_pair` runs a
+one-neuron pair with no predictor hook as two lanes of the blocked
 one-neuron engine of :mod:`~critical_esn.analysis` instead.  With
 orthogonal ``W`` and Lipschitz-1 transfers the map is non-expansive for
 every input, which is what makes the critical tuning safe: no input can
@@ -219,11 +221,23 @@ class Reservoir:
 
         Returns ``y_lin``.  A caller may write into ``state`` between steps;
         the last :class:`StepRecord`'s ``y`` is that array and sees the write.
-        ``np.dot`` rounds as ``state @ W.T + u @ w_in.T`` does (a test pins
-        it bit for bit) at a lower cost per call.
+        A ``(1,)`` state of one neuron with one input steps as Python
+        floats, ``x = w*y + w_in*u`` and then ``_eval_float(x)``: the
+        float step of the engine's float lanes
+        (:func:`~critical_esn.analysis._float_rows`).  Its bits are those
+        of the array path: on one element ``np.dot`` is one IEEE product,
+        signed zero included, the sum is one add, and ``_eval_float`` is
+        ``eval`` bit for bit.  Every other state takes two ``np.dot``
+        products, which round as ``state @ W.T + u @ w_in.T`` does (a test
+        pins it bit for bit) at a lower cost per call.
         """
         if self.predictor is not None:
             self._apply_predictor()
+        if self.state.shape == (1,) and self.w_in.shape == (1, 1):
+            x = self.W.item() * self.state.item() + self.w_in.item() * u.item()
+            self.state = np.array([self.transfers[0]._eval_float(x)])
+            self.t += 1
+            return np.array([x])
         y_lin = np.dot(self.state, self.W.T) + np.dot(u, self.w_in.T)
         if self._shared:
             y = self.transfers[0].eval(y_lin)
@@ -239,9 +253,12 @@ class Reservoir:
         """Advance one step under input ``u`` and return the step record.
 
         ``u`` is a scalar (for n = 1) or an ``(n,)`` row.  Only the row's
-        width is checked: float64 reach is checked once per run
-        (:meth:`run`, :func:`run_pair`, the estimators), not per step.  The
-        record's ``y`` is the live ``state`` array (see :class:`StepRecord`).
+        width is checked: float64 reach is checked by the run gate, once per
+        run (:meth:`run`, :func:`run_pair`, the estimators), not per step.
+        A lone step whose linear response overflows is not rejected: on a
+        one-neuron state it gives ``inf`` silently, where the array path
+        warns.  The record's ``y`` is the live ``state`` array (see
+        :class:`StepRecord`).
         """
         u = np.array(u, dtype=float, ndmin=1, copy=None)
         if u.shape != self.w_in.shape[1:]:

@@ -464,6 +464,30 @@ class TestDerivativeProductBlocks:
         res.state = anchored_orbit_state()
         self._check(res, self.INPUTS[kind](3000, 1.0))
 
+    @pytest.mark.parametrize("start", ["orbit", "origin"])
+    @pytest.mark.parametrize("kind", sorted(INPUTS))
+    @pytest.mark.parametrize("preset", ["baseline", "bridge", "plateau"])
+    def test_matches_the_one_lane_engine(self, preset, kind, start):
+        # Reservoir.step of one neuron against the blocked engine's float
+        # lane, drive u @ w_in[0].  per_step_derivative_product steps
+        # through Reservoir.step as well, so only this sees a wrong step.
+        if preset == "baseline":
+            res, amplitude = baseline_reservoir(self.CRITICAL.b_star), QPI
+            orbit = baseline_orbit_state(self.CRITICAL.s_star)
+        else:
+            res, amplitude = anchored_reservoir(0.8, variant=preset), 1.0
+            orbit = anchored_orbit_state()
+        if start == "orbit":
+            res.state = orbit
+        u = generate(self.INPUTS[kind](3000, amplitude))[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = lyapunov_derivative_product(res, u, washout=1000)
+            lam, stderr = derivative_product_scalar_batch(res.W[0], np.ones(1), u @ res.w_in[0],
+                                                          res.transfers[0], washout=1000,
+                                                          y0=res.state)
+        assert (est.lam.hex(), est.stderr.hex()) == (lam.item().hex(), stderr.item().hex())
+
     @pytest.mark.parametrize("every", [1, 100])
     def test_hook_swapping_inside_a_block(self, monkeypatch, every):
         # Blocks of 1, 2, 4, ... rows: rows 63-126 form one block, so a swap

@@ -84,6 +84,21 @@ class TestHelpers:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_column_rows_write_the_same_bytes_within_the_chunk_bound(self, tmp_path):
+        # Python scalars, one chunk of each column at a time, against the
+        # numpy scalars of zip: the same bytes and no whole-column list.
+        t = np.arange(100_001)
+        d = np.linspace(0.0, 1.0, t.size) ** 3
+        cli.write_csv(tmp_path / "zip.csv", ["t", "d"], zip(t, d))
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "t.csv", ["t", "d"], cli._column_rows(t, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "zip.csv").read_bytes()
+
     def test_parse_grid_range(self):
         grid = parse_grid("0.5:1.0:0.25")
         assert grid.tolist() == [0.5, 0.75, 1.0]

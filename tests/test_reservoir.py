@@ -20,7 +20,7 @@ from critical_esn.reservoir import (
 )
 from critical_esn.analysis import solve_critical_b
 from critical_esn.signals import alternating, constant, iid_plus_minus, rng_stream
-from critical_esn.transfer import MorphableTransfer, Variant
+from critical_esn.transfer import MorphableTransfer, TanhTransfer, Variant
 
 TANH1 = float(np.tanh(1.0))
 
@@ -147,6 +147,39 @@ class TestStep:
         res.state[0] = 5.0
         assert rec.y.tolist() == [5.0]
 
+    @pytest.mark.parametrize("hooked", [False, True], ids=["unhooked", "hooked"])
+    @pytest.mark.parametrize("w", [-0.9, 0.9])
+    @pytest.mark.parametrize("kind", ["tanh", "bridge", "plateau"])
+    def test_one_neuron_step_matches_the_stack_on_edge_inputs(self, kind, w, hooked):
+        # The (1,) state's float step against the same start held as a
+        # (1, 1) stack, which takes np.dot, by bytes: signed zeros, +-inf
+        # and nan inputs, and a row whose linear response overflows.  The
+        # stack warns of the overflow; the float step is silent.
+        transfer = TanhTransfer() if kind == "tanh" else MorphableTransfer((-1.0, 1.0), kind)
+        hook = (lambda i, t, state: (-0.5, 0.7)) if hooked else None
+        res = Reservoir([[w]], [[3.0]], transfer, predictor=hook)
+        for y0, u in itertools.product([0.0, -0.0, 0.4], [0.0, -0.0, 0.3, math.inf, -math.inf,
+                                                         math.nan, 1e308, -1e308]):
+            rec = res.copy(state=[y0]).step(u)
+            stack = res.copy(state=[[y0]])
+            with np.errstate(over="ignore"):
+                y_lin = stack._advance(np.array([u]))
+            assert rec.y_lin.tobytes() == y_lin[0].tobytes()
+            assert rec.y.tobytes() == stack.state[0].tobytes()
+
+    @pytest.mark.parametrize("k, n, state", [(1, 1, [0.2]), (1, 1, [[0.2], [0.3]]),
+                                             (1, 2, [0.2]), (2, 1, [0.2, 0.1])])
+    def test_only_a_one_neuron_one_input_state_steps_as_floats(self, monkeypatch, k, n, state):
+        calls = []
+        float_step = MorphableTransfer._eval_float
+        monkeypatch.setattr(MorphableTransfer, "_eval_float",
+                            lambda self, x: calls.append(x) or float_step(self, x))
+        res = Reservoir(np.eye(k) * 0.5, np.full((k, n), 0.5), MorphableTransfer((-1.0, 1.0)),
+                        state=state)
+        rec = res.step(np.full(n, 0.3))
+        assert len(calls) == (np.shape(state) == (1,) and n == 1)
+        assert rec.y_lin.shape == rec.y.shape == np.shape(state)
+
     def test_run_records_hold_distinct_arrays(self):
         records = anchored_reservoir(0.9).run(iid_plus_minus(40, 1.0, seed=4))
         arrays = [a for rec in records for a in (rec.y_lin, rec.y)]
@@ -184,17 +217,17 @@ def test_linear_response_matches_matmul(k, n, rows, per_neuron, hooked, seed):
     n=st.integers(1, 2),
     rows=st.integers(1, 3),
     steps=st.integers(1, 30),
-    bridge=st.booleans(),
+    kind=st.sampled_from(["tanh", "bridge", "plateau"]),
     per_neuron=st.booleans(),
     hooked=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_stack_steps_match_repeated_step(k, n, rows, steps, bridge, per_neuron, hooked, seed):
+def test_stack_steps_match_repeated_step(k, n, rows, steps, kind, per_neuron, hooked, seed):
     # The kernel on a (rows, k) stack against one reservoir per row; for
     # k > 1 the (B, k) @ (k, k) product rounds differently from (k,) @ (k, k).
+    # With k = n = 1 the single reservoir takes the float step, by bytes.
     rng = rng_stream(seed, 19)
-    variant = Variant.BRIDGE if bridge else Variant.PLATEAU
-    transfers = [MorphableTransfer(random_ecp_list(rng), variant)
+    transfers = [TanhTransfer() if kind == "tanh" else MorphableTransfer(random_ecp_list(rng), kind)
                  for _ in range(k if per_neuron else 1)]
     anchor_sets = [random_ecp_list(rng) for _ in range(3)]
     hook = (lambda i, t, state: anchor_sets[(i + t) % 3]) if hooked else None
@@ -205,16 +238,18 @@ def test_stack_steps_match_repeated_step(k, n, rows, steps, bridge, per_neuron, 
     stack = res.copy(state=start)
     stacked = []
     for row in u:
-        stack._advance(row)
-        stacked.append(stack.state.copy())
+        y_lin = stack._advance(row)
+        stacked.append((y_lin, stack.state.copy()))
     for r in range(rows):
         single = res.copy(state=start[r])
         for t in range(steps):
-            single.step(u[t])
+            rec = single.step(u[t])
+            y_lin, state = stacked[t]
             if k == 1:
-                assert np.array_equal(stacked[t][r], single.state)
+                assert rec.y_lin.tobytes() == y_lin[r].tobytes()
+                assert rec.y.tobytes() == state[r].tobytes()
             else:
-                assert np.allclose(stacked[t][r], single.state, rtol=0.0, atol=1e-12)
+                assert np.allclose(state[r], rec.y, rtol=0.0, atol=1e-12)
 
 
 class TestRun:

@@ -1,4 +1,4 @@
-"""Mutation guard of the engine and the decay thresholds: every named mutation must fail a test.
+"""Mutation guard of the engine, its float step and the decay thresholds: each must fail a test.
 
 Each mutation is a file under ``src/``, an old text and a new text.  For
 each one the tool copies ``src/`` to a temporary directory, replaces the
@@ -14,10 +14,10 @@ directory.
 
     python tools/engine_mutations.py
 
-Rerun it after an engine or decay-classifier change;
-``tests/test_engine_mutations.py`` checks in tier-1 that every old text
-still occurs exactly once.  Standard library only; pytest and hypothesis
-come from the test dependencies.
+Rerun it after a change to the engine, the one-neuron step or the decay
+classifier; ``tests/test_engine_mutations.py`` checks in tier-1 that
+every old text still occurs exactly once.  Standard library only;
+pytest and hypothesis come from the test dependencies.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ class Mutation(NamedTuple):
 
 
 ANALYSIS = "critical_esn/analysis.py"
+RESERVOIR = "critical_esn/reservoir.py"
 
 MUTATIONS = [
     Mutation("tail phase (r - t + 1) % 2", ANALYSIS,
@@ -92,6 +93,13 @@ MUTATIONS = [
     Mutation("floor 1e-12", ANALYSIS, "_FLOOR = 1e-13", "_FLOOR = 1e-12"),
     Mutation("transient of 12 steps", ANALYSIS, "_TRANSIENT = 10", "_TRANSIENT = 12"),
     Mutation("margin 0.05", ANALYSIS, "_MARGIN = 0.02", "_MARGIN = 0.05"),
+    # A one-neuron Reservoir.step of the tanh baseline on math.tanh, which
+    # differs from np.tanh in the last bit on some points.  The per-row
+    # derivative-product loop steps the same way and cannot see it.
+    Mutation("math.tanh in the one-neuron tanh step", RESERVOIR,
+             "self.state = np.array([self.transfers[0]._eval_float(x)])",
+             "self.state = np.array([self.transfers[0]._eval_float(x) if self.transfers[0].variant"
+             " else math.tanh(x)])"),
 ]
 
 
