@@ -15,7 +15,7 @@ Estimators
   exponent is the mean per-step log growth.  A one-neuron reservoir with
   no predictor hook runs on the blocked one-neuron engine below.  Every
   other reservoir advances reference and companion as one ``(2, k)``
-  state stack through the reservoir's one step kernel; a predictor hook
+  state stack, one ``Reservoir.step`` per input row; a predictor hook
   runs once per step, sees the reference state, and sets the transfers
   of both rows.
 - :func:`lyapunov_derivative_product`: exact tangent-dynamics average for
@@ -35,6 +35,13 @@ Estimators
   cannot show this: off the expected orbit the baseline falls onto a
   strongly contracting large-amplitude orbit and the asymptotic rate is
   dominated by that attractor.)
+
+Every run that steps a reservoir row by row (a stacked pair or estimate,
+and the derivative product) is one per-row function on one loop,
+:func:`_step_blocks`: one ``Reservoir.step`` per row, ``Reservoir.step``
+being the only code that advances a reservoir, in blocks that double as
+the engine's do; a block ends early right after the run's first value of
+exactly 0, where a pair stops.
 
 Batched variants of the one-neuron estimators evaluate whole parameter
 grids in one vectorized run on one blocked engine.  For one neuron the
@@ -116,6 +123,7 @@ _TRANSIENT = 10  # steps that classify_decay drops before its window
 _MARGIN = 0.02  # r2 lead by which classify_decay picks a law
 _MIN_FIT_POINTS = 30  # a decay fit needs at least this many points in its window
 _BEND_POINTS = 25  # geometric resampling size of loglog_bend
+_MAX_D0 = 1e-6  # largest renormalization distance d0, which the run gate's reach allows for
 
 
 @dataclass(frozen=True)
@@ -203,9 +211,9 @@ def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndar
       ``washout + 1000`` rows;
     - a non-finite gain or start state;
     - a linear response that can overflow float64.  Every transfer stays
-      within +-2 and a renormalized companion within ``d0 <= 1e-6`` of
+      within +-2 and a renormalized companion within ``d0 <= _MAX_D0`` of
       its reference, so each neuron's or lane's ``|y_lin|`` is at most
-      ``|w| @ (max(2, |s|) + 1e-6) + |w_in| @ max|u|`` (elementwise for
+      ``|w| @ (max(2, |s|) + _MAX_D0) + |w_in| @ max|u|`` (elementwise for
       lanes), with ``|s|`` the largest start row and ``max|u|`` the
       largest input of each column; the run is rejected unless that is
       finite.
@@ -223,7 +231,7 @@ def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndar
     starts = np.asarray(starts, dtype=float)
     if not all(np.all(np.isfinite(x)) for x in (w, w_in, starts)):
         raise ValueError("gains and start states must be finite")
-    y = np.maximum(2.0, np.abs(starts)).reshape(-1, len(w)).max(axis=0) + 1e-6
+    y = np.maximum(2.0, np.abs(starts)).reshape(-1, len(w)).max(axis=0) + _MAX_D0
     u = np.abs(rows).max(axis=0)
     with np.errstate(over="ignore"):
         reach = np.abs(w) * y + np.abs(w_in) * u if lanes else np.abs(w) @ y + np.abs(w_in) @ u
@@ -241,7 +249,7 @@ def _start_rows(reservoir, inputs, washout: int):
 
 
 def _check_d0(d0: float) -> None:
-    if not (1e-12 <= d0 <= 1e-6):
+    if not (1e-12 <= d0 <= _MAX_D0):
         raise ValueError("d0 must lie in [1e-12, 1e-6]")
 
 
@@ -334,17 +342,32 @@ def _rate(blocks, steps: int, washout: int):
     return lam, stderr, per * _BATCHES
 
 
-def _doubling_blocks(u, logs_of):
-    """``logs_of(rows)``, the ``(rows,)`` logs of each block of the input rows ``u``, in order.
+def _step_blocks(reservoir, u, value_of):
+    """``value_of(reservoir.step(row))`` of each input row of ``u``, in order, in ``(rows,)`` blocks.
 
+    The one loop of every run that steps a reservoir row by row: a pair or
+    an estimate with a predictor hook or more than one neuron, and the
+    derivative product.  ``value_of`` maps a step's record to a float and
+    may write into the live state (:class:`~critical_esn.reservoir.StepRecord`).
     The blocks hold 1, 2, 4, ... rows, up to ``_BLOCK_CELLS``, as the
-    one-neuron engine's do (:func:`_lane_blocks`), so a reducer that stops
-    early has stepped at most about twice the rows it reads.
+    one-neuron engine's do (:func:`_lane_blocks`), so a reader that stops
+    early has stepped at most about twice the rows it reads.  A block ends
+    right after the run's first value of exactly 0, and the next one
+    starts at the following row, so a reader that stops there (a pair
+    that has met) has stepped no row beyond it.  Later zeros end no block:
+    a run of them (a separation or linear response stuck at 0) would
+    otherwise cost a block per row.
     """
-    t0, rows = 0, 1
+    t0, rows, met = 0, 1, False
     while t0 < len(u):
-        yield logs_of(u[t0:t0 + rows])
-        t0 += rows
+        values = np.empty(min(rows, len(u) - t0))
+        for i, row in enumerate(u[t0:t0 + rows]):
+            values[i] = value = value_of(reservoir.step(row))
+            if value == 0.0 and not met:
+                values, met = values[:i + 1], True
+                break
+        yield values
+        t0 += len(values)
         rows = min(2 * rows, _BLOCK_CELLS)
 
 
@@ -374,10 +397,12 @@ def lyapunov_renormalized(
     checked against, keeps stepping through :meth:`Reservoir.step`; the
     two share exactly one thing, the float step ``_eval_float``, which is
     pinned bit for bit to ``eval``.  Every other reservoir steps a copy
-    of itself holding both trajectories as one ``(2, k)`` stack; a
-    predictor hook sees row 0, the reference, as the oracle's hook sees
-    its trajectory.
-    For k > 1 the stacked product rounds differently from :meth:`Reservoir.step`.
+    of itself holding both trajectories as one ``(2, k)`` stack, one
+    :meth:`Reservoir.step` per row in the blocks of :func:`_step_blocks`,
+    whose per-row value is the separation before the companion is pulled
+    back; a predictor hook sees row 0, the reference, as the oracle's
+    hook sees its trajectory.  For k > 1 the step of a ``(2, k)`` stack
+    rounds differently from the step of a ``(k,)`` state.
 
     When the separation reaches exactly 0 after a post-washout step, that
     step's log is ``-inf``: the estimate is ``lam = -inf`` with
@@ -398,21 +423,18 @@ def lyapunov_renormalized(
         # Row 0 is the reference trajectory, row 1 the companion.
         pair = reservoir.copy(state=np.stack([start, start + d0 * direction]))
 
-        def stacked(rows):
-            logs = np.empty(len(rows))
-            for i, row in enumerate(rows):
-                pair._advance(row)
-                state = pair.state
-                delta = state[1] - state[0]
-                dist = float(np.linalg.norm(delta))
-                if dist > 0.0:
-                    state[1] = state[0] + delta * (d0 / dist)
-                else:
-                    state[1] = state[0] + d0 * direction
-                logs[i] = np.log(dist / d0)
-            return logs
+        def renormalize(rec):
+            """The step's separation; the companion goes back to ``d0`` from the reference."""
+            state = rec.y
+            delta = state[1] - state[0]
+            dist = float(np.linalg.norm(delta))
+            if dist > 0.0:
+                state[1] = state[0] + delta * (d0 / dist)
+            else:
+                state[1] = state[0] + d0 * direction
+            return dist
 
-        blocks = _doubling_blocks(u, stacked)
+        blocks = (np.log(seps / d0) for seps in _step_blocks(pair, u, renormalize))
     lam, stderr, used = _rate(blocks, len(u), washout)
     return LyapunovEstimate(lam=lam.item(), method="renormalized", steps_used=used,
                             washout=washout, d0=d0, stderr=stderr.item())
@@ -428,16 +450,18 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     :func:`lyapunov_renormalized`.
 
     The trajectory takes one :meth:`Reservoir.step` per input row, in
-    the blocks of :func:`_doubling_blocks`.  With one input each step is
-    the float step of the blocked engine's float lanes, so with no hook
-    the estimate is bit for bit that of
+    the blocks of :func:`_step_blocks`, whose per-row value is the step's
+    ``y_lin`` as a float; a block that ends early at the first ``y_lin``
+    of 0 moves no bit, as :func:`_rate` sums alike whatever the blocks.
+    With one input each step is the float step of the blocked engine's
+    float lanes, so with no hook the estimate is bit for bit that of
     :func:`derivative_product_scalar_batch` on one lane (a test pins it),
-    though the two share no code but ``_eval_float``.  Each step's
-    ``y_lin`` and the transfer the step used are kept; at the end of a
-    block, each run of rows that used one transfer takes one ``slope``
-    call, and the block one ``log``.  So a predictor hook's choice is
-    honoured at every step, and a log is the one a per-row ``slope`` and
-    ``log`` would give (both are elementwise).
+    though the two share no code but ``_eval_float``.  The transfer each
+    step used is kept beside its ``y_lin``; at the end of a block, each
+    run of rows that used one transfer takes one ``slope`` call, and the
+    block one ``log``.  So a predictor hook's choice is honoured at every
+    step, and a log is the one a per-row ``slope`` and ``log`` would give
+    (both are elementwise).
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
     transfer, or saturation), that step's log is ``-inf``: the estimate
@@ -448,20 +472,22 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     _, u = _start_rows(reservoir, inputs, washout)
     work = reservoir.copy()
     gain = abs(float(work.W[0, 0]))
+    transfers = []  # the transfer of each row of the open block
 
-    def logs_of(rows):
-        lin, used = np.empty(len(rows)), []
-        for i, row in enumerate(rows):
-            lin[i] = work.step(row).y_lin[0]
-            used.append(work.transfers[0])
-        slopes, lo = np.empty(len(rows)), 0
-        for transfer, run in groupby(used):
+    def linear_response(rec):
+        transfers.append(work.transfers[0])
+        return rec.y_lin.item()
+
+    def logs_of(lin):
+        slopes, lo = np.empty(len(lin)), 0
+        for transfer, run in groupby(transfers):
             hi = lo + len(list(run))
             slopes[lo:hi] = transfer.slope(lin[lo:hi])
             lo = hi
+        transfers.clear()
         return np.log(gain * slopes)
 
-    lam, stderr, used = _rate(_doubling_blocks(u, logs_of), len(u), washout)
+    lam, stderr, used = _rate(map(logs_of, _step_blocks(work, u, linear_response)), len(u), washout)
     return LyapunovEstimate(lam=float(lam), method="derivative_product", steps_used=used,
                             washout=washout, d0=None, stderr=float(stderr))
 

@@ -49,8 +49,10 @@ from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
 
-#: Largest accepted ``--horizon``, ``--washout`` and ``--length``: input
-#: validation only, since the estimators keep no per-step buffer.
+#: Largest accepted ``--horizon``, ``--washout``, ``--length`` and ``--n``,
+#: and most points of a ``--grid`` range: each sizes an array that a
+#: command makes (an input, a dumped table or a grid), while the estimators
+#: keep no per-step buffer.
 _MAX_HORIZON = 1_000_000
 
 #: The ``--input`` kinds, each a spec of (length, amplitude, seed).
@@ -217,7 +219,8 @@ def parse_grid(text: str) -> np.ndarray:
 
     A range's last point is snapped back onto ``stop`` when rounding in
     ``start + i * step`` overshoots it by less than 1e-9 of a step; no
-    other point moves.  Non-finite values are rejected, and so is any
+    other point moves.  Non-finite values and a range of more than 1e6
+    points are rejected, the range before its grid is made; so is any
     other text, with a message that names both forms.
     """
     sep = ":" if ":" in text else ","
@@ -235,7 +238,10 @@ def parse_grid(text: str) -> np.ndarray:
     start, stop, step = values
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid range {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # the points after the first, before rounding down
+    if span >= _MAX_HORIZON:
+        raise ValueError(f"--grid {text!r} has more than 1e6 points")
+    count = int(math.floor(span)) + 1
     grid = start + step * np.arange(count)
     if stop < grid[-1] < stop + 1e-9 * step:
         grid[-1] = stop
@@ -577,7 +583,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, read_config(args.config))
-        for name in ("horizon", "washout", "length"):  # before any output is written
+        for name in ("horizon", "washout", "length", "n"):  # before any output is written
             if getattr(args, name, 0) > _MAX_HORIZON:
                 raise ValueError(f"{name} above the 1e6 cap")
         args.out.mkdir(parents=True, exist_ok=True)

@@ -2,17 +2,19 @@
 
 The update is the standard leakless echo-state form: the linear response
 ``y_lin = W y + w_in u`` goes elementwise through each neuron's transfer
-function; one kernel applies it to a ``(k,)`` state or to every row of a
-``(B, k)`` stack.  A step costs little beyond that arithmetic: its
-record is a named tuple, the linear response is two ``np.dot`` products,
-and :meth:`Reservoir.step` checks its input once; a ``(1,)`` state of one
-neuron with one input takes the float step of the engine's float lanes,
-with the bits of the ``np.dot`` path.  :func:`run_pair` runs a
-one-neuron pair with no predictor hook as two lanes of the blocked
-one-neuron engine of :mod:`~critical_esn.analysis` instead.  With
-orthogonal ``W`` and Lipschitz-1 transfers the map is non-expansive for
-every input, which is what makes the critical tuning safe: no input can
-push the network into expansion.
+function.  :meth:`Reservoir.step` is the only code that advances a
+reservoir, a ``(k,)`` state or every row of a ``(B, k)`` stack: the
+predictor hook, then the step.  A step costs little beyond that
+arithmetic: its record is a named tuple, the linear response is two
+``np.dot`` products, and its input is checked once; a ``(1,)`` state of
+one neuron with one input takes the float step of the engine's float
+lanes, with the bits of the ``np.dot`` path.  Every stacked run steps
+through it, in the blocks of :func:`~critical_esn.analysis._step_blocks`;
+:func:`run_pair` runs a one-neuron pair with no predictor hook as two
+lanes of the blocked one-neuron engine of :mod:`~critical_esn.analysis`
+instead.  With orthogonal ``W`` and Lipschitz-1 transfers the map is
+non-expansive for every input, which is what makes the critical tuning
+safe: no input can push the network into expansion.
 
 One-neuron presets implement the two study systems:
 
@@ -32,8 +34,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import (DistanceSeries, _CycleTail, _doubling_blocks, _lane_blocks, _one_lane,
-                       _run_rows)
+from .analysis import (DistanceSeries, _CycleTail, _lane_blocks, _one_lane, _run_rows,
+                       _step_blocks)
 from .signals import rng_stream, STREAM_WEIGHTS
 from .transfer import MorphableTransfer, TanhTransfer, Variant
 
@@ -185,10 +187,13 @@ class Reservoir:
         return self.w_in.shape[1]
 
     def copy(self, *, state=None) -> "Reservoir":
-        """Independent reservoir with the same configuration.
+        """Independent reservoir with the same configuration, at the start of a new run.
 
         Transfers are immutable and shared; the state array is copied
-        (or replaced when ``state`` is given).
+        (or replaced when ``state`` is given).  The copy's ``t`` restarts
+        at 0, so a predictor hook's ``t`` counts the input rows of the
+        copy's own run.  It starts from the current transfers, which a
+        hook may have set, and its cache of hooked transfers starts empty.
         """
         return Reservoir(
             self.W.copy(),
@@ -201,69 +206,54 @@ class Reservoir:
 
     # -- dynamics ----------------------------------------------------------
 
-    def _apply_predictor(self) -> None:
-        reference = self.state.reshape(-1, self.k)[0].copy()
-        changed = False
-        for i in range(self.k):
-            ecps = self.predictor(i, self.t, reference)
-            if ecps is None:
-                continue
-            current = self.transfers[i]
-            cached = self._hooked_transfer(tuple(ecps), current.variant or Variant.BRIDGE)
-            if cached.ecps != current.ecps:
-                self.transfers[i] = cached
-                changed = True
-        if changed:
-            self._shared = all(tr is self.transfers[0] for tr in self.transfers)
+    def step(self, u) -> StepRecord:
+        """Advance the held ``(k,)`` state or ``(B, k)`` stack one step under input ``u``.
 
-    def _advance(self, u: np.ndarray) -> np.ndarray:
-        """Advance the held (k,) state or (B, k) stack under a checked input row.
-
-        Returns ``y_lin``.  A caller may write into ``state`` between steps;
-        the last :class:`StepRecord`'s ``y`` is that array and sees the write.
-        A ``(1,)`` state of one neuron with one input steps as Python
-        floats, ``x = w*y + w_in*u`` and then ``_eval_float(x)``: the
-        float step of the engine's float lanes
+        The one code that advances a reservoir.  ``u`` is a scalar (for
+        n = 1) or an ``(n,)`` row, shared by every row of a stack.  Only
+        the row's width is checked: float64 reach is checked by the run
+        gate, once per run (:meth:`run`, :func:`run_pair`, the estimators),
+        not per step.  A predictor hook runs first and may swap transfers.
+        A ``(1,)`` state of one neuron with one input then steps as Python
+        floats, ``x = w*y + w_in*u`` and then ``_eval_float(x)``: the float
+        step of the engine's float lanes
         (:func:`~critical_esn.analysis._float_rows`).  Its bits are those
         of the array path: on one element ``np.dot`` is one IEEE product,
         signed zero included, the sum is one add, and ``_eval_float`` is
         ``eval`` bit for bit.  Every other state takes two ``np.dot``
         products, which round as ``state @ W.T + u @ w_in.T`` does (a test
-        pins it bit for bit) at a lower cost per call.
-        """
-        if self.predictor is not None:
-            self._apply_predictor()
-        if self.state.shape == (1,) and self.w_in.shape == (1, 1):
-            x = self.W.item() * self.state.item() + self.w_in.item() * u.item()
-            self.state = np.array([self.transfers[0]._eval_float(x)])
-            self.t += 1
-            return np.array([x])
-        y_lin = np.dot(self.state, self.W.T) + np.dot(u, self.w_in.T)
-        if self._shared:
-            y = self.transfers[0].eval(y_lin)
-        else:
-            y = np.empty_like(y_lin)
-            for i, tr in enumerate(self.transfers):
-                y[..., i] = tr.eval(y_lin[..., i])
-        self.state = y
-        self.t += 1
-        return y_lin
-
-    def step(self, u) -> StepRecord:
-        """Advance one step under input ``u`` and return the step record.
-
-        ``u`` is a scalar (for n = 1) or an ``(n,)`` row.  Only the row's
-        width is checked: float64 reach is checked by the run gate, once per
-        run (:meth:`run`, :func:`run_pair`, the estimators), not per step.
-        A lone step whose linear response overflows is not rejected: on a
-        one-neuron state it gives ``inf`` silently, where the array path
-        warns.  The record's ``y`` is the live ``state`` array (see
-        :class:`StepRecord`).
+        pins it bit for bit) at a lower cost per call.  A lone step whose
+        linear response overflows is not rejected: on a one-neuron state
+        it gives ``inf`` silently, where the array path warns.  The
+        record's ``y`` is the live ``state`` array, and a caller may write
+        into it between steps (see :class:`StepRecord`).
         """
         u = np.array(u, dtype=float, ndmin=1, copy=None)
         if u.shape != self.w_in.shape[1:]:
             raise ValueError(f"input shape {u.shape} does not match n={self.n}")
-        y_lin = self._advance(u)
+        if self.predictor is not None:
+            reference = self.state.reshape(-1, self.k)[0].copy()
+            for i, current in enumerate(self.transfers):
+                ecps = self.predictor(i, self.t, reference)
+                if ecps is not None:
+                    cached = self._hooked_transfer(tuple(ecps), current.variant or Variant.BRIDGE)
+                    if cached.ecps != current.ecps:
+                        self.transfers[i] = cached
+            self._shared = all(tr is self.transfers[0] for tr in self.transfers)
+        if self.state.shape == (1,) and self.w_in.shape == (1, 1):
+            x = self.W.item() * self.state.item() + self.w_in.item() * u.item()
+            self.state = np.array([self.transfers[0]._eval_float(x)])
+            y_lin = np.array([x])
+        else:
+            y_lin = np.dot(self.state, self.W.T) + np.dot(u, self.w_in.T)
+            if self._shared:
+                y = self.transfers[0].eval(y_lin)
+            else:
+                y = np.empty_like(y_lin)
+                for i, tr in enumerate(self.transfers):
+                    y[..., i] = tr.eval(y_lin[..., i])
+            self.state = y
+        self.t += 1
         return StepRecord(self.t - 1, y_lin, self.state)
 
     def run(self, inputs) -> list[StepRecord]:
@@ -311,7 +301,10 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     n > 1 the drive is ``u @ w_in[0]``, as in
     :func:`~critical_esn.analysis.lyapunov_renormalized`, which may round
     differently from the stack's per-row product.  Every other pair steps
-    the stack through the reservoir's one step kernel.
+    the stack through :meth:`Reservoir.step`, in the blocks of
+    :func:`~critical_esn.analysis._step_blocks`, with each step's distance
+    as its value, so a block ends right after the pair has met and a
+    predictor hook never sees a step after that.
     """
     starts = [np.reshape(x0, template.k), np.reshape(y0, template.k)]
     rows = _run_rows(inputs, template.W, template.w_in, starts)
@@ -319,7 +312,8 @@ def run_pair(template: Reservoir, x0, y0, inputs) -> DistanceSeries:
     start = np.linalg.norm(pair.state[1] - pair.state[0])
     parts = [np.array([start])]
     if start > 0.0:
-        steps = _lane_distances(pair, rows) if _one_lane(pair) else _stack_distances(pair, rows)
+        steps = (_lane_distances(pair, rows) if _one_lane(pair) else
+                 _step_blocks(pair, rows, lambda rec: np.linalg.norm(rec.y[1] - rec.y[0])))
         for d in steps:
             parts.append(d)
             if not d.all():
@@ -344,25 +338,6 @@ def _lane_distances(pair: Reservoir, rows: np.ndarray):
     for block in _lane_blocks(np.repeat(pair.W[0], 2), np.ones(2), (rows @ pair.w_in[0])[:, None],
                               pair.state[:, 0], pair.transfers[0], distances):
         yield block.rows(block.t, len(rows)) if isinstance(block, _CycleTail) else block
-
-
-def _stack_distances(pair: Reservoir, rows: np.ndarray):
-    """Distances of a pair stepped as a ``(2, k)`` stack, one array per block.
-
-    The blocks are those of :func:`~critical_esn.analysis._doubling_blocks`.
-    A block ends right after its first exact zero, so a predictor hook
-    never sees a step after the pair has met.
-    """
-    def distances(block):
-        d = np.empty(len(block))
-        for i, u in enumerate(block):
-            pair._advance(u)
-            d[i] = np.linalg.norm(pair.state[1] - pair.state[0])
-            if d[i] == 0.0:
-                return d[:i + 1]
-        return d
-
-    return _doubling_blocks(rows, distances)
 
 
 # -- presets ----------------------------------------------------------------

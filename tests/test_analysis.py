@@ -215,15 +215,15 @@ def _per_neuron_twin(res: Reservoir) -> Reservoir:
                      predictor=lambda i, t, state: None)
 
 
-def recorded_advance(monkeypatch):
-    """A list that records the state shape of every ``Reservoir._advance`` call."""
-    calls, advance = [], Reservoir._advance
+def recorded_steps(monkeypatch):
+    """A list that records the state shape of every ``Reservoir.step`` call."""
+    calls, step = [], Reservoir.step
 
     def recording(self, u):
         calls.append(self.state.shape)
-        return advance(self, u)
+        return step(self, u)
 
-    monkeypatch.setattr(Reservoir, "_advance", recording)
+    monkeypatch.setattr(Reservoir, "step", recording)
     return calls
 
 
@@ -285,7 +285,7 @@ class TestStackedRenormalized:
         # the steps both pairs record.  Every pair here reaches exactly 0,
         # where one rounding can move that step by one (22 against 21 and
         # 28 against 29 on one host).
-        calls = recorded_advance(monkeypatch)
+        calls = recorded_steps(monkeypatch)
         rng = rng_stream(34, 17)
         for _ in range(3):
             ecps, alpha = random_ecp_list(rng), float(rng.uniform(0.5, 1.2))
@@ -524,6 +524,45 @@ class TestDerivativeProductBlocks:
         res = baseline_reservoir(self.CRITICAL.b_star)
         lyapunov_derivative_product(res, alternating(3000, QPI), washout=1000)
         assert calls == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 953]
+
+
+class TestStepBlocks:
+    """``_step_blocks``, the one loop of the runs that step a reservoir row by row."""
+
+    class _Recorder:
+        """Stands in for a reservoir: its step records the row and returns it as the record."""
+
+        def __init__(self):
+            self.rows = []
+
+        def step(self, row):
+            self.rows.append(row)
+            return row
+
+    def _blocks(self, u):
+        recorder = self._Recorder()
+        blocks = [b.tolist() for b in analysis._step_blocks(recorder, u, float)]
+        # Every row is stepped once, in order, and its value lands in its block.
+        assert recorder.rows == list(u) and sum(blocks, []) == list(u)
+        return blocks
+
+    def test_a_block_ends_after_the_first_exact_zero(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 8)
+        u = np.arange(1.0, 41.0)
+        # A -0.0 inside the 4-row block, then zeros on the next row and in a full block.
+        u[[4, 5, 20]] = -0.0, 0.0, 0.0
+        blocks = self._blocks(u)
+        # The first zero ends its block, the next block starts at the
+        # following row, later zeros end no block, and the nominal size
+        # keeps doubling up to the cap of 8.
+        assert [len(b) for b in blocks] == [1, 2, 2, 8, 8, 8, 8, 3]
+        assert blocks[2] == [4.0, -0.0] and blocks[3][0] == 0.0
+
+    def test_blocks_double_up_to_the_cap(self):
+        cap = analysis._BLOCK_CELLS
+        u = np.ones(2 * cap - 1 + cap + 5)  # blocks 1, 2, ..., cap, then cap, then 5 rows
+        sizes = [len(b) for b in self._blocks(u)]
+        assert sizes == [2 ** i for i in range(cap.bit_length())] + [cap, 5]
 
 
 class TestAnticipation:
@@ -1466,7 +1505,7 @@ class TestBlockedEngine:
             renormalized_scalar_batch(w, w_in, u, transfer, direction=0.5)
 
     def test_one_neuron_reservoirs_skip_the_stacked_path(self, monkeypatch):
-        calls = recorded_advance(monkeypatch)
+        calls = recorded_steps(monkeypatch)
         spec = iid_plus_minus(1500, 1.0, seed=3)
         shared = anchored_reservoir(0.9)
         lyapunov_renormalized(shared, spec, washout=500)

@@ -120,6 +120,13 @@ class TestHelpers:
         # The snap only touches an endpoint within 1e-9 of a step past stop.
         assert parse_grid("0.1:1.05:0.2").tolist() == (0.1 + 0.2 * np.arange(5)).tolist()
 
+    def test_parse_grid_caps_a_range_at_1e6_points(self):
+        assert parse_grid("1:1000000:1").size == 1_000_000
+        # One point more, and a span that overflows float64, fail before np.arange.
+        for text in ("1:1000001:1", "-1e308:1e308:1"):
+            with pytest.raises(ValueError, match=f"^--grid '{text}' has more than 1e6 points$"):
+                parse_grid(text)
+
     @pytest.mark.parametrize("text", ["nan,1.0", "0.5,inf", "nan:1.0:0.25",
                                       "0.5:inf:0.25", "0.5:1.0:nan"])
     def test_parse_grid_rejects_non_finite(self, text):
@@ -177,6 +184,13 @@ class TestTransferDump:
         assert "saturates" in err
         assert not (tmp_path / "transfer.csv").exists()
 
+    def test_row_count_cap(self, tmp_path, capsys):
+        # Rejected before the (n, 3) table or --out is made.
+        out = tmp_path / "out"
+        assert run_cli("--out", out, "transfer-dump", "--n", 1_000_001) == 1
+        assert capsys.readouterr().err == "error: n above the 1e6 cap\n"
+        assert not out.exists()
+
 
 class TestSweepAlpha:
     def test_values_track_log_alpha(self, tmp_path):
@@ -218,6 +232,13 @@ class TestSweepAlpha:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "sweep_alpha.csv").exists()
+
+    def test_grid_range_cap(self, tmp_path, capsys):
+        # 10,000,001 points, rejected before the grid is made.
+        assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "0:1:1e-7",
+                       "--horizon", 2000) == 1
+        assert capsys.readouterr().err == "error: --grid '0:1:1e-7' has more than 1e6 points\n"
+        assert not any(path.is_file() for path in tmp_path.rglob("*"))
 
     def test_short_horizon_rejected(self, tmp_path):
         assert run_cli("--out", tmp_path, "sweep-alpha", "--grid", "1.0",

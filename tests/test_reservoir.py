@@ -163,7 +163,7 @@ class TestStep:
             rec = res.copy(state=[y0]).step(u)
             stack = res.copy(state=[[y0]])
             with np.errstate(over="ignore"):
-                y_lin = stack._advance(np.array([u]))
+                y_lin = stack.step(u).y_lin
             assert rec.y_lin.tobytes() == y_lin[0].tobytes()
             assert rec.y.tobytes() == stack.state[0].tobytes()
 
@@ -207,7 +207,7 @@ def test_linear_response_matches_matmul(k, n, rows, per_neuron, hooked, seed):
                     transfers if per_neuron else transfers[0], state=start, predictor=hook)
     for row in rng.uniform(-1.5, 1.5, (4, n)):
         expect = res.state @ res.W.T + row @ res.w_in.T
-        y_lin = res._advance(row)
+        y_lin = res.step(row).y_lin
         assert y_lin.shape == expect.shape and y_lin.tobytes() == expect.tobytes()
 
 
@@ -238,7 +238,7 @@ def test_stack_steps_match_repeated_step(k, n, rows, steps, kind, per_neuron, ho
     stack = res.copy(state=start)
     stacked = []
     for row in u:
-        y_lin = stack._advance(row)
+        y_lin = stack.step(row).y_lin
         stacked.append((y_lin, stack.state.copy()))
     for r in range(rows):
         single = res.copy(state=start[r])
@@ -339,14 +339,14 @@ class TestRunPair:
         import critical_esn.reservoir as reservoir_module
 
         sizes = []
-        original = reservoir_module._stack_distances
+        original = reservoir_module._step_blocks
 
-        def recorded(pair, rows):
-            for d in original(pair, rows):
+        def recorded(pair, rows, value_of):
+            for d in original(pair, rows, value_of):
                 sizes.append(d.size)
                 yield d
 
-        monkeypatch.setattr(reservoir_module, "_stack_distances", recorded)
+        monkeypatch.setattr(reservoir_module, "_step_blocks", recorded)
         res = anchored_reservoir(1.0, predictor=lambda i, t, state: None)
         series = run_pair(res, anchored_orbit_state(), anchored_orbit_state() + 1.0,
                           alternating(100_000, 1.0))
@@ -364,13 +364,13 @@ class TestRunPair:
 
     def test_only_one_lane_pairs_skip_the_stack(self, monkeypatch):
         steps = []
-        advance = Reservoir._advance
+        step = Reservoir.step
 
         def counted(self, u):
             steps.append(self.k)
-            return advance(self, u)
+            return step(self, u)
 
-        monkeypatch.setattr(Reservoir, "_advance", counted)
+        monkeypatch.setattr(Reservoir, "step", counted)
         spec = alternating(50, 1.0)
         run_pair(anchored_reservoir(1.0), [0.1], [0.3], spec)
         assert steps == []
@@ -483,6 +483,43 @@ class TestTransferCache:
         built = self._counting(monkeypatch)
         res.run(iid_plus_minus(2000, 1.0, seed=3))
         assert built == list(sets)
+
+
+class TestCopy:
+    """A copy starts a new run from the current transfers."""
+
+    SETS = ((-1.0, 1.0), (-0.5, 0.7))
+
+    def _hooked(self, seen):
+        def hook(i, t, state):
+            seen.append(t)
+            return self.SETS[t % 2]
+
+        res = anchored_reservoir(0.8, predictor=hook)
+        res.run(alternating(2, 1.0))  # step 1 sets the (-0.5, 0.7) transfer
+        return res
+
+    def test_t_restarts_at_zero(self):
+        seen = []
+        res = self._hooked(seen)
+        twin = res.copy()
+        assert (res.t, twin.t) == (2, 0)
+        twin.run(alternating(3, 1.0))
+        assert seen == [0, 1, 0, 1, 2]  # the hook counts the copy's own input rows
+
+    def test_starts_from_the_hooked_transfers(self):
+        res = self._hooked([])
+        assert res.transfers[0].ecps == (-0.5, 0.0, 0.7)
+        assert res.copy().transfers[0] is res.transfers[0]
+
+    def test_hooked_transfer_cache_starts_empty(self):
+        res = self._hooked([])
+        twin = res.copy()
+        assert res._hooked_transfer.cache_info().currsize == 2
+        assert twin._hooked_transfer.cache_info().currsize == 0
+        twin.step(1.0)  # set 0, a miss: the copy builds its own transfer
+        assert twin._hooked_transfer.cache_info()[:2] == (0, 1)
+        assert twin.transfers[0] is not res.transfers[0]
 
 
 class TestConstruction:

@@ -1,8 +1,9 @@
-"""Mutation guard of the engine, its float step and the decay thresholds: each must fail a test.
+"""Mutation guard of the engine, its float step, the step loop and the decay thresholds.
 
-Each mutation is a file under ``src/``, an old text and a new text.  For
-each one the tool copies ``src/`` to a temporary directory, replaces the
-old text, which must occur exactly once, and runs
+Each mutation must fail a test.  A mutation is a file under ``src/``,
+an old text and a new text.  For each one the tool copies ``src/`` to a
+temporary directory, replaces the old text, which must occur exactly
+once, and runs
 
     pytest -x -q tests/test_analysis.py
 
@@ -14,9 +15,10 @@ directory.
 
     python tools/engine_mutations.py
 
-Rerun it after a change to the engine, the one-neuron step or the decay
-classifier; ``tests/test_engine_mutations.py`` checks in tier-1 that
-every old text still occurs exactly once.  Standard library only;
+Rerun it after a change to the engine, the one-neuron step, the
+per-step block loop or the decay classifier;
+``tests/test_engine_mutations.py`` checks in tier-1 that every old text
+still occurs exactly once.  Standard library only;
 pytest and hypothesis come from the test dependencies.
 """
 
@@ -100,6 +102,15 @@ MUTATIONS = [
              "self.state = np.array([self.transfers[0]._eval_float(x)])",
              "self.state = np.array([self.transfers[0]._eval_float(x) if self.transfers[0].variant"
              " else math.tanh(x)])"),
+    # The per-step block loop runs its blocks to their full size past the
+    # first exact zero, so a pair that has met is stepped on.
+    Mutation("no early end at a zero", ANALYSIS,
+             """\
+            if value == 0.0 and not met:
+                values, met = values[:i + 1], True
+                break
+""",
+             ""),
 ]
 
 
