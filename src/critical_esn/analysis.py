@@ -36,6 +36,11 @@ Estimators
   strongly contracting large-amplitude orbit and the asymptotic rate is
   dominated by that attractor.)
 
+Every stepping run passes one gate, :func:`_run_rows`, before its first
+step: it generates a spec into input rows and checks the rows, the run
+length, the gains, the start states and the float64 reach of the linear
+response.
+
 Every run that steps a reservoir row by row (a stacked pair or estimate,
 and the derivative product) is one per-row function on one loop,
 :func:`_step_blocks`: one ``Reservoir.step`` per row, ``Reservoir.step``
@@ -97,7 +102,7 @@ from typing import Optional
 
 import numpy as np
 
-from .signals import input_rows, rng_stream, STREAM_DIRECTION
+from .signals import InputSequence, generate, rng_stream, STREAM_DIRECTION
 from .transfer import _bisect_root
 
 __all__ = [
@@ -204,9 +209,13 @@ def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndar
     the ``(m,)`` gains of ``m`` one-neuron lanes, which read shared input
     as ``(T,)`` or ``(T, 1)`` rows and per-lane input as ``(T, m)``.
     ``starts`` holds every start row of the run, neurons or lanes on its
-    last axis.  Rejected, in this order:
+    last axis.  ``inputs`` is an :class:`~critical_esn.signals.InputSequence`
+    spec, generated here, or an array of ``T`` rows; a 1-D array reads as
+    ``T`` rows of width 1.  Rejected, in this order:
 
-    - a bad input, by :func:`~critical_esn.signals.input_rows`;
+    - an input that is not 1-D or 2-D, whose row width is not the width
+      above (``w_in``'s column count, or 1 or ``m`` for lanes), or that
+      holds a non-finite value;
     - an empty input, or with a ``washout``, a negative one or fewer than
       ``washout + 1000`` rows;
     - a non-finite gain or start state;
@@ -218,9 +227,17 @@ def _run_rows(inputs, w, w_in, starts, washout: Optional[int] = None) -> np.ndar
       largest input of each column; the run is rejected unless that is
       finite.
     """
+    rows = np.asarray(generate(inputs) if isinstance(inputs, InputSequence) else inputs, dtype=float)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2:
+        raise ValueError(f"input must be 1-D or 2-D, not {rows.ndim}-D")
     lanes = w.ndim == 1
-    width = (1 if np.shape(inputs)[1:] in ((), (1,)) else w.size) if lanes else w_in.shape[1]
-    rows = input_rows(inputs, width)
+    width = (1 if rows.shape[1] == 1 else w.size) if lanes else w_in.shape[1]
+    if rows.shape[1] != width:
+        raise ValueError(f"input width {rows.shape[1]} does not match n={width}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("input must be finite")
     if washout is None:
         if len(rows) < 1:
             raise ValueError("input sequence must have at least one element")

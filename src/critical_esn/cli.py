@@ -8,7 +8,8 @@ over built-in defaults; the config file is a flat ``key=value`` text
 format.  Each option's default, type and choices are stated once, in
 :func:`build_parser`; a config value becomes the default of every parser
 that has its key, so argparse casts it like a flag.  :func:`main` checks
-the length cap and makes the output directory for every command.
+the size caps and the seed and makes the output directory for every
+command.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .reservoir import (
     random_orthogonal,
     run_pair,
 )
-from .signals import alternating, constant, generate, iid_plus_minus, rng_stream, scaled
+from .signals import InputSequence, alternating, generate, iid_plus_minus, rng_stream, scaled
 from .transfer import MorphableTransfer, Variant
 
 TANH1 = math.tanh(1.0)
@@ -55,12 +56,19 @@ TANH1 = math.tanh(1.0)
 #: keep no per-step buffer.
 _MAX_HORIZON = 1_000_000
 
-#: The ``--input`` kinds, each a spec of (length, amplitude, seed).
-_INPUTS = {
-    "alternating": lambda length, amplitude, seed: alternating(length, amplitude),
-    "constant": lambda length, amplitude, seed: constant(length, amplitude),
-    "iid": lambda length, amplitude, seed: iid_plus_minus(length, amplitude, seed=seed),
-}
+#: Largest accepted ``readout-demo --k``: ``random_orthogonal``'s k
+#: Householder updates cost O(k**3), 3.7 s at k = 1,000.
+_MAX_K = 1000
+
+#: Largest accepted ``forgetting --replicates``: each replicate writes a
+#: CSV file of its own.
+_MAX_REPLICATES = 1000
+
+#: Largest accepted ``--k`` x ``--length`` of ``readout-demo``, the cells
+#: of its ``(T, k)`` state matrix, and ``--replicates`` x ``--horizon`` of
+#: ``forgetting``, the steps and CSV rows of all its runs.  The default
+#: replicate count, at most 8, times the horizon cap stays below it.
+_MAX_WORK = 10_000_000
 
 
 #: Rows formatted and written per chunk by :func:`write_csv`.  At 1024
@@ -296,7 +304,7 @@ def _sweep_lambda(args, w, w_in):
     expected orbit at ``-tanh(1)`` under the alternating +-1 input, with
     the seeded companion sign.
     """
-    base = generate(alternating(args.washout + args.horizon, 1.0))
+    base = alternating(args.washout + args.horizon, 1.0)
     transfer = MorphableTransfer((-1.0, 1.0), Variant.BRIDGE)
     direction = 1.0 if rng_stream(args.seed, signals.STREAM_DIRECTION).integers(0, 2) else -1.0
     return renormalized_scalar_batch(w, w_in, base, transfer, d0=args.d0, washout=args.washout,
@@ -359,7 +367,7 @@ def cmd_forgetting(args) -> None:
     fit_rows: list[list] = []
 
     for rep in range(replicates):
-        spec = _INPUTS[args.input](args.horizon, 1.0, args.seed + rep)
+        spec = InputSequence(args.input, args.horizon, 1.0, args.seed + rep)
         x0, y0 = _forgetting_states(args.init, args.d0, args.seed, rep)
         series = run_pair(res, x0, y0, spec)
         fit = classify_decay(series)
@@ -418,7 +426,7 @@ def cmd_lyapunov(args) -> None:
         amplitude = _BASELINE_AMPLITUDE
 
     res.state = state
-    spec = scaled(_INPUTS[args.input](total, amplitude, args.seed), args.gamma)
+    spec = scaled(InputSequence(args.input, total, amplitude, args.seed), args.gamma)
     _check_d0(args.d0)  # whatever the method, so a bad value is never silently ignored
     if args.method == "derivative_product":
         est = lyapunov_derivative_product(res, spec, washout=args.washout)
@@ -502,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
-    input_option = dict(type=str, choices=list(_INPUTS), default="alternating",
+    input_option = dict(type=str, choices=list(signals.KINDS), default="alternating",
                         help="driving input")
     variant_option = dict(type=str, choices=[v.value for v in Variant], default="bridge",
                           help="gluing between anchors")
@@ -583,9 +591,16 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, argv, read_config(args.config))
-        for name in ("horizon", "washout", "length", "n"):  # before any output is written
+        # Every cap and the seed are checked before any output is written.
+        for name in ("horizon", "washout", "length", "n"):
             if getattr(args, name, 0) > _MAX_HORIZON:
                 raise ValueError(f"{name} above the 1e6 cap")
+        for names, cap in ((("k",), _MAX_K), (("replicates",), _MAX_REPLICATES),
+                           (("k", "length"), _MAX_WORK), (("replicates", "horizon"), _MAX_WORK)):
+            if math.prod(getattr(args, name, None) or 0 for name in names) > cap:
+                raise ValueError(f"{' x '.join(names)} above the {cap:,} cap")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         args.out.mkdir(parents=True, exist_ok=True)
         args.func(args)
     except Exception as exc:  # one-line diagnostic, nonzero exit

@@ -259,13 +259,11 @@ class Reservoir:
     def run(self, inputs) -> list[StepRecord]:
         """Drive the reservoir through a whole input sequence.
 
-        ``inputs`` is whatever :func:`~critical_esn.signals.input_rows`
-        accepts for width ``n``: a spec, or T scalars for n=1, or T
-        n-vectors.  The run gate (:func:`~critical_esn.analysis._run_rows`)
-        rejects a bad or empty input, a non-finite state and a run whose
-        linear response can overflow before the first step.  Returns the
-        trajectory as one :class:`StepRecord` per input row; no two records
-        share an array.
+        ``inputs`` is a spec, or T scalars for n=1, or T n-vectors.  The
+        run gate (:func:`~critical_esn.analysis._run_rows`) rejects a bad
+        or empty input, a non-finite state and a run whose linear response
+        can overflow before the first step.  Returns the trajectory as one
+        :class:`StepRecord` per input row; no two records share an array.
         """
         return [self.step(u) for u in _run_rows(inputs, self.W, self.w_in, self.state)]
 

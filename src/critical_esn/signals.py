@@ -7,6 +7,10 @@ pair fully determines the stream, and distinct stream ids give
 statistically independent substreams of the same experiment seed.
 A spec is flat: :func:`scaled` returns its spec with the amplitude
 scaled, so a spec's fields always describe the sequence it generates.
+One table, :data:`KINDS`, maps each input kind to its sequence: the
+spec's kind check, :func:`generate` and the CLI's ``--input`` choices
+all read it.  The run gate (``analysis._run_rows``) turns a spec or an
+array into checked input rows.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "KINDS",
     "InputSequence",
     "alternating",
     "constant",
@@ -41,11 +46,22 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+#: Each input kind and its sequence, a float array made from the spec, in
+#: the order of the CLI's ``--input`` choices.
+KINDS = {
+    "alternating": lambda spec: spec.amplitude * (1.0 - 2.0 * (np.arange(spec.length) & 1)),
+    "constant": lambda spec: np.full(spec.length, float(spec.amplitude)),
+    "iid": lambda spec: spec.amplitude * (
+        rng_stream(spec.seed, STREAM_INPUT).integers(0, 2, size=spec.length) * 2.0 - 1.0),
+}
+
+
 @dataclass(frozen=True)
 class InputSequence:
     """Spec for a finite realization of a driving input series.
 
-    ``kind`` is one of ``alternating``, ``constant`` or ``iid``.
+    ``kind`` is one of :data:`KINDS`: ``alternating``, ``constant`` or
+    ``iid``; only ``iid`` reads ``seed``.
     Element ``t`` (0-based) of the generated sequence is:
 
     - alternating: ``amplitude * (-1)**t`` (element 0 is +amplitude),
@@ -57,12 +73,12 @@ class InputSequence:
     """
 
     kind: str
-    length: int = 0
+    length: int
     amplitude: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in {"alternating", "constant", "iid"}:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown input kind {self.kind!r}")
         if self.length < 1:
             raise ValueError("input length must be at least 1")
@@ -91,32 +107,4 @@ def scaled(base: InputSequence, gamma: float) -> InputSequence:
 
 def generate(spec: InputSequence) -> np.ndarray:
     """Materialize the sequence described by ``spec`` as a float array."""
-    if spec.kind == "alternating":
-        signs = 1.0 - 2.0 * (np.arange(spec.length) & 1)
-        return spec.amplitude * signs
-    if spec.kind == "constant":
-        return np.full(spec.length, float(spec.amplitude))
-    rng = rng_stream(spec.seed, STREAM_INPUT)
-    signs = rng.integers(0, 2, size=spec.length) * 2.0 - 1.0
-    return spec.amplitude * signs
-
-
-def input_rows(inputs, width: int) -> np.ndarray:
-    """An input sequence as checked ``(T, width)`` float rows, for the run gate.
-
-    ``inputs`` is an :class:`InputSequence` spec, generated here, or an
-    array of ``T`` rows; a 1-D array reads as ``T`` rows of width 1.  A
-    row width other than ``width`` and a non-finite value are rejected.
-    """
-    if isinstance(inputs, InputSequence):
-        inputs = generate(inputs)
-    rows = np.asarray(inputs, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    if rows.ndim != 2:
-        raise ValueError(f"input must be 1-D or 2-D, not {rows.ndim}-D")
-    if rows.shape[1] != width:
-        raise ValueError(f"input width {rows.shape[1]} does not match n={width}")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("input must be finite")
-    return rows
+    return KINDS[spec.kind](spec)

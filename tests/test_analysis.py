@@ -52,6 +52,36 @@ TANH1 = float(np.tanh(1.0))
 QPI = math.pi / 4.0
 
 
+def gate_rows(u, width):
+    """The run gate's checked rows of ``u`` for a one-neuron reservoir with ``width`` inputs."""
+    return analysis._run_rows(u, np.zeros((1, 1)), np.zeros((1, width)), np.zeros(1))
+
+
+class TestInputRows:
+    """The run gate's input checks, its first rejections."""
+
+    def test_spec_is_generated_as_one_column(self):
+        rows = gate_rows(alternating(4, 0.5), 1)
+        assert rows.shape == (4, 1)
+        assert rows[:, 0].tolist() == generate(alternating(4, 0.5)).tolist()
+
+    def test_rows_of_the_given_width_pass_unchanged(self):
+        u = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(gate_rows(u, 2), u)
+
+    @pytest.mark.parametrize("u, width, text", [
+        (np.ones((5, 2)), 1, "^input width 2 does not match n=1$"),
+        (np.ones(5), 2, "^input width 1 does not match n=2$"),
+        (np.ones((5, 1, 1)), 1, "^input must be 1-D or 2-D, not 3-D$"),
+        (1.0, 1, "^input must be 1-D or 2-D, not 0-D$"),
+        ([0.0, float("nan")], 1, "^input must be finite$"),
+        ([[0.0, float("-inf")]], 2, "^input must be finite$"),
+    ])
+    def test_rejections(self, u, width, text):
+        with pytest.raises(ValueError, match=text):
+            gate_rows(u, width)
+
+
 class TestSolveCriticalB:
     def test_quarter_pi_constants(self):
         critical = solve_critical_b(QPI)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import filecmp
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from critical_esn import cli
+from critical_esn import cli, signals
 from critical_esn.cli import fmt, main, parse_grid
 from critical_esn.reservoir import anchored_orbit_state, anchored_reservoir
 
@@ -542,6 +543,62 @@ class TestHelp:
         for option, default in defaults.items():
             entry = options.split(option, 1)[1].split("--", 1)[0]
             assert f"(default:{default}" in entry, option
+
+
+class TestInputChoices:
+    @pytest.mark.parametrize("command", ["forgetting", "lyapunov"])
+    def test_choices_are_the_kinds_in_order(self, command):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        action = next(a for a in commands.choices[command]._actions if a.dest == "input")
+        assert action.choices == list(signals.KINDS)
+
+
+class TestBounds:
+    """Work bounds and the seed, checked in main before --out is made."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["readout-demo", "--k", 1001], "k above the 1,000 cap"),
+        (["readout-demo", "--k", 1000, "--length", 10_001], "k x length above the 10,000,000 cap"),
+        (["forgetting", "--replicates", 1001], "replicates above the 1,000 cap"),
+        (["forgetting", "--replicates", 1000, "--horizon", 10_001],
+         "replicates x horizon above the 10,000,000 cap"),
+        *[(["--seed", -1, command], "--seed must be nonnegative, got -1")
+          for command in ("forgetting", "sweep-alpha", "readout-demo")],
+    ], ids=["k", "k-x-length", "replicates", "replicates-x-horizon",
+            "seed-forgetting", "seed-sweep-alpha", "seed-readout-demo"])
+    def test_rejected_before_any_work(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "new"
+        tracemalloc.start()
+        try:
+            code = run_cli("--out", out, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert peak < 2**18  # a (1001, 1001) matrix or one 10,001-step run is more
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        out = tmp_path / "new"
+        assert run_cli("--config", cfg, "--out", out, "forgetting") == 1
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["readout-demo", "--k", 1000, "--length", 10_000],
+        ["forgetting", "--replicates", 1000, "--horizon", 10_000],
+        ["forgetting", "--input", "iid", "--horizon", 1_000_000],
+    ], ids=["k-x-length", "replicates-x-horizon", "default-replicates"])
+    def test_bounds_accepted_at_their_limit(self, tmp_path, monkeypatch, argv):
+        # The command is stubbed: only main's checks run.
+        ran = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0].replace('-', '_')}", ran.append)
+        assert run_cli("--out", tmp_path, *argv) == 0
+        assert len(ran) == 1
 
 
 class TestConfigValues:

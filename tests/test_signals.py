@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critical_esn.signals import (
+    KINDS,
     InputSequence,
     alternating,
     constant,
     generate,
     iid_plus_minus,
-    input_rows,
     rng_stream,
     scaled,
 )
@@ -92,6 +92,23 @@ class TestConstant:
         assert generate(constant(3, -0.5)).tolist() == [-0.5, -0.5, -0.5]
 
 
+class TestKinds:
+    def test_kinds_in_order(self):
+        assert list(KINDS) == ["alternating", "constant", "iid"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32])
+    def test_spec_of_each_kind_is_its_factory(self, seed):
+        # A spec built from (kind, length, amplitude, seed), as the CLI builds
+        # it, generates its factory's bytes; only iid reads the seed.
+        factories = {"alternating": lambda: alternating(37, 0.75),
+                     "constant": lambda: constant(37, 0.75),
+                     "iid": lambda: iid_plus_minus(37, 0.75, seed=seed)}
+        assert list(factories) == list(KINDS)
+        for kind, factory in factories.items():
+            spec = InputSequence(kind, 37, 0.75, seed)
+            assert generate(spec).tobytes() == generate(factory()).tobytes(), kind
+
+
 class TestSpecValidation:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -105,33 +122,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             InputSequence(kind="sawtooth", length=3)
 
+    def test_length_has_no_default(self):
+        with pytest.raises(TypeError, match="length"):
+            InputSequence(kind="iid")
+
     def test_scaled_kind_rejected(self):
         # scaled() returns a spec of its base's kind; there is no scaled kind.
         with pytest.raises(ValueError, match="unknown input kind 'scaled'"):
             InputSequence(kind="scaled", length=3)
-
-
-class TestInputRows:
-    def test_spec_is_generated_as_one_column(self):
-        rows = input_rows(alternating(4, 0.5), 1)
-        assert rows.shape == (4, 1)
-        assert rows[:, 0].tolist() == generate(alternating(4, 0.5)).tolist()
-
-    def test_rows_of_the_given_width_pass_unchanged(self):
-        u = np.arange(6.0).reshape(3, 2)
-        assert np.array_equal(input_rows(u, 2), u)
-
-    @pytest.mark.parametrize("u, width, text", [
-        (np.ones((5, 2)), 1, "^input width 2 does not match n=1$"),
-        (np.ones(5), 2, "^input width 1 does not match n=2$"),
-        (np.ones((5, 1, 1)), 1, "^input must be 1-D or 2-D, not 3-D$"),
-        (1.0, 1, "^input must be 1-D or 2-D, not 0-D$"),
-        ([0.0, float("nan")], 1, "^input must be finite$"),
-        ([[0.0, float("-inf")]], 2, "^input must be finite$"),
-    ])
-    def test_rejections(self, u, width, text):
-        with pytest.raises(ValueError, match=text):
-            input_rows(u, width)
 
 
 class TestRngStreams:

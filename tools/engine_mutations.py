@@ -1,4 +1,4 @@
-"""Mutation guard of the engine, its float step, the step loop and the decay thresholds.
+"""Mutation guard of the engine, its float step, the step loop, the decay thresholds and the run gate.
 
 Each mutation must fail a test.  A mutation is a file under ``src/``,
 an old text and a new text.  For each one the tool copies ``src/`` to a
@@ -16,7 +16,7 @@ directory.
     python tools/engine_mutations.py
 
 Rerun it after a change to the engine, the one-neuron step, the
-per-step block loop or the decay classifier;
+per-step block loop, the decay classifier or the run gate;
 ``tests/test_engine_mutations.py`` checks in tier-1 that every old text
 still occurs exactly once.  Standard library only;
 pytest and hypothesis come from the test dependencies.
@@ -109,6 +109,13 @@ MUTATIONS = [
             if value == 0.0 and not met:
                 values, met = values[:i + 1], True
                 break
+""",
+             ""),
+    # The run gate lets an input of any other dimension through.
+    Mutation("no 1-D or 2-D input check", ANALYSIS,
+             """\
+    if rows.ndim != 2:
+        raise ValueError(f"input must be 1-D or 2-D, not {rows.ndim}-D")
 """,
              ""),
 ]
