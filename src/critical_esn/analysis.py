@@ -373,17 +373,21 @@ def _step_blocks(reservoir, u, value_of):
     starts at the following row, so a reader that stops there (a pair
     that has met) has stepped no row beyond it.  Later zeros end no block:
     a run of them (a separation or linear response stuck at 0) would
-    otherwise cost a block per row.
+    otherwise cost a block per row.  ``reservoir.step`` is looked up once
+    per run (a traced run patches the class before it starts, so every
+    step still passes the tracer), and a block's values gather in a list,
+    which costs about 0.1 µs a row less than writing each into a
+    preallocated array.
     """
-    t0, rows, met = 0, 1, False
+    step, t0, rows, met = reservoir.step, 0, 1, False
     while t0 < len(u):
-        values = np.empty(min(rows, len(u) - t0))
-        for i, row in enumerate(u[t0:t0 + rows]):
-            values[i] = value = value_of(reservoir.step(row))
+        values = []
+        for row in u[t0:t0 + rows]:
+            values.append(value := value_of(step(row)))
             if value == 0.0 and not met:
-                values, met = values[:i + 1], True
+                met = True
                 break
-        yield values
+        yield np.array(values, dtype=float)
         t0 += len(values)
         rows = min(2 * rows, _BLOCK_CELLS)
 
@@ -478,7 +482,10 @@ def lyapunov_derivative_product(reservoir, inputs, washout: int = 1000) -> Lyapu
     run of rows that used one transfer takes one ``slope`` call, and the
     block one ``log``.  So a predictor hook's choice is honoured at every
     step, and a log is the one a per-row ``slope`` and ``log`` would give
-    (both are elementwise).
+    (both are elementwise).  Keeping one transfer per row and grouping the
+    runs at the block's end measured no slower than recording a transfer
+    only where it changes, and is the simpler of the two.  A step is about
+    1.6 µs of the 1.8 µs each row costs here.
 
     When the slope is exactly 0 at a post-washout step (a plateau of the
     transfer, or saturation), that step's log is ``-inf``: the estimate

@@ -4,11 +4,11 @@ The update is the standard leakless echo-state form: the linear response
 ``y_lin = W y + w_in u`` goes elementwise through each neuron's transfer
 function.  :meth:`Reservoir.step` is the only code that advances a
 reservoir, a ``(k,)`` state or every row of a ``(B, k)`` stack: the
-predictor hook, then the step.  A step costs little beyond that
-arithmetic: its record is a named tuple, the linear response is two
-``np.dot`` products, and its input is checked once; a ``(1,)`` state of
-one neuron with one input takes the float step of the engine's float
-lanes, with the bits of the ``np.dot`` path.  Every stacked run steps
+predictor hook, then the step.  Beyond that arithmetic a step pays for
+one check of its input's width, its new arrays and one record; the
+linear response is two ``np.dot`` products, and a ``(1,)`` state of one
+neuron with one input takes the float step of the engine's float lanes,
+with the bits of the ``np.dot`` path.  Every stacked run steps
 through it, in the blocks of :func:`~critical_esn.analysis._step_blocks`;
 :func:`run_pair` runs a one-neuron pair with no predictor hook as two
 lanes of the blocked one-neuron engine of :mod:`~critical_esn.analysis`
@@ -71,6 +71,9 @@ class StepRecord(NamedTuple):
     ``state`` array after the step, not a copy: a write into ``state``
     before the next step shows in ``y``.  Each step makes a new ``state``
     array, so the records of a :meth:`Reservoir.run` hold distinct arrays.
+    :meth:`Reservoir.step` builds it with ``tuple.__new__``: the same
+    tuple, without the named tuple's Python-level ``__new__`` (0.16
+    against 0.28 µs).
     """
 
     t: int
@@ -211,50 +214,57 @@ class Reservoir:
 
         The one code that advances a reservoir.  ``u`` is a scalar (for
         n = 1) or an ``(n,)`` row, shared by every row of a stack.  Only
-        the row's width is checked: float64 reach is checked by the run
-        gate, once per run (:meth:`run`, :func:`run_pair`, the estimators),
-        not per step.  A predictor hook runs first and may swap transfers.
-        A ``(1,)`` state of one neuron with one input then steps as Python
-        floats, ``x = w*y + w_in*u`` and then ``_eval_float(x)``: the float
-        step of the engine's float lanes
-        (:func:`~critical_esn.analysis._float_rows`).  Its bits are those
-        of the array path: on one element ``np.dot`` is one IEEE product,
-        signed zero included, the sum is one add, and ``_eval_float`` is
-        ``eval`` bit for bit.  Every other state takes two ``np.dot``
-        products, which round as ``state @ W.T + u @ w_in.T`` does (a test
-        pins it bit for bit) at a lower cost per call.  A lone step whose
-        linear response overflows is not rejected: on a one-neuron state
-        it gives ``inf`` silently, where the array path warns.  The
-        record's ``y`` is the live ``state`` array, and a caller may write
-        into it between steps (see :class:`StepRecord`).
+        the row's width is checked, on every call: float64 reach is
+        checked by the run gate, once per run (:meth:`run`,
+        :func:`run_pair`, the estimators), not per step.  A predictor hook
+        runs first and may swap transfers; whether every neuron shares one
+        transfer is worked out again only after a swap.  A ``(1,)`` state
+        of one neuron with one input then steps as Python floats,
+        ``x = w*y + w_in*u`` and then ``_eval_float(x)``: the float step of
+        the engine's float lanes (:func:`~critical_esn.analysis._float_rows`),
+        each result filled into a new ``(1,)`` array.  Beyond that
+        arithmetic such a step pays for the width check, the two arrays and
+        the record.  Its bits are those of the array path: on one element
+        ``np.dot`` is one IEEE product, signed zero included, the sum is one
+        add, and ``_eval_float`` is ``eval`` bit for bit.  Every other state
+        takes two ``np.dot`` products, which round as
+        ``state @ W.T + u @ w_in.T`` does (a test pins it bit for bit) at a
+        lower cost per call.  A lone step whose linear response overflows
+        is not rejected: on a one-neuron state it gives ``inf`` silently,
+        where the array path warns.  The record's ``y`` is the live
+        ``state`` array, and a caller may write into it between steps (see
+        :class:`StepRecord`).
         """
+        w_in, state, t = self.w_in, self.state, self.t
         u = np.array(u, dtype=float, ndmin=1, copy=None)
-        if u.shape != self.w_in.shape[1:]:
+        if u.ndim != 1 or len(u) != w_in.shape[1]:
             raise ValueError(f"input shape {u.shape} does not match n={self.n}")
         if self.predictor is not None:
-            reference = self.state.reshape(-1, self.k)[0].copy()
+            reference = state.reshape(-1, self.k)[0].copy()
+            changed = False
             for i, current in enumerate(self.transfers):
-                ecps = self.predictor(i, self.t, reference)
+                ecps = self.predictor(i, t, reference)
                 if ecps is not None:
                     cached = self._hooked_transfer(tuple(ecps), current.variant or Variant.BRIDGE)
                     if cached.ecps != current.ecps:
-                        self.transfers[i] = cached
-            self._shared = all(tr is self.transfers[0] for tr in self.transfers)
-        if self.state.shape == (1,) and self.w_in.shape == (1, 1):
-            x = self.W.item() * self.state.item() + self.w_in.item() * u.item()
-            self.state = np.array([self.transfers[0]._eval_float(x)])
-            y_lin = np.array([x])
+                        self.transfers[i], changed = cached, True
+            if changed:
+                self._shared = all(tr is self.transfers[0] for tr in self.transfers)
+        if state.shape == (1,) and w_in.shape == (1, 1):
+            x = self.W.item() * state.item() + w_in.item() * u.item()
+            y_lin, y = np.empty(1), np.empty(1)
+            y_lin[0], y[0] = x, self.transfers[0]._eval_float(x)
         else:
-            y_lin = np.dot(self.state, self.W.T) + np.dot(u, self.w_in.T)
+            y_lin = np.dot(state, self.W.T) + np.dot(u, w_in.T)
             if self._shared:
                 y = self.transfers[0].eval(y_lin)
             else:
                 y = np.empty_like(y_lin)
                 for i, tr in enumerate(self.transfers):
                     y[..., i] = tr.eval(y_lin[..., i])
-            self.state = y
-        self.t += 1
-        return StepRecord(self.t - 1, y_lin, self.state)
+        self.state = y
+        self.t = t + 1
+        return tuple.__new__(StepRecord, (t, y_lin, y))
 
     def run(self, inputs) -> list[StepRecord]:
         """Drive the reservoir through a whole input sequence.

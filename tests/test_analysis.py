@@ -595,6 +595,30 @@ class TestStepBlocks:
         assert sizes == [2 ** i for i in range(cap.bit_length())] + [cap, 5]
 
 
+class TestHookedStack:
+    """A hook that swaps one neuron's transfer reaches that neuron in a stacked run."""
+
+    def test_pair_follows_a_one_neuron_swap(self):
+        # Both neurons start on one shared transfer; every third step the
+        # hook moves neuron 1 alone to the other anchor set.
+        sets = ((-1.0, 1.0), (-0.5, 0.7))
+        shared = MorphableTransfer(sets[0])
+        res = Reservoir(random_orthogonal(2, 5), [[0.7], [0.4]], shared,
+                        predictor=lambda i, t, state: sets[(t // 3) % 2] if i == 1 else None)
+        u = generate(iid_plus_minus(40, 1.0, seed=2))[:, None]
+        pair = run_pair(res, [0.3, -0.2], [0.35, -0.1], u)
+        # The same run with each neuron's transfer evaluated on its own column.
+        second = [MorphableTransfer(ecps) for ecps in sets]
+        states = np.array([[0.3, -0.2], [0.35, -0.1]])
+        d = [np.linalg.norm(states[1] - states[0])]
+        for t, row in enumerate(u):
+            lin = np.dot(states, res.W.T) + np.dot(row, res.w_in.T)
+            states = np.column_stack([shared.eval(lin[:, 0]), second[(t // 3) % 2].eval(lin[:, 1])])
+            d.append(np.linalg.norm(states[1] - states[0]))
+        assert pair.truncated_at is None
+        assert pair.d.tobytes() == np.array(d).tobytes()
+
+
 class TestAnticipation:
     """A hook that anchors each step's transfer at a predicted linear response (ROADMAP item 1).
 

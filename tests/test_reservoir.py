@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_ecp_list
 from critical_esn.reservoir import (
     Reservoir,
+    StepRecord,
     config_text,
     anchored_orbit_state,
     anchored_reservoir,
@@ -134,6 +135,7 @@ class TestStep:
     def test_record_is_an_immutable_tuple(self):
         res = anchored_reservoir(1.0)
         rec = res.step(0.3)
+        assert type(rec) is StepRecord and StepRecord._fields == ("t", "y_lin", "y")
         t, y_lin, y = rec
         assert (t, y_lin is rec.y_lin, y is rec.y) == (0, True, True)
         with pytest.raises(AttributeError):
@@ -184,6 +186,26 @@ class TestStep:
         records = anchored_reservoir(0.9).run(iid_plus_minus(40, 1.0, seed=4))
         arrays = [a for rec in records for a in (rec.y_lin, rec.y)]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    @pytest.mark.parametrize("kind", ["tanh", "bridge"])
+    def test_one_neuron_step_makes_fresh_arrays(self, kind):
+        # Each one-neuron step's y_lin and y are new (1,) float64 arrays of
+        # their own: no view of each other, of the last step's arrays or of
+        # a module-level array.
+        import critical_esn.reservoir as reservoir_module
+
+        transfer = TanhTransfer() if kind == "tanh" else MorphableTransfer((-1.0, 1.0))
+        res = Reservoir([[-0.9]], [[1.0]], transfer)
+        templates = [v for v in vars(reservoir_module).values() if isinstance(v, np.ndarray)]
+        before = res.step(0.3)
+        rec = res.step(-0.6)
+        for a in (rec.y_lin, rec.y):
+            assert (a.shape, a.dtype) == ((1,), np.float64)
+            assert a.flags.c_contiguous and a.flags.writeable and a.flags.owndata
+            for other in [before.y_lin, before.y, *templates]:
+                assert not np.shares_memory(a, other)
+        assert not np.shares_memory(rec.y_lin, rec.y)
+        assert rec.y is res.state
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,6 +472,27 @@ class TestPredictorHook:
         static = res_static.run(spec)
         assert res_hooked.transfers[0].ecps == (-0.5, 0.0, 0.5)
         assert not np.array_equal(hooked[-1].y, static[-1].y)
+
+    def test_one_neuron_swap_and_back_keeps_the_shared_flag(self):
+        # k = 2 on one shared transfer.  The hook moves neuron 1 away and
+        # back, and both neurons onto one set, so the flag goes False and
+        # True again; each step's state is that of one eval per neuron.
+        sets = {"A": (-1.0, 1.0), "B": (-0.5, 0.7), "C": (-0.8, 0.6)}
+        schedule = [(None, "B"), (None, "A"), ("C", "C"), (None, None), (None, "B"), (None, "C")]
+        res = Reservoir(random_orthogonal(2, 3), [[0.6], [0.5]], MorphableTransfer(sets["A"]),
+                        state=[0.2, -0.4], predictor=lambda i, t, state: (
+                            None if schedule[t][i] is None else sets[schedule[t][i]]))
+        flags = []
+        for row in [[0.9], [-0.3], [0.5], [-1.0], [0.2], [0.7]]:
+            state = res.state
+            rec = res.step(row)
+            lin = state @ res.W.T + np.asarray(row) @ res.w_in.T
+            expect = [tr.eval(lin[i]) for i, tr in enumerate(res.transfers)]
+            assert rec.y.tobytes() == np.array(expect).tobytes()
+            flags.append(res._shared)
+            assert res._shared == all(tr is res.transfers[0] for tr in res.transfers)
+        assert flags == [False, False, True, True, False, True]
+        assert [tr.ecps for tr in res.transfers] == [(-0.8, 0.0, 0.6)] * 2
 
 
 class TestTransferCache:

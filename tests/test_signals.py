@@ -28,6 +28,15 @@ class TestAlternating:
     def test_first_element_is_plus_amplitude(self):
         assert generate(alternating(1, 2.5))[0] == 2.5
 
+    @pytest.mark.parametrize("amplitude", [0.0, -0.0, math.pi / 4.0, 1e-320, -1.0, 1.0, 3, 0.7])
+    @pytest.mark.parametrize("length", [1, 2, 3, 7, 1001, 101000])
+    def test_bytes_of_the_arange_formula(self, length, amplitude):
+        # Two strided fills give the bytes of the closed form
+        # amplitude * (1 - 2 * (t & 1)), signed zeros and subnormals included.
+        u = generate(alternating(length, amplitude))
+        expect = amplitude * (1.0 - 2.0 * (np.arange(length) & 1))
+        assert u.dtype == np.float64 and u.tobytes() == expect.tobytes()
+
 
 class TestScaled:
     def test_quarter_pi_amplitude(self):

@@ -1,4 +1,4 @@
-"""Mutation guard of the engine, its float step, the step loop, the decay thresholds and the run gate.
+"""Mutation guard of the engine, the reservoir step, the step loop, decay rules and the run gate.
 
 Each mutation must fail a test.  A mutation is a file under ``src/``,
 an old text and a new text.  For each one the tool copies ``src/`` to a
@@ -15,10 +15,10 @@ directory.
 
     python tools/engine_mutations.py
 
-Rerun it after a change to the engine, the one-neuron step, the
-per-step block loop, the decay classifier or the run gate;
-``tests/test_engine_mutations.py`` checks in tier-1 that every old text
-still occurs exactly once.  Standard library only;
+Rerun it after a change to the engine, the one-neuron step, a hooked
+step's transfer swap, the per-step block loop, the decay classifier or
+the run gate; ``tests/test_engine_mutations.py`` checks in tier-1 that
+every old text still occurs exactly once.  Standard library only;
 pytest and hypothesis come from the test dependencies.
 """
 
@@ -99,15 +99,21 @@ MUTATIONS = [
     # differs from np.tanh in the last bit on some points.  The per-row
     # derivative-product loop steps the same way and cannot see it.
     Mutation("math.tanh in the one-neuron tanh step", RESERVOIR,
-             "self.state = np.array([self.transfers[0]._eval_float(x)])",
-             "self.state = np.array([self.transfers[0]._eval_float(x) if self.transfers[0].variant"
-             " else math.tanh(x)])"),
+             "y_lin[0], y[0] = x, self.transfers[0]._eval_float(x)",
+             "y_lin[0], y[0] = x, self.transfers[0]._eval_float(x) if self.transfers[0].variant"
+             " else math.tanh(x)"),
+    # A hooked step that swaps one neuron's transfer leaves the "shared"
+    # flag as it was, so a stack that started on one shared transfer keeps
+    # evaluating every neuron on neuron 0's.
+    Mutation("shared flag kept after a swap", RESERVOIR,
+             "self.transfers[i], changed = cached, True",
+             "self.transfers[i] = cached"),
     # The per-step block loop runs its blocks to their full size past the
     # first exact zero, so a pair that has met is stepped on.
     Mutation("no early end at a zero", ANALYSIS,
              """\
             if value == 0.0 and not met:
-                values, met = values[:i + 1], True
+                met = True
                 break
 """,
              ""),
